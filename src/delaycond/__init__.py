@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NoEstimateError,
+    NonFiniteTrajectoryError,
     NonInvertibleFlowError,
     UndefinedSoftRankError,
     ZeroVarianceError,

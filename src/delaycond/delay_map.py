@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlowSpec, Orbit, _check_state
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
 
@@ -130,14 +130,29 @@ def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
         )
 
 
-def _backward_rows(flow: FlowSpec, x: np.ndarray, m: int) -> np.ndarray:
-    """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) as an (m, N) array."""
+def _backward_rows(
+    flow: FlowSpec, x: np.ndarray, m: int, sample: int | None = None
+) -> np.ndarray:
+    """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) as an (m, N) array.
+
+    Raises NonFiniteTrajectoryError naming the first non-finite row (and
+    ``sample``, the state's index in a stack, when given).
+    """
     rows = np.empty((m, flow.ambient_dim))
     cur = x
-    for k in range(m):
-        rows[k] = cur
-        if k + 1 < m:
-            cur = flow.inverse @ cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            rows[k] = cur
+            if k + 1 < m:
+                cur = flow.inverse @ cur
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        where = "" if sample is None else f"sample {sample}: "
+        raise NonFiniteTrajectoryError(
+            f"{where}backward iterate at delay index {k} of {m} is not finite; "
+            "the inverse flow overflows or the state is not finite"
+        )
     return rows
 
 
@@ -168,7 +183,7 @@ def trajectory_matrices(
     _warn_excess_delays(flow, params)
     stack = np.empty((samples.shape[0], params.num_delays, flow.ambient_dim))
     for i in range(samples.shape[0]):
-        stack[i] = _backward_rows(flow, samples[i], params.num_delays)
+        stack[i] = _backward_rows(flow, samples[i], params.num_delays, sample=i)
     return stack
 
 

@@ -20,13 +20,13 @@ report writer); they are not the conditioning measured here.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from ._parallel import ordered_map
 from .delay_map import (
     DelayParams,
     MeasurementCoeffs,
@@ -184,8 +184,12 @@ class _PairScanContext:
         measured = self.stack @ alpha  # (n, M) delay vectors
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
 
-    def conditioning(self, coeffs: MeasurementCoeffs) -> ConditioningResult:
-        deviations = np.abs(self.ratios(coeffs.alpha) - 1.0)
+    def conditioning(
+        self, coeffs: MeasurementCoeffs, ratios: np.ndarray | None = None
+    ) -> ConditioningResult:
+        if ratios is None:
+            ratios = self.ratios(coeffs.alpha)
+        deviations = np.abs(ratios - 1.0)
         k = int(np.argmax(deviations))  # first occurrence = lexicographic pair
         return ConditioningResult(
             epsilon=float(deviations[k]),
@@ -224,39 +228,19 @@ def monte_carlo(
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
     ctx = _PairScanContext(flow, samples, params)
-    scan = infimum_soft_rank(flow, samples, params)
+    scan = infimum_soft_rank(flow, samples, params, threads=threads)
     n_amb = flow.ambient_dim
 
-    per_draw: list[ConditioningResult | None] = [None] * num_draws
-    ratio_rows: list[np.ndarray | None] | None = (
-        [None] * num_draws if keep_ratios else None
-    )
-
-    def run_draw(k: int) -> None:
+    def run_draw(k: int) -> tuple[ConditioningResult, np.ndarray | None]:
         try:
             coeffs = draw_coeffs(ensemble, n_amb, derive_seed(base_seed, k))
-            if ratio_rows is not None:
-                ratio_rows[k] = ctx.ratios(coeffs.alpha)
-                deviations = np.abs(ratio_rows[k] - 1.0)
-                j = int(np.argmax(deviations))
-                per_draw[k] = ConditioningResult(
-                    epsilon=float(deviations[j]),
-                    worst_pair=(int(ctx.i_idx[j]), int(ctx.j_idx[j])),
-                    alpha_seed=coeffs.seed,
-                )
-            else:
-                per_draw[k] = ctx.conditioning(coeffs)
+            ratios = ctx.ratios(coeffs.alpha)
+            return ctx.conditioning(coeffs, ratios), ratios if keep_ratios else None
         except Exception as exc:
             raise RuntimeError(f"draw {k} failed: {exc}") from exc
 
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and num_draws > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_draw, range(num_draws)))
-    else:
-        for k in range(num_draws):
-            run_draw(k)
+    draws = ordered_map(run_draw, range(num_draws), threads)
+    per_draw = [result for result, _ in draws]
 
     eps = np.array([r.epsilon for r in per_draw])
     quantiles = {
@@ -275,7 +259,7 @@ def monte_carlo(
             "num_samples": int(ctx.samples.shape[0]),
             "sampling_interval": flow.sampling_interval,
         },
-        ratios=np.vstack(ratio_rows) if keep_ratios else None,
+        ratios=np.vstack([ratios for _, ratios in draws]) if keep_ratios else None,
     )
 
 
@@ -362,8 +346,12 @@ def theorem_condition_check(
         "c_user": c_user,
     }
     for name, value in values.items():
-        if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
+        if not (isinstance(value, numbers.Real) and value > 0 and math.isfinite(value)):
             raise InvalidArgumentError(f"{name} must be a positive finite number")
+    # numpy scalars (float32 included) are evaluated in double precision
+    infimum_soft_rank, epsilon, manifold_dim, volume, reach, c_user = (
+        float(value) for value in values.values()
+    )
 
     log_arg = math.sqrt(infimum_soft_rank) * volume ** (1.0 / manifold_dim) / reach
     degenerate = log_arg <= 1.0

@@ -21,6 +21,10 @@ class DegeneratePairError(DelaycondError, ValueError):
     """Two supposedly distinct states coincide; pair diagnostics are undefined."""
 
 
+class NonFiniteTrajectoryError(DelaycondError, ValueError):
+    """A backward iterate overflowed or is NaN, so no pair diagnostic is defined."""
+
+
 class UndefinedSoftRankError(DelaycondError, ZeroDivisionError):
     """Soft rank of the zero matrix is 0/0 and therefore undefined."""
 

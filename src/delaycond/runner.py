@@ -132,7 +132,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     passed = True
     for m in config.delays:
         params = DelayParams(m)
-        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True, threads=threads)
         bound = m / 2.0
         rows = []
         max_disagreement = 0.0
@@ -345,7 +345,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     # Per-pair table: soft ranks are coefficient-free; ratio aggregates run
     # over the draws. State-space-denominator ratios are the secondary
     # diagnostic (the conditioning above is measured in trajectory space).
-    scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+    scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True, threads=threads)
     ratios = report.ratios
     rows = []
     i_idx, j_idx = pair_indices(samples.shape[0])

@@ -431,6 +431,19 @@ class TestCliMain:
         assert main(["report", "--config", config_path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_flow_exit_one_without_traceback(self, tmp_path, capsys):
+        matrix_file = tmp_path / "m.csv"
+        np.savetxt(matrix_file, 0.25 * np.eye(4), delimiter=",")
+        config_path = write_config(
+            tmp_path / "c.cfg",
+            f"kind = linear\nmatrix_path = {matrix_file}\n"
+            "num_samples = 4\ndelays = 600\nnum_draws = 3\n",
+        )
+        assert main(["report", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.cfg")]) == 1
 

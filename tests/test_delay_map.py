@@ -7,6 +7,7 @@ from delaycond import (
     DelayParams,
     DimensionMismatchError,
     InvalidArgumentError,
+    NonFiniteTrajectoryError,
     basis_delay_vector,
     delay_vector,
     derive_seed,
@@ -123,6 +124,21 @@ class TestTrajectoryMatrix:
     def test_zero_delays_rejected(self):
         with pytest.raises(InvalidArgumentError):
             DelayParams(0)
+
+    def test_overflowing_backward_iterates_are_a_typed_error(self):
+        # the inverse flow multiplies by 4 per delay, so 4^512 = 2^1024 overflows
+        flow = make_linear_flow(0.25 * np.eye(4))
+        params = DelayParams(600)
+        with pytest.raises(NonFiniteTrajectoryError, match="delay index 512 of 600"):
+            trajectory_matrix(flow, np.eye(4)[0], params)
+        samples = np.vstack([1e-200 * np.eye(4)[0], np.eye(4)[1]])
+        with pytest.raises(NonFiniteTrajectoryError, match="sample 1: .*delay index 512"):
+            trajectory_matrices(flow, samples, params)
+
+    def test_non_finite_state_is_a_typed_error(self):
+        flow = make_shift_flow(3)
+        with pytest.raises(NonFiniteTrajectoryError, match="delay index 0"):
+            trajectory_matrix(flow, np.array([1.0, np.nan, 0.0]), DelayParams(2))
 
     def test_stacked_matrices_match_singles_bitwise(self):
         flow = well_conditioned_flow(4, 6)

@@ -5,6 +5,7 @@ from delaycond import (
     DegeneratePairError,
     DelayParams,
     InvalidArgumentError,
+    NonFiniteTrajectoryError,
     conditioning,
     draw_coeffs,
     isometry_ratio,
@@ -115,6 +116,16 @@ class TestConditioning:
 
 
 class TestMonteCarlo:
+    def test_overflowing_flow_is_a_typed_error(self):
+        # an overflowing stack must surface neither as eps = nan nor as a
+        # raw LinAlgError from the SVD
+        flow = make_linear_flow(0.25 * np.eye(4))
+        params = DelayParams(600)
+        with pytest.raises(NonFiniteTrajectoryError):
+            conditioning(flow, np.eye(4), draw_coeffs("rademacher", 4, 0), params)
+        with pytest.raises(NonFiniteTrajectoryError):
+            monte_carlo(flow, np.eye(4), params, "rademacher", 3, base_seed=0)
+
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)
         samples = np.eye(16)
@@ -285,3 +296,6 @@ class TestTheoremConditionCheck:
             bad[key] = 0.0
             with pytest.raises(InvalidArgumentError):
                 theorem_condition_check(**bad)
+        # numpy scalars are real numbers too
+        numpy_typed = dict(good, infimum_soft_rank=np.int64(10), reach=np.float32(1.0))
+        assert theorem_condition_check(**numpy_typed) == theorem_condition_check(**good)

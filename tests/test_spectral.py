@@ -11,14 +11,19 @@ from delaycond import (
     DegeneratePairError,
     DelayParams,
     InvalidArgumentError,
+    NonFiniteTrajectoryError,
     UndefinedSoftRankError,
     infimum_soft_rank,
+    make_linear_flow,
     make_shift_flow,
     pair_soft_rank,
     shift_system_oracle,
     soft_rank,
 )
+from delaycond import spectral
 from delaycond.spectral import matrix_rank_of
+
+from test_dynamics import well_conditioned_flow
 
 # Adjacent basis states of the 8-state shift with 4 delays: the pair Gram is
 # 2I minus the path adjacency, eigenvalues 2 - 2 cos(k pi / 5).
@@ -165,7 +170,11 @@ class TestInfimumSoftRank:
     def test_duplicate_samples_are_an_error_not_a_skip(self):
         flow = make_shift_flow(6)
         samples = np.vstack([np.eye(6)[0], np.eye(6)[3], np.eye(6)[0]])
-        with pytest.raises(DegeneratePairError):
+        with pytest.raises(DegeneratePairError, match="samples 0 and 2 coincide"):
+            infimum_soft_rank(flow, samples, DelayParams(2))
+        # (0, 3) precedes (1, 2) in (i, j) order
+        samples = np.eye(6)[[0, 3, 3, 0]]
+        with pytest.raises(DegeneratePairError, match="samples 0 and 3 coincide"):
             infimum_soft_rank(flow, samples, DelayParams(2))
 
     def test_needs_two_samples(self):
@@ -173,12 +182,82 @@ class TestInfimumSoftRank:
         with pytest.raises(InvalidArgumentError):
             infimum_soft_rank(flow, np.eye(6)[:1], DelayParams(2))
 
+    def test_overflowing_stack_is_a_typed_error(self):
+        flow = make_linear_flow(0.25 * np.eye(4))
+        with pytest.raises(NonFiniteTrajectoryError, match="sample 0"):
+            infimum_soft_rank(flow, np.eye(4), DelayParams(600))
+
     def test_chord_norms_describe_backward_separations(self):
         flow = make_shift_flow(10)
         scan = infimum_soft_rank(flow, np.eye(10)[:3], DelayParams(4), keep_per_pair=True)
         for diag in scan.per_pair:
             # basis states stay basis states under the shift: every chord sqrt(2)
             assert np.allclose(diag.chord_norms, np.sqrt(2.0), rtol=1e-14)
+
+
+@st.composite
+def scan_cases(draw):
+    """Flow, samples and delays: random linear flows or tie-heavy shifts, M up to N + 3."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 8))
+        flow = well_conditioned_flow(seed, n)
+        num = draw(st.integers(2, 12))
+        samples = np.random.default_rng(seed).standard_normal((num, n))
+    else:
+        n = draw(st.integers(2, 16))
+        flow = make_shift_flow(n)
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        samples = np.eye(n)[rows]
+    return flow, samples, DelayParams(draw(st.integers(1, n + 3)))
+
+
+class TestScreenedScan:
+    """The Gram screen plus dense certification against the exhaustive dense scan."""
+
+    @staticmethod
+    def exhaustive(flow, samples, params):
+        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+        values = [d.soft_rank for d in scan.per_pair]
+        first = values.index(min(values))
+        return scan, min(values), scan.per_pair[first].pair
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=scan_cases(),
+        threads=st.sampled_from([0, 1, 2, 4]),
+        chunk=st.sampled_from([1, 3, 7, 512]),
+    )
+    def test_matches_exhaustive_dense_scan(self, case, threads, chunk):
+        flow, samples, params = case
+        reference, infimum, argmin = self.exhaustive(flow, samples, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_SCAN_CHUNK", chunk)
+            screened = infimum_soft_rank(flow, samples, params, threads=threads)
+            dense = infimum_soft_rank(
+                flow, samples, params, keep_per_pair=True, threads=threads
+            )
+        for scan in (screened, dense, reference):
+            assert scan.infimum == infimum
+            assert scan.argmin_pair == argmin
+            assert scan.num_pairs == len(reference.per_pair)
+        assert [d.pair for d in dense.per_pair] == [d.pair for d in reference.per_pair]
+        assert [d.soft_rank for d in dense.per_pair] == [
+            d.soft_rank for d in reference.per_pair
+        ]
+
+    def test_analytic_ties_resolve_like_the_dense_scan(self):
+        # all circularly adjacent pairs tie analytically; the Gram screen's
+        # rounding puts its own minimum on a different one of them
+        flow = make_shift_flow(32)
+        params = DelayParams(5)
+        _, infimum, argmin = self.exhaustive(flow, np.eye(32), params)
+        scan = infimum_soft_rank(flow, np.eye(32), params)
+        assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
+
+    def test_negative_threads_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="threads"):
+            infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=-1)
 
 
 class TestShiftSystemOracle:
