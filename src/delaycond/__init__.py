@@ -60,7 +60,6 @@ from .errors import (
 from .geometry import (
     AttractorSample,
     DelaySelection,
-    ManifoldGeometry,
     ReachEstimate,
     autocorr_first_zero,
     curve_volume,
@@ -74,6 +73,7 @@ from .geometry import (
 from .spectral import (
     PairDiagnostics,
     PairScanResult,
+    PairTable,
     SoftRankResult,
     infimum_soft_rank,
     pair_soft_rank,

@@ -71,16 +71,20 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
+def _check_ensemble(ensemble: str) -> None:
+    if ensemble not in ENSEMBLES:
+        raise InvalidArgumentError(
+            f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}"
+        )
+
+
 def draw_coeffs(ensemble: str, n: int, seed: int) -> MeasurementCoeffs:
     """Draw a reproducible coefficient vector from the named ensemble.
 
     "rademacher" draws i.i.d. +/-1 entries, "gaussian" i.i.d. standard
     normals. The same (ensemble, n, seed) always yields the same vector.
     """
-    if ensemble not in ENSEMBLES:
-        raise InvalidArgumentError(
-            f"unknown ensemble {ensemble!r}, expected one of {ENSEMBLES}"
-        )
+    _check_ensemble(ensemble)
     if n < 1:
         raise InvalidArgumentError(f"coefficient dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)

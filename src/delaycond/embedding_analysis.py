@@ -24,7 +24,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map
 from .delay_map import (
@@ -33,18 +32,17 @@ from .delay_map import (
     derive_seed,
     draw_coeffs,
     row_squared_norms,
-    trajectory_matrices,
     trajectory_matrix,
+    _check_ensemble,
 )
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError
 from .spectral import (
     PairDiagnostics,
+    PairTable,
     check_distinct,
     infimum_soft_rank,
-    pair_indices,
     soft_rank,
-    _check_samples_distinct,
 )
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -66,7 +64,12 @@ class ConditioningResult:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """Monte Carlo conditioning summary over coefficient draws."""
+    """Monte Carlo conditioning summary over coefficient draws.
+
+    ``table``, ``soft_ranks`` (per pair) and ``ratios`` (draws x pairs) are
+    kept only when ``monte_carlo`` is asked to keep per-pair values, else
+    None; their pair axis is in ``pair_indices`` order.
+    """
 
     per_draw: list[ConditioningResult]
     num_draws: int
@@ -75,7 +78,9 @@ class EmbeddingReport:
     quantiles: dict[float, float]
     infimum_soft_rank: float
     params: dict
-    ratios: np.ndarray | None = field(default=None, repr=False)  # (draws, pairs)
+    table: PairTable | None = field(default=None, repr=False)
+    soft_ranks: np.ndarray | None = field(default=None, repr=False)
+    ratios: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def epsilons(self) -> np.ndarray:
@@ -161,41 +166,14 @@ def isometry_ratio(
     )
 
 
-class _PairScanContext:
-    """Trajectory stacks and pair denominators shared across coefficient draws."""
-
-    def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[0] < 2:
-            raise InvalidArgumentError(
-                f"need at least 2 samples, got {samples.shape[0]}"
-            )
-        _check_samples_distinct(samples)
-        self.samples = samples
-        self.params = params
-        self.stack = trajectory_matrices(flow, samples, params)
-        n = samples.shape[0]
-        self.i_idx, self.j_idx = pair_indices(n)
-        flat = self.stack.reshape(n, -1)
-        self.traj_dist_sq = pdist(flat, "sqeuclidean")
-        self.state_dist_sq = pdist(samples, "sqeuclidean")
-
-    def ratios(self, alpha: np.ndarray) -> np.ndarray:
-        measured = self.stack @ alpha  # (n, M) delay vectors
-        return pdist(measured, "sqeuclidean") / self.traj_dist_sq
-
-    def conditioning(
-        self, coeffs: MeasurementCoeffs, ratios: np.ndarray | None = None
-    ) -> ConditioningResult:
-        if ratios is None:
-            ratios = self.ratios(coeffs.alpha)
-        deviations = np.abs(ratios - 1.0)
-        k = int(np.argmax(deviations))  # first occurrence = lexicographic pair
-        return ConditioningResult(
-            epsilon=float(deviations[k]),
-            worst_pair=(int(self.i_idx[k]), int(self.j_idx[k])),
-            alpha_seed=coeffs.seed,
-        )
+def _conditioning(
+    table: PairTable, coeffs: MeasurementCoeffs, ratios: np.ndarray
+) -> ConditioningResult:
+    deviations = np.abs(ratios - 1.0)
+    k = int(np.argmax(deviations))  # first occurrence = lexicographic pair
+    return ConditioningResult(
+        epsilon=float(deviations[k]), worst_pair=table.pair(k), alpha_seed=coeffs.seed
+    )
 
 
 def conditioning(
@@ -205,7 +183,8 @@ def conditioning(
     params: DelayParams,
 ) -> ConditioningResult:
     """Tightest eps such that every pair ratio lies in (1 - eps, 1 + eps)."""
-    return _PairScanContext(flow, samples, params).conditioning(alpha)
+    table = PairTable(flow, samples, params)
+    return _conditioning(table, alpha, table.ratios(alpha.alpha))
 
 
 def monte_carlo(
@@ -216,28 +195,30 @@ def monte_carlo(
     num_draws: int,
     base_seed: int,
     threads: int = 1,
-    keep_ratios: bool = False,
+    keep_per_pair: bool = False,
 ) -> EmbeddingReport:
     """Conditioning distribution over seeded coefficient draws.
 
     Draw k uses the child seed derived from (base_seed, k), so every number
     in the report is determined by the configuration alone, regardless of
-    how many worker threads evaluate the draws. ``keep_ratios`` retains the
-    full (draws, pairs) ratio matrix for per-pair reporting.
+    how many worker threads evaluate the draws. The draws run on the pair
+    table of the soft-rank scan. ``keep_per_pair`` retains that table, every
+    pair's dense soft rank and the full (draws, pairs) ratio matrix for
+    per-pair reporting.
     """
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
-    ctx = _PairScanContext(flow, samples, params)
-    scan = infimum_soft_rank(flow, samples, params, threads=threads)
+    _check_ensemble(ensemble)
+    scan = infimum_soft_rank(
+        flow, samples, params, keep_per_pair=keep_per_pair, threads=threads
+    )
+    table = scan.table
     n_amb = flow.ambient_dim
 
     def run_draw(k: int) -> tuple[ConditioningResult, np.ndarray | None]:
-        try:
-            coeffs = draw_coeffs(ensemble, n_amb, derive_seed(base_seed, k))
-            ratios = ctx.ratios(coeffs.alpha)
-            return ctx.conditioning(coeffs, ratios), ratios if keep_ratios else None
-        except Exception as exc:
-            raise RuntimeError(f"draw {k} failed: {exc}") from exc
+        coeffs = draw_coeffs(ensemble, n_amb, derive_seed(base_seed, k))
+        ratios = table.ratios(coeffs.alpha)
+        return _conditioning(table, coeffs, ratios), ratios if keep_per_pair else None
 
     draws = ordered_map(run_draw, range(num_draws), threads)
     per_draw = [result for result, _ in draws]
@@ -256,10 +237,12 @@ def monte_carlo(
         params={
             "ambient_dim": n_amb,
             "num_delays": params.num_delays,
-            "num_samples": int(ctx.samples.shape[0]),
+            "num_samples": int(table.stack.shape[0]),
             "sampling_interval": flow.sampling_interval,
         },
-        ratios=np.vstack([ratios for _, ratios in draws]) if keep_ratios else None,
+        table=table if keep_per_pair else None,
+        soft_ranks=scan.soft_ranks,
+        ratios=np.vstack([ratios for _, ratios in draws]) if keep_per_pair else None,
     )
 
 

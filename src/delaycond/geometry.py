@@ -49,18 +49,6 @@ class AttractorSample:
 
 
 @dataclass(frozen=True)
-class ManifoldGeometry:
-    """Volume and reach of a manifold sampled as a point cloud."""
-
-    volume: float
-    reach: float
-    dim: float  # user-declared manifold dimension
-    num_points: int
-    volume_bias: str = VOLUME_BIAS_NOTE
-    reach_bias: str = REACH_BIAS_NOTE
-
-
-@dataclass(frozen=True)
 class ReachEstimate:
     """Minimum of the pairwise reach quotient, with exclusion bookkeeping."""
 

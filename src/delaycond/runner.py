@@ -23,13 +23,7 @@ from scipy.spatial.distance import pdist
 
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
-from .delay_map import (
-    DelayParams,
-    derive_seed,
-    draw_coeffs,
-    time_series,
-    trajectory_matrices,
-)
+from .delay_map import DelayParams, derive_seed, draw_coeffs, time_series
 from .dynamics import FlowSpec, generate_orbit, lyapunov_exponent_inverse_flow
 from .embedding_analysis import monte_carlo, scaling_study, theorem_condition_check
 from .errors import ConfigError, InvalidArgumentError, ZeroVarianceError
@@ -40,9 +34,8 @@ from .geometry import (
     delay_selection,
     finite_difference_tangents,
     reach_estimate,
-    trajectory_manifold_points,
 )
-from .spectral import infimum_soft_rank, pair_indices, shift_system_oracle
+from .spectral import infimum_soft_rank, shift_system_oracle
 
 # Floating-point slack on exact-equality bound comparisons (the m/2 bound is
 # attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
@@ -123,7 +116,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
     flow = build_flow(config)
     samples, desc, _period = build_samples(config, flow)
-    basis = [_basis_index(s) for s in samples]
+    basis = np.array([_basis_index(s) for s in samples])
     n = flow.ambient_dim
 
     os.makedirs(out_dir, exist_ok=True)
@@ -133,19 +126,25 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     for m in config.delays:
         params = DelayParams(m)
         scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True, threads=threads)
+        table = scan.table
         bound = m / 2.0
-        rows = []
-        max_disagreement = 0.0
-        all_satisfied = True
-        for diag in scan.per_pair:
-            i, j = diag.pair
-            d = (basis[j] - basis[i]) % n
-            oracle = shift_system_oracle(n, m, d).value
-            disagreement = abs(diag.soft_rank - oracle)
-            max_disagreement = max(max_disagreement, disagreement)
-            satisfied = diag.soft_rank >= bound - BOUND_SLACK
-            all_satisfied = all_satisfied and satisfied
-            rows.append((i, j, d, diag.soft_rank, oracle, bound, satisfied))
+        seps = (basis[table.j_idx] - basis[table.i_idx]) % n
+        # the oracle depends on the pair only through its separation
+        unique_seps, where = np.unique(seps, return_inverse=True)
+        oracle = np.array([shift_system_oracle(n, m, int(d)).value for d in unique_seps])
+        oracle = oracle[where]
+        max_disagreement = float(np.max(np.abs(scan.soft_ranks - oracle)))
+        satisfied = scan.soft_ranks >= bound - BOUND_SLACK
+        all_satisfied = bool(np.all(satisfied))
+        rows = list(zip(
+            table.i_idx.tolist(),
+            table.j_idx.tolist(),
+            seps.tolist(),
+            scan.soft_ranks.tolist(),
+            oracle.tolist(),
+            [bound] * table.num_pairs,
+            satisfied.tolist(),
+        ))
         name = f"lemma_check_M{m}.csv"
         write_csv(
             os.path.join(out_dir, name),
@@ -227,16 +226,14 @@ def _geometry_payload(
     config: ExperimentConfig,
     flow: FlowSpec,
     samples: np.ndarray,
-    params: DelayParams,
+    points: np.ndarray,
     period: int | None,
     orbit_ordered: bool,
 ) -> dict:
+    """``points`` holds the trajectory vector of each sample, one per row."""
     payload: dict = {}
 
     if orbit_ordered:
-        points = np.vstack(
-            [tv.entries for tv in trajectory_manifold_points(flow, samples, params)]
-        )
         closed = period is not None and period == samples.shape[0]
         volume = curve_volume(points, closed=closed)
         reach = reach_estimate(points, finite_difference_tangents(points))
@@ -308,7 +305,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         config.num_draws,
         config.base_seed,
         threads=threads,
-        keep_ratios=True,
+        keep_per_pair=True,
     )
     eps = report.epsilons
 
@@ -345,28 +342,28 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     # Per-pair table: soft ranks are coefficient-free; ratio aggregates run
     # over the draws. State-space-denominator ratios are the secondary
     # diagnostic (the conditioning above is measured in trajectory space).
-    scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True, threads=threads)
-    ratios = report.ratios
-    rows = []
-    i_idx, j_idx = pair_indices(samples.shape[0])
-    stack = trajectory_matrices(flow, samples, params)
-    traj_dist_sq = pdist(stack.reshape(samples.shape[0], -1), "sqeuclidean")
+    table, ratios = report.table, report.ratios
+    traj_dist_sq = table.traj_dist_sq
     state_dist_sq = pdist(samples, "sqeuclidean")
-    state_ratios = ratios * (traj_dist_sq / state_dist_sq)[None, :]
-    for k in range(i_idx.size):
+    state_scale = traj_dist_sq / state_dist_sq
+    rows = []
+    # column by column: a whole-matrix median or state-ratio matrix would
+    # copy the (draws, pairs) ratio matrix
+    for k in range(table.num_pairs):
+        column = ratios[:, k]
+        state_column = column * state_scale[k]
         rows.append(
             (
-                int(i_idx[k]),
-                int(j_idx[k]),
+                *table.pair(k),
                 float(state_dist_sq[k]),
                 float(traj_dist_sq[k]),
-                scan.per_pair[k].soft_rank,
-                float(np.min(ratios[:, k])),
-                float(np.median(ratios[:, k])),
-                float(np.max(ratios[:, k])),
-                float(np.min(state_ratios[:, k])),
-                float(np.median(state_ratios[:, k])),
-                float(np.max(state_ratios[:, k])),
+                float(report.soft_ranks[k]),
+                float(np.min(column)),
+                float(np.median(column)),
+                float(np.max(column)),
+                float(np.min(state_column)),
+                float(np.median(state_column)),
+                float(np.max(state_column)),
             )
         )
     write_csv(
@@ -388,8 +385,9 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     )
     data_files.append("per_pair.csv")
 
+    points = table.stack.reshape(table.stack.shape[0], -1)
     geometry_payload = _geometry_payload(
-        config, flow, samples, params, period, orbit_ordered
+        config, flow, samples, points, period, orbit_ordered
     )
     write_json(os.path.join(out_dir, "geometry.json"), geometry_payload)
     data_files.append("geometry.json")

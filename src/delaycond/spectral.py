@@ -7,6 +7,10 @@ of the trajectory-matrix differences D = G_x - G_y; its minimum over a
 finite sample only upper-bounds the minimum over the whole attractor, so
 results carry the pair count.
 
+Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
+which checks the samples, builds the trajectory stack once, and forms the
+pair differences and isometry ratios from it.
+
 The scan runs in two passes over chunks of pair differences. The screen
 needs only the smaller Gram matrix (D D^T, or D^T D when M > N): its trace
 is ||D||_F^2 and its top eigenvalue ||D||_2^2. The certification pass takes
@@ -18,13 +22,13 @@ included. Chunks of either pass are spread over the ``threads`` workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map
-from .delay_map import DelayParams, row_squared_norms, trajectory_matrices, trajectory_matrix
+from .delay_map import DelayParams, trajectory_matrices, trajectory_matrix
 from .dynamics import FlowSpec
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
@@ -48,12 +52,11 @@ class SoftRankResult:
 
 @dataclass(frozen=True)
 class PairDiagnostics:
-    """Per-pair record from a scan: indices, soft rank, chord norms.
+    """One pair's indices, soft rank, chord norms and isometry ratio.
 
     ``ratio`` is the squared-distance ratio of the measured delay vectors to
-    the trajectory vectors; it is None in scans that do not involve a
-    coefficient vector. ``chord_norms[m]`` is the distance between the m-th
-    backward iterates of the two states.
+    the trajectory vectors. ``chord_norms[m]`` is the distance between the
+    m-th backward iterates of the two states.
     """
 
     pair: tuple[int, int]
@@ -66,14 +69,17 @@ class PairDiagnostics:
 class PairScanResult:
     """Minimum soft rank over all sample pairs (an upper bound estimate).
 
-    ``argmin_pair`` is lexicographically smallest among ties. ``per_pair``
-    is populated only when the scan is asked to keep per-pair records.
+    ``argmin_pair`` is lexicographically smallest among ties. ``soft_ranks``
+    holds every pair's dense soft rank in ``pair_indices`` order when the
+    scan is asked to keep per-pair values, else None. ``table`` is the pair
+    table the scan ran on, for callers that go on to use the same pairs.
     """
 
     infimum: float
     argmin_pair: tuple[int, int]
     num_pairs: int
-    per_pair: list[PairDiagnostics] | None = None
+    table: PairTable = field(repr=False)
+    soft_ranks: np.ndarray | None = field(default=None, repr=False)
 
 
 def soft_rank(g: np.ndarray) -> SoftRankResult:
@@ -123,20 +129,6 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
-def _check_samples_distinct(samples: np.ndarray) -> None:
-    dists = pdist(samples)  # condensed, in pair_indices order
-    norms = np.linalg.norm(samples, axis=1)
-    i_idx, j_idx = pair_indices(samples.shape[0])
-    scales = np.maximum(norms[i_idx], norms[j_idx])
-    bad = np.flatnonzero(dists <= COINCIDENCE_THRESHOLD * scales)
-    if bad.size:
-        k = int(bad[0])
-        raise DegeneratePairError(
-            f"samples {int(i_idx[k])} and {int(j_idx[k])} coincide; "
-            "the scan minimum would be biased by skipping them"
-        )
-
-
 def _band_rtol(m: int, n: int) -> float:
     """Bound on the relative gap between screened and dense soft ranks of an m x n D.
 
@@ -152,23 +144,63 @@ def _band_rtol(m: int, n: int) -> float:
     return 16.0 * float(np.finfo(float).eps) * (m * n + m + n)
 
 
-def _run_differences(
-    stack: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray, pairs: slice
-) -> np.ndarray:
-    """stack[i] - stack[j] over a contiguous range of the (i, j) pair order.
+class PairTable:
+    """The C(n, 2) sample pairs of one (flow, samples, M), in ``pair_indices`` order.
 
-    The partners j of one i are consecutive, so each row's share of the range
-    is one subtraction from a slice of the stack, with no gathered copies.
+    Construction checks that there are at least 2 samples and that no two
+    coincide (a coincident pair is an error, never skipped), then builds the
+    trajectory stack once. ``traj_dist_sq[k]`` is the squared trajectory-
+    vector distance of pair k, the denominator of its isometry ratio.
     """
-    out = np.empty((pairs.stop - pairs.start,) + stack.shape[1:])
-    k = pairs.start
-    while k < pairs.stop:
-        i, j = int(i_idx[k]), int(j_idx[k])
-        take = min(pairs.stop - k, stack.shape[0] - j)
-        offset = k - pairs.start
-        np.subtract(stack[i], stack[j : j + take], out=out[offset : offset + take])
-        k += take
-    return out
+
+    def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        n = samples.shape[0]
+        if n < 2:
+            raise InvalidArgumentError(f"need at least 2 samples to form a pair, got {n}")
+        self.i_idx, self.j_idx = pair_indices(n)
+        dists = pdist(samples)  # condensed, in pair_indices order
+        norms = np.linalg.norm(samples, axis=1)
+        scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
+        bad = np.flatnonzero(dists <= COINCIDENCE_THRESHOLD * scales)
+        if bad.size:
+            i, j = self.pair(int(bad[0]))
+            raise DegeneratePairError(
+                f"samples {i} and {j} coincide; "
+                "the scan minimum would be biased by skipping them"
+            )
+        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N)
+        self.traj_dist_sq = pdist(self.stack.reshape(n, -1), "sqeuclidean")
+
+    @property
+    def num_pairs(self) -> int:
+        return int(self.i_idx.size)
+
+    def pair(self, k: int) -> tuple[int, int]:
+        return int(self.i_idx[k]), int(self.j_idx[k])
+
+    def differences(self, pairs: slice) -> np.ndarray:
+        """stack[i] - stack[j] over a contiguous range of the pair order.
+
+        The partners j of one i are consecutive, so each row's share of the
+        range is one subtraction from a slice of the stack, with no gathered
+        copies.
+        """
+        stack = self.stack
+        out = np.empty((pairs.stop - pairs.start,) + stack.shape[1:])
+        k = pairs.start
+        while k < pairs.stop:
+            i, j = self.pair(k)
+            take = min(pairs.stop - k, stack.shape[0] - j)
+            offset = k - pairs.start
+            np.subtract(stack[i], stack[j : j + take], out=out[offset : offset + take])
+            k += take
+        return out
+
+    def ratios(self, alpha: np.ndarray) -> np.ndarray:
+        """Isometry ratio ||D alpha||^2 / ||D||_F^2 of every pair."""
+        measured = self.stack @ alpha  # (n, M) delay vectors
+        return pdist(measured, "sqeuclidean") / self.traj_dist_sq
 
 
 def _screened_soft_ranks(diffs: np.ndarray) -> np.ndarray:
@@ -207,67 +239,31 @@ def infimum_soft_rank(
     Coincident samples are a hard error, never skipped. ``infimum`` and
     ``argmin_pair`` are dense-SVD values, identical to a sequential scan of
     every pair, whichever ``threads`` (0 picks the CPU count) evaluate the
-    chunks. Without ``keep_per_pair`` only the pairs that the Gram screen
-    places within the rounding band of its minimum get the dense SVD.
+    chunks. With ``keep_per_pair`` every pair gets the dense SVD and the
+    result keeps the values as ``soft_ranks``; without it only the pairs
+    that the Gram screen places within the rounding band of its minimum do.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < 2:
-        raise InvalidArgumentError(
-            f"need at least 2 samples to form a pair, got {samples.shape[0]}"
+    table = PairTable(flow, samples, params)
+    num_pairs = table.num_pairs
+    first_pass = _dense_soft_ranks if keep_per_pair else _screened_soft_ranks
+    values = np.concatenate(
+        ordered_map(
+            lambda pairs: first_pass(table.differences(pairs)), _chunks(num_pairs), threads
         )
-    _check_samples_distinct(samples)
-
-    stack = trajectory_matrices(flow, samples, params)
-    i_idx, j_idx = pair_indices(samples.shape[0])
-    num_pairs = i_idx.size
-
-    def differences(pairs: slice) -> np.ndarray:
-        return _run_differences(stack, i_idx, j_idx, pairs)
-
-    per_pair: list[PairDiagnostics] | None = None
-    if keep_per_pair:
-
-        def dense_records(pairs: slice) -> list[PairDiagnostics]:
-            diffs = differences(pairs)
-            records = []
-            for i, j, value, diff in zip(
-                i_idx[pairs], j_idx[pairs], _dense_soft_ranks(diffs), diffs
-            ):
-                row_sqs, _ = row_squared_norms(diff)
-                records.append(
-                    PairDiagnostics(
-                        pair=(int(i), int(j)),
-                        soft_rank=float(value),
-                        chord_norms=np.sqrt(row_sqs),
-                    )
-                )
-            return records
-
-        per_pair = [
-            record
-            for records in ordered_map(dense_records, _chunks(num_pairs), threads)
-            for record in records
-        ]
-        candidates = np.arange(num_pairs)
-        values = np.array([record.soft_rank for record in per_pair])
-    else:
-        screened = np.concatenate(
-            ordered_map(
-                lambda pairs: _screened_soft_ranks(differences(pairs)),
-                _chunks(num_pairs),
-                threads,
-            )
-        )
+    )
+    candidates = np.arange(num_pairs)
+    if not keep_per_pair:
         # if every screened value is within rtol of its dense value, each pair
         # at or below the dense minimum screens within (1 + rtol) / (1 - rtol)
         # <= 1 + 3 rtol of the screened minimum
-        cutoff = np.min(screened) * (1.0 + 3.0 * _band_rtol(*stack.shape[1:]))
+        cutoff = np.min(values) * (1.0 + 3.0 * _band_rtol(*table.stack.shape[1:]))
         # NaN fails every comparison, so a NaN anywhere sends every pair to the SVD
-        candidates = np.flatnonzero(~(screened > cutoff))
+        candidates = np.flatnonzero(~(values > cutoff))
+        stack = table.stack
         values = np.concatenate(
             ordered_map(
                 lambda part: _dense_soft_ranks(
-                    stack[i_idx[candidates[part]]] - stack[j_idx[candidates[part]]]
+                    stack[table.i_idx[candidates[part]]] - stack[table.j_idx[candidates[part]]]
                 ),
                 _chunks(candidates.size),
                 threads,
@@ -275,12 +271,12 @@ def infimum_soft_rank(
         )
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
-    argmin = int(candidates[best])
     return PairScanResult(
         infimum=float(values[best]),
-        argmin_pair=(int(i_idx[argmin]), int(j_idx[argmin])),
-        num_pairs=int(num_pairs),
-        per_pair=per_pair,
+        argmin_pair=table.pair(int(candidates[best])),
+        num_pairs=num_pairs,
+        table=table,
+        soft_ranks=values if keep_per_pair else None,
     )
 
 

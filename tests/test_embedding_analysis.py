@@ -8,6 +8,7 @@ from delaycond import (
     NonFiniteTrajectoryError,
     conditioning,
     draw_coeffs,
+    infimum_soft_rank,
     isometry_ratio,
     make_linear_flow,
     make_shift_flow,
@@ -16,7 +17,12 @@ from delaycond import (
     theorem_condition_check,
     user_coeffs,
 )
-from delaycond.delay_map import row_squared_norms, trajectory_matrix, trajectory_vector
+from delaycond.delay_map import (
+    derive_seed,
+    row_squared_norms,
+    trajectory_matrix,
+    trajectory_vector,
+)
 
 from test_dynamics import well_conditioned_flow
 
@@ -142,10 +148,24 @@ class TestMonteCarlo:
         samples = np.vstack([np.eye(32)[0], np.eye(32)[1]])
         report = monte_carlo(
             flow, samples, DelayParams(4), "rademacher", 2000, base_seed=21,
-            keep_ratios=True,
+            keep_per_pair=True,
         )
         mean_ratio = float(np.mean(report.ratios[:, 0]))
         assert abs(mean_ratio - 1.0) <= 5.0 / np.sqrt(2000.0)
+
+    def test_keep_per_pair_keeps_the_scan_table(self):
+        flow = make_shift_flow(8)
+        params = DelayParams(3)
+        report = monte_carlo(
+            flow, np.eye(8), params, "gaussian", 5, base_seed=1, keep_per_pair=True
+        )
+        scan = infimum_soft_rank(flow, np.eye(8), params, keep_per_pair=True)
+        assert np.array_equal(report.soft_ranks, scan.soft_ranks)
+        assert np.array_equal(report.table.stack, scan.table.stack)
+        assert report.ratios.shape == (5, 28)
+        plain = monte_carlo(flow, np.eye(8), params, "gaussian", 5, base_seed=1)
+        assert plain.table is None and plain.soft_ranks is None and plain.ratios is None
+        assert np.array_equal(plain.epsilons, report.epsilons)
 
     def test_failure_rate_at_the_median_is_a_coin_flip(self):
         flow = make_shift_flow(32)
@@ -186,10 +206,12 @@ class TestMonteCarlo:
         assert report.params["ambient_dim"] == 16
         assert report.params["num_delays"] == 4
 
-    def test_draw_errors_carry_the_draw_index(self):
+    def test_unknown_ensemble_is_a_typed_error(self):
+        # rejected before the pair table is built: the coincident samples
+        # would otherwise raise DegeneratePairError
         flow = make_shift_flow(8)
-        with pytest.raises(RuntimeError, match="draw 0"):
-            monte_carlo(flow, np.eye(8), DelayParams(2), "bogus", 3, base_seed=0)
+        with pytest.raises(InvalidArgumentError, match="bogus"):
+            monte_carlo(flow, np.eye(8)[[0, 0]], DelayParams(2), "bogus", 3, base_seed=0)
 
     def test_num_draws_validated(self):
         flow = make_shift_flow(8)
@@ -211,6 +233,43 @@ class TestScalingStudy:
         for row in study.rows:
             assert row.infimum_soft_rank >= row.num_delays / 2.0 - 1e-9
             assert row.eps_q05 <= row.eps_median <= row.eps_q95 <= row.eps_max
+
+    @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
+    def test_matches_a_naive_pair_by_pair_study(self, ensemble):
+        # plain numpy: literal backward iteration of a hand-built shift, one
+        # pair at a time, with the library's draws keyed by derive_seed
+        n, m_list, num_draws, seed = 16, [2, 4, 8], 20, 7
+        phi = np.zeros((n, n))
+        for i in range(n - 1):
+            phi[i, i + 1] = 1.0
+        phi[n - 1, 0] = 1.0
+        phi_inv = np.linalg.inv(phi)
+        samples = np.eye(n)
+        study = scaling_study(
+            make_shift_flow(n), samples, m_list, ensemble, num_draws, base_seed=seed
+        )
+        for m, row, report in zip(m_list, study.rows, study.reports):
+            gs = []
+            for x in samples:
+                rows, cur = [], x.copy()
+                for _ in range(m):
+                    rows.append(cur.copy())
+                    cur = phi_inv @ cur
+                gs.append(np.array(rows))
+            eps = []
+            for k in range(num_draws):
+                alpha = draw_coeffs(ensemble, n, derive_seed(seed, k)).alpha
+                worst = 0.0
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        diff = gs[i] - gs[j]
+                        ratio = np.sum((diff @ alpha) ** 2) / np.sum(diff**2)
+                        worst = max(worst, abs(ratio - 1.0))
+                eps.append(worst)
+            assert row.num_delays == m
+            np.testing.assert_allclose(report.epsilons, eps, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row.eps_median, np.median(eps), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row.eps_max, np.max(eps), rtol=1e-12, atol=0)
 
     def test_single_m_cannot_fit(self):
         flow = make_shift_flow(16)

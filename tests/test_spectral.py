@@ -21,7 +21,7 @@ from delaycond import (
     soft_rank,
 )
 from delaycond import spectral
-from delaycond.spectral import matrix_rank_of
+from delaycond.spectral import matrix_rank_of, pair_indices
 
 from test_dynamics import well_conditioned_flow
 
@@ -136,8 +136,8 @@ class TestInfimumSoftRank:
         i, j = scan.argmin_pair
         assert j - i == 1 or (i, j) == (0, 7)
         assert scan.num_pairs == 28
-        assert len(scan.per_pair) == 28
-        assert scan.infimum == min(d.soft_rank for d in scan.per_pair)
+        assert scan.soft_ranks.shape == (28,)
+        assert scan.infimum == np.min(scan.soft_ranks)
         rerun = infimum_soft_rank(flow, np.eye(8), DelayParams(4))
         assert rerun.argmin_pair == scan.argmin_pair
         assert rerun.infimum == scan.infimum
@@ -146,8 +146,7 @@ class TestInfimumSoftRank:
         # exact float ties resolve to the first pair in (i, j) order
         flow = make_shift_flow(16)
         scan = infimum_soft_rank(flow, np.eye(16), DelayParams(1), keep_per_pair=True)
-        values = np.array([d.soft_rank for d in scan.per_pair])
-        assert np.all(values == 1.0)  # single-row differences are rank one
+        assert np.all(scan.soft_ranks == 1.0)  # single-row differences are rank one
         assert scan.argmin_pair == (0, 1)
 
     def test_matches_sequential_pair_scan(self):
@@ -155,9 +154,8 @@ class TestInfimumSoftRank:
         eye = np.eye(8)
         params = DelayParams(3)
         scan = infimum_soft_rank(flow, eye, params, keep_per_pair=True)
-        for diag in scan.per_pair:
-            i, j = diag.pair
-            assert diag.soft_rank == pair_soft_rank(flow, eye[i], eye[j], params).value
+        for i, j, value in zip(*pair_indices(8), scan.soft_ranks):
+            assert value == pair_soft_rank(flow, eye[i], eye[j], params).value
 
     @pytest.mark.parametrize("n", [6, 13, 24])
     def test_shift_bound_holds_for_all_delays(self, n):
@@ -187,13 +185,6 @@ class TestInfimumSoftRank:
         with pytest.raises(NonFiniteTrajectoryError, match="sample 0"):
             infimum_soft_rank(flow, np.eye(4), DelayParams(600))
 
-    def test_chord_norms_describe_backward_separations(self):
-        flow = make_shift_flow(10)
-        scan = infimum_soft_rank(flow, np.eye(10)[:3], DelayParams(4), keep_per_pair=True)
-        for diag in scan.per_pair:
-            # basis states stay basis states under the shift: every chord sqrt(2)
-            assert np.allclose(diag.chord_norms, np.sqrt(2.0), rtol=1e-14)
-
 
 @st.composite
 def scan_cases(draw):
@@ -218,9 +209,10 @@ class TestScreenedScan:
     @staticmethod
     def exhaustive(flow, samples, params):
         scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
-        values = [d.soft_rank for d in scan.per_pair]
+        values = scan.soft_ranks.tolist()
         first = values.index(min(values))
-        return scan, min(values), scan.per_pair[first].pair
+        i_idx, j_idx = pair_indices(samples.shape[0])
+        return scan, min(values), (int(i_idx[first]), int(j_idx[first]))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -240,11 +232,9 @@ class TestScreenedScan:
         for scan in (screened, dense, reference):
             assert scan.infimum == infimum
             assert scan.argmin_pair == argmin
-            assert scan.num_pairs == len(reference.per_pair)
-        assert [d.pair for d in dense.per_pair] == [d.pair for d in reference.per_pair]
-        assert [d.soft_rank for d in dense.per_pair] == [
-            d.soft_rank for d in reference.per_pair
-        ]
+            assert scan.num_pairs == reference.soft_ranks.size
+        assert screened.soft_ranks is None
+        assert np.array_equal(dense.soft_ranks, reference.soft_ranks)
 
     def test_analytic_ties_resolve_like_the_dense_scan(self):
         # all circularly adjacent pairs tie analytically; the Gram screen's
