@@ -1,18 +1,22 @@
 """Flat key = value experiment configuration: parsing and validation.
 
-Format: UTF-8 text, one ``key = value`` per line, ``#`` starts a comment,
-blank lines ignored. Unknown and duplicate keys are rejected so a typo
-cannot silently change an experiment. Every validation failure names the
-offending key; parse failures name the line.
+Format: UTF-8 text, one ``key = value`` per line, blank lines ignored. A
+``#`` at the start of a line or after whitespace starts a comment; any other
+``#`` is part of the value, so ``samples_path = runs#3/pts.csv`` keeps it.
+Unknown and duplicate keys are rejected so a typo cannot silently change an
+experiment. Every validation failure names the offending key; parse
+failures name the line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .delay_map import ENSEMBLES
 from .dynamics import FlowSpec, make_linear_flow, make_shift_flow
 from .errors import ConfigError
 from .geometry import sample_attractor
@@ -73,7 +77,7 @@ def _parse_items(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     items: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -180,9 +184,9 @@ def load_config(path: str) -> ExperimentConfig:
     delays = _get_int_list(items, "delays", minimum=1)
 
     ensemble = items.get("ensemble", "rademacher")
-    if ensemble not in ("rademacher", "gaussian"):
+    if ensemble not in ENSEMBLES:
         raise ConfigError(
-            f"ensemble: must be one of rademacher, gaussian; got {ensemble!r}"
+            f"ensemble: must be one of {', '.join(ENSEMBLES)}; got {ensemble!r}"
         )
 
     if ("c_user" in items) != ("manifold_dim" in items):

@@ -249,10 +249,11 @@ def basis_delay_vector(
 def row_squared_norms(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-row squared norms and their sum.
 
-    This is the canonical squared Frobenius norm used for pair denominators:
-    summing per-row dot products keeps the trajectory-vector norm and the
+    Summing per-row dot products keeps the trajectory-vector norm and the
     matrix Frobenius norm bitwise identical (the vector is the row-wise
-    flattening of the matrix).
+    flattening of the matrix). ``isometry_ratio`` takes its one-pair
+    denominator from here; the scan's denominators,
+    ``PairTable.traj_dist_sq``, come from ``pdist`` and agree to rounding.
     """
     row_sqs = np.einsum("mn,mn->m", mat, mat)
     return row_sqs, float(np.sum(row_sqs))

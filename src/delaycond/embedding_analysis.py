@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .delay_map import (
     DelayParams,
     MeasurementCoeffs,
@@ -33,6 +32,7 @@ from .delay_map import (
     draw_coeffs,
     row_squared_norms,
     trajectory_matrix,
+    _check_coeffs,
     _check_ensemble,
 )
 from .dynamics import FlowSpec
@@ -151,6 +151,7 @@ def isometry_ratio(
     of the trajectory matrix; it is accumulated row by row so the two read
     identically.
     """
+    _check_coeffs(flow, alpha)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     check_distinct(x, y)
@@ -183,6 +184,7 @@ def conditioning(
     params: DelayParams,
 ) -> ConditioningResult:
     """Tightest eps such that every pair ratio lies in (1 - eps, 1 + eps)."""
+    _check_coeffs(flow, alpha)
     table = PairTable(flow, samples, params)
     return _conditioning(table, alpha, table.ratios(alpha.alpha))
 
@@ -200,11 +202,11 @@ def monte_carlo(
     """Conditioning distribution over seeded coefficient draws.
 
     Draw k uses the child seed derived from (base_seed, k), so every number
-    in the report is determined by the configuration alone, regardless of
-    how many worker threads evaluate the draws. The draws run on the pair
-    table of the soft-rank scan. ``keep_per_pair`` retains that table, every
-    pair's dense soft rank and the full (draws, pairs) ratio matrix for
-    per-pair reporting.
+    in the report is determined by the configuration alone; ``threads``
+    splits only the soft-rank scan. The draws run in order on the pair table
+    of that scan. ``keep_per_pair`` retains that table, every pair's dense
+    soft rank and the full (draws, pairs) ratio matrix for per-pair
+    reporting.
     """
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
@@ -214,21 +216,21 @@ def monte_carlo(
     )
     table = scan.table
     n_amb = flow.ambient_dim
-
-    def run_draw(k: int) -> tuple[ConditioningResult, np.ndarray | None]:
+    per_draw = []
+    ratios = np.empty((num_draws, table.num_pairs)) if keep_per_pair else None
+    for k in range(num_draws):
         coeffs = draw_coeffs(ensemble, n_amb, derive_seed(base_seed, k))
-        ratios = table.ratios(coeffs.alpha)
-        return _conditioning(table, coeffs, ratios), ratios if keep_per_pair else None
-
-    draws = ordered_map(run_draw, range(num_draws), threads)
-    per_draw = [result for result, _ in draws]
+        draw_ratios = table.ratios(coeffs.alpha)
+        per_draw.append(_conditioning(table, coeffs, draw_ratios))
+        if keep_per_pair:
+            ratios[k] = draw_ratios
 
     eps = np.array([r.epsilon for r in per_draw])
     quantiles = {
         q: float(np.quantile(eps, q)) for q in QUANTILE_LEVELS
     }
     return EmbeddingReport(
-        per_draw=list(per_draw),
+        per_draw=per_draw,
         num_draws=num_draws,
         ensemble=ensemble,
         base_seed=int(base_seed),
@@ -242,7 +244,7 @@ def monte_carlo(
         },
         table=table if keep_per_pair else None,
         soft_ranks=scan.soft_ranks,
-        ratios=np.vstack([ratios for _, ratios in draws]) if keep_per_pair else None,
+        ratios=ratios,
     )
 
 

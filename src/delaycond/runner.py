@@ -23,8 +23,8 @@ from scipy.spatial.distance import pdist
 
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
-from .delay_map import DelayParams, derive_seed, draw_coeffs, time_series
-from .dynamics import FlowSpec, generate_orbit, lyapunov_exponent_inverse_flow
+from .delay_map import DelayParams, derive_seed, draw_coeffs
+from .dynamics import FlowSpec, lyapunov_exponent_inverse_flow
 from .embedding_analysis import monte_carlo, scaling_study, theorem_condition_check
 from .errors import ConfigError, InvalidArgumentError, ZeroVarianceError
 from .geometry import (
@@ -35,7 +35,7 @@ from .geometry import (
     finite_difference_tangents,
     reach_estimate,
 )
-from .spectral import infimum_soft_rank, shift_system_oracle
+from .spectral import _chunks, infimum_soft_rank, shift_system_oracle
 
 # Floating-point slack on exact-equality bound comparisons (the m/2 bound is
 # attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
@@ -266,8 +266,8 @@ def _geometry_payload(
         alpha0 = draw_coeffs(
             config.ensemble, flow.ambient_dim, derive_seed(config.base_seed, 0)
         )
-        orbit = generate_orbit(flow, samples[0], samples.shape[0])
-        series = time_series(orbit, alpha0)
+        # orbit-ordered samples are the orbit itself
+        series = samples @ alpha0.alpha
         try:
             selection = delay_selection(series, num_bins=config.num_bins)
             payload["delay_selection"] = {
@@ -342,30 +342,28 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     # Per-pair table: soft ranks are coefficient-free; ratio aggregates run
     # over the draws. State-space-denominator ratios are the secondary
     # diagnostic (the conditioning above is measured in trajectory space).
-    table, ratios = report.table, report.ratios
-    traj_dist_sq = table.traj_dist_sq
+    table = report.table
     state_dist_sq = pdist(samples, "sqeuclidean")
-    state_scale = traj_dist_sq / state_dist_sq
-    rows = []
-    # column by column: a whole-matrix median or state-ratio matrix would
-    # copy the (draws, pairs) ratio matrix
-    for k in range(table.num_pairs):
-        column = ratios[:, k]
-        state_column = column * state_scale[k]
-        rows.append(
-            (
-                *table.pair(k),
-                float(state_dist_sq[k]),
-                float(traj_dist_sq[k]),
-                float(report.soft_ranks[k]),
-                float(np.min(column)),
-                float(np.median(column)),
-                float(np.max(column)),
-                float(np.min(state_column)),
-                float(np.median(state_column)),
-                float(np.max(state_column)),
-            )
-        )
+    state_scale = table.traj_dist_sq / state_dist_sq
+    # chunk by chunk: a whole-matrix median or state-ratio matrix would copy
+    # the (draws, pairs) ratio matrix
+    chunk_stats = []
+    for chunk in _chunks(table.num_pairs):
+        block = np.ascontiguousarray(report.ratios[:, chunk].T)  # (pairs, draws)
+        chunk_stats.append([
+            reduce(values, axis=1)
+            for values in (block, block * state_scale[chunk, None])
+            for reduce in (np.min, np.median, np.max)
+        ])
+    ratio_columns = [np.concatenate(stat).tolist() for stat in zip(*chunk_stats)]
+    rows = list(zip(
+        table.i_idx.tolist(),
+        table.j_idx.tolist(),
+        state_dist_sq.tolist(),
+        table.traj_dist_sq.tolist(),
+        report.soft_ranks.tolist(),
+        *ratio_columns,
+    ))
     write_csv(
         os.path.join(out_dir, "per_pair.csv"),
         [

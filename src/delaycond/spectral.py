@@ -32,8 +32,9 @@ from .delay_map import DelayParams, trajectory_matrices, trajectory_matrix
 from .dynamics import FlowSpec
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
-# Pair differences per chunk in both scan passes. A worker holds one chunk
-# at a time, _SCAN_CHUNK * M * N floats: 32 MB at M = 32, N = 256.
+# Pairs per chunk in both scan passes and in the report's per-pair
+# reductions. A scan worker holds one chunk of differences at a time,
+# _SCAN_CHUNK * M * N floats: 32 MB at M = 32, N = 256.
 _SCAN_CHUNK = 512
 
 # Relative distance below which two states are treated as coincident.

@@ -5,11 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from delaycond import spectral
 from delaycond.cli import main
 from delaycond.config import build_flow, build_samples, load_config, parse_origin
+from delaycond.delay_map import DelayParams
+from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study
+
+from test_dynamics import well_conditioned_flow
 
 
 def write_config(path, text):
@@ -49,6 +55,19 @@ class TestLoadConfig:
         )
         config = load_config(path)
         assert config.ambient_dim == 4
+
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        (tmp_path / "runs#3").mkdir()
+        np.savetxt(tmp_path / "runs#3" / "pts.csv", np.eye(8)[:4], delimiter=",")
+        path = write_config(
+            tmp_path / "c.cfg",
+            "kind = shift\nambient_dim = 8\t# after a tab\n"
+            "samples_path = runs#3/pts.csv  # after spaces\ndelays = 2\n",
+        )
+        config = load_config(path)
+        assert config.ambient_dim == 8
+        assert config.raw_items["samples_path"] == "runs#3/pts.csv"
+        assert config.samples_path == str(tmp_path / "runs#3" / "pts.csv")
 
     def test_zero_delays_names_the_key(self, tmp_path):
         with pytest.raises(ConfigError, match="delays"):
@@ -299,6 +318,44 @@ class TestRunFullReport:
         assert manifold["volume"] > 0.0
         assert manifold["reach"] > 0.0
         assert geometry["inverse_flow_lyapunov"]["exponent"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_per_pair_ratio_columns_are_per_pair_reductions(self, tmp_path, monkeypatch):
+        # 7 pairs per chunk, so the 120 pairs cross chunk boundaries
+        monkeypatch.setattr(spectral, "_SCAN_CHUNK", 7)
+        matrix_file = tmp_path / "m.csv"
+        np.savetxt(
+            matrix_file, well_conditioned_flow(3, 6).matrix, delimiter=",", fmt="%.17g"
+        )
+        config = load_config(
+            write_config(
+                tmp_path / "c.cfg",
+                f"kind = linear\nmatrix_path = {matrix_file}\nnum_samples = 16\n"
+                "delays = 4\nensemble = gaussian\nnum_draws = 20\nbase_seed = 5\n",
+            )
+        )
+        out = str(tmp_path / "out")
+        run_full_report(config, out)
+
+        flow = build_flow(config)
+        samples, _, _ = build_samples(config, flow)
+        report = monte_carlo(
+            flow, samples, DelayParams(4), "gaussian", 20, 5, keep_per_pair=True
+        )
+        state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
+        rows = read_csv(os.path.join(out, "per_pair.csv"))
+        assert rows[0][5:] == [
+            "ratio_min", "ratio_median", "ratio_max",
+            "state_ratio_min", "state_ratio_median", "state_ratio_max",
+        ]
+        assert len(rows) - 1 == report.table.num_pairs == 120
+        for k, row in enumerate(rows[1:]):
+            column = report.ratios[:, k]
+            expected = [
+                float(reduce(values))
+                for values in (column, column * state_scale[k])
+                for reduce in (np.min, np.median, np.max)
+            ]
+            assert [float(cell) for cell in row[5:]] == expected, f"pair {k}"
 
     def test_theorem_check_emitted_when_constants_present(self, tmp_path):
         config = load_config(

@@ -4,6 +4,7 @@ import pytest
 from delaycond import (
     DegeneratePairError,
     DelayParams,
+    DimensionMismatchError,
     InvalidArgumentError,
     NonFiniteTrajectoryError,
     conditioning,
@@ -119,6 +120,14 @@ class TestConditioning:
         samples = np.vstack([np.eye(8)[0], np.eye(8)[0]])
         with pytest.raises(DegeneratePairError):
             conditioning(flow, samples, user_coeffs(np.ones(8)), DelayParams(2))
+
+    def test_wrong_length_coefficients_are_a_typed_error(self):
+        flow = make_shift_flow(8)
+        alpha = user_coeffs(np.ones(3))
+        with pytest.raises(DimensionMismatchError, match="length 3"):
+            conditioning(flow, np.eye(8), alpha, DelayParams(2))
+        with pytest.raises(DimensionMismatchError, match="length 3"):
+            isometry_ratio(flow, np.eye(8)[0], np.eye(8)[1], alpha, DelayParams(2))
 
 
 class TestMonteCarlo:

@@ -236,6 +236,26 @@ class TestScreenedScan:
         assert screened.soft_ranks is None
         assert np.array_equal(dense.soft_ranks, reference.soft_ranks)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=scan_cases(), perm_seed=st.integers(0, 2**32 - 1))
+    def test_permuting_the_samples_permutes_the_soft_ranks(self, case, perm_seed):
+        flow, samples, params = case
+        num = samples.shape[0]
+        perm = np.random.default_rng(perm_seed).permutation(num)
+        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+        permuted = infimum_soft_rank(flow, samples[perm], params, keep_per_pair=True)
+        # permuted pair (a, b) is pair {perm[a], perm[b]} of the original samples
+        index = np.zeros((num, num), dtype=int)
+        index[scan.table.i_idx, scan.table.j_idx] = np.arange(scan.num_pairs)
+        a, b = perm[permuted.table.i_idx], perm[permuted.table.j_idx]
+        expected = scan.soft_ranks[index[np.minimum(a, b), np.maximum(a, b)]]
+        np.testing.assert_allclose(permuted.soft_ranks, expected, rtol=1e-12, atol=0)
+        assert abs(permuted.infimum - scan.infimum) <= 1e-12 * scan.infimum
+        # the soft rank lies between 1 and the rank; the upper end allows rounding
+        rank_bound = min(params.num_delays, flow.ambient_dim)
+        assert np.all(permuted.soft_ranks >= 1.0)
+        assert np.all(permuted.soft_ranks <= rank_bound * (1.0 + 1e-12))
+
     def test_analytic_ties_resolve_like_the_dense_scan(self):
         # all circularly adjacent pairs tie analytically; the Gram screen's
         # rounding puts its own minimum on a different one of them
