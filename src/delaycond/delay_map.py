@@ -134,37 +134,47 @@ def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
         )
 
 
-def _backward_rows(
-    flow: FlowSpec, x: np.ndarray, m: int, sample: int | None = None
-) -> np.ndarray:
-    """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) as an (m, N) array.
+def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> np.ndarray:
+    """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) of each state, as an (n, m, N) array.
 
-    Raises NonFiniteTrajectoryError naming the first non-finite row (and
-    ``sample``, the state's index in a stack, when given).
+    For a permutation flow each step is one gather over all states at once,
+    ``cur[:, perm] + 0.0``: bit for bit the matvec ``flow.inverse @ cur``,
+    whose zero sums are +0.0. Other flows take that matvec, state by state.
+    Raises NonFiniteTrajectoryError naming the first non-finite row of the
+    first state that has one (and that state's index, when ``named``).
     """
-    rows = np.empty((m, flow.ambient_dim))
-    cur = x
+    out = np.empty((states.shape[0], m, flow.ambient_dim))
+    perm = flow.permutation
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            rows[k] = cur
-            if k + 1 < m:
-                cur = flow.inverse @ cur
-    finite = np.isfinite(rows).all(axis=1)
+        if perm is not None:
+            cur = states
+            for k in range(m):
+                out[:, k] = cur
+                if k + 1 < m:
+                    cur = cur[:, perm] + 0.0
+        else:
+            for i, cur in enumerate(states):
+                for k in range(m):
+                    out[i, k] = cur
+                    if k + 1 < m:
+                        cur = flow.inverse @ cur
+    finite = np.isfinite(out).all(axis=2)
     if not finite.all():
-        k = int(np.argmin(finite))
-        where = "" if sample is None else f"sample {sample}: "
+        i = int(np.argmin(finite.all(axis=1)))
+        k = int(np.argmin(finite[i]))
+        where = f"sample {i}: " if named else ""
         raise NonFiniteTrajectoryError(
             f"{where}backward iterate at delay index {k} of {m} is not finite; "
             "the inverse flow overflows or the state is not finite"
         )
-    return rows
+    return out
 
 
 def trajectory_matrix(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryMatrix:
     """M x N matrix of backward iterates; row 0 is x itself."""
     x = _check_state(flow, x)
     _warn_excess_delays(flow, params)
-    g = _backward_rows(flow, x, params.num_delays)
+    g = _backward_rows(flow, x[None], params.num_delays, named=False)[0]
     g.setflags(write=False)
     return TrajectoryMatrix(g=g, base_point=x)
 
@@ -185,10 +195,7 @@ def trajectory_matrices(
             f"flow ambient dimension is {flow.ambient_dim}"
         )
     _warn_excess_delays(flow, params)
-    stack = np.empty((samples.shape[0], params.num_delays, flow.ambient_dim))
-    for i in range(samples.shape[0]):
-        stack[i] = _backward_rows(flow, samples[i], params.num_delays, sample=i)
-    return stack
+    return _backward_rows(flow, samples, params.num_delays, named=True)
 
 
 def trajectory_vector(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryVector:

@@ -9,7 +9,7 @@ iteration sits in the innermost loop of trajectory-matrix construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +31,22 @@ class FlowSpec:
     ``kind`` is "shift" for the cyclic shift (ones on the superdiagonal and
     in the bottom-left corner) and "linear" otherwise. ``sampling_interval``
     is metadata carried into reports; the dynamics are already discretized.
+
+    ``permutation`` is set at construction when ``inverse`` is an exact 0/1
+    permutation matrix P, else None: then P x == x[permutation] for every x,
+    and backward iterates are gathers that move values without rounding.
     """
 
     matrix: np.ndarray
     inverse: np.ndarray
     kind: str
     sampling_interval: float = 1.0
+    permutation: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "permutation", _permutation_of(self.inverse))
 
     @property
     def ambient_dim(self) -> int:
@@ -64,6 +74,36 @@ class LyapunovEstimate:
     exponent: float  # nats per step; -inf when the separation underflowed
     num_steps: int
     num_probes: int
+
+
+def _permutation_of(mat: np.ndarray) -> np.ndarray | None:
+    """Index vector p with mat @ x == x[p] when mat is an exact 0/1 permutation matrix."""
+    ones = mat == 1.0
+    if mat.ndim != 2 or not np.all(ones | (mat == 0.0)):
+        return None
+    # one 1 per row and per column also rules out a non-square matrix
+    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
+        return None
+    perm = np.argmax(ones, axis=1)
+    perm.setflags(write=False)
+    return perm
+
+
+def is_permutation_orbit(flow: FlowSpec, states: np.ndarray) -> bool:
+    """Whether ``states`` is one exact orbit of a permutation flow, in either direction.
+
+    True when ``flow.permutation`` is set and, with P = ``flow.inverse``,
+    either states[i + 1] == P states[i] for every i (backward order) or
+    states[i] == P states[i + 1] for every i (the forward order of
+    ``generate_orbit``). Then state i is P^(+/-i) applied to state 0, and
+    the trajectory matrices of any two states j - i apart differ from those
+    of states 0 and j - i only by one column permutation.
+    """
+    perm = flow.permutation
+    if perm is None:
+        return False
+    moved = states[:, perm]  # row i is P states[i]
+    return bool(np.all(states[1:] == moved[:-1]) or np.all(states[:-1] == moved[1:]))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -66,9 +66,11 @@ class ConditioningResult:
 class EmbeddingReport:
     """Monte Carlo conditioning summary over coefficient draws.
 
-    ``table``, ``soft_ranks`` (per pair) and ``ratios`` (draws x pairs) are
-    kept only when ``monte_carlo`` is asked to keep per-pair values, else
-    None; their pair axis is in ``pair_indices`` order.
+    ``num_pairs`` and ``num_certified`` are the scan's pair count and the
+    number of pairs it took the dense SVD of. ``table``, ``soft_ranks`` (per
+    pair) and ``ratios`` (draws x pairs) are kept only when ``monte_carlo``
+    is asked to keep per-pair values, else None; their pair axis is in
+    ``pair_indices`` order.
     """
 
     per_draw: list[ConditioningResult]
@@ -78,6 +80,8 @@ class EmbeddingReport:
     quantiles: dict[float, float]
     infimum_soft_rank: float
     params: dict
+    num_pairs: int
+    num_certified: int
     table: PairTable | None = field(default=None, repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
     ratios: np.ndarray | None = field(default=None, repr=False)
@@ -242,6 +246,8 @@ def monte_carlo(
             "num_samples": int(table.stack.shape[0]),
             "sampling_interval": flow.sampling_interval,
         },
+        num_pairs=scan.num_pairs,
+        num_certified=scan.num_certified,
         table=table if keep_per_pair else None,
         soft_ranks=scan.soft_ranks,
         ratios=ratios,

@@ -77,12 +77,29 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: str, config: ExperimentConfig, data_files: list[str]) -> str:
-    """Write the run manifest (last, once) with per-file checksums."""
+def _counts(num_delays: int, num_pairs: int, num_certified: int, draws: int) -> dict:
+    return {
+        "num_delays": num_delays,
+        "pairs": num_pairs,
+        "pairs_certified": num_certified,
+        "draws": draws,
+    }
+
+
+def write_manifest(
+    out_dir: str, config: ExperimentConfig, data_files: list[str], counts: list[dict]
+) -> str:
+    """Write the run manifest (last, once) with per-file checksums.
+
+    ``counts`` (one ``_counts`` entry per delay count) says how much work
+    the run did; it lives here, never in a data file, since the number of
+    dense-SVD pairs depends on which scan path ran.
+    """
     manifest = {
         "artifact_version": __version__,
         "config": dict(sorted(config.raw_items.items())),
         "checksums": {name: _sha256(os.path.join(out_dir, name)) for name in data_files},
+        "counts": {"per_m": counts},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = os.path.join(out_dir, "run_manifest.json")
@@ -122,6 +139,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     os.makedirs(out_dir, exist_ok=True)
     data_files = []
     per_m = []
+    counts = []
     passed = True
     for m in config.delays:
         params = DelayParams(m)
@@ -152,6 +170,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             rows,
         )
         data_files.append(name)
+        counts.append(_counts(m, scan.num_pairs, scan.num_certified, 0))
         oracle_ok = max_disagreement <= ORACLE_TOLERANCE
         passed = passed and all_satisfied and oracle_ok
         per_m.append(
@@ -174,7 +193,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     }
     write_json(os.path.join(out_dir, "lemma_summary.json"), summary)
     data_files.append("lemma_summary.json")
-    write_manifest(out_dir, config, data_files)
+    write_manifest(out_dir, config, data_files, counts)
     return summary
 
 
@@ -218,7 +237,11 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
         "ambient_dim": flow.ambient_dim,
     }
     write_json(os.path.join(out_dir, "scaling_summary.json"), summary)
-    write_manifest(out_dir, config, ["scaling.csv", "scaling_summary.json"])
+    counts = [
+        _counts(r.params["num_delays"], r.num_pairs, r.num_certified, r.num_draws)
+        for r in study.reports
+    ]
+    write_manifest(out_dir, config, ["scaling.csv", "scaling_summary.json"], counts)
     return summary
 
 
@@ -345,15 +368,25 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     table = report.table
     state_dist_sq = pdist(samples, "sqeuclidean")
     state_scale = table.traj_dist_sq / state_dist_sq
-    # chunk by chunk: a whole-matrix median or state-ratio matrix would copy
-    # the (draws, pairs) ratio matrix
+    # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
+    # monotone, so the state ratios' order statistics are the ratios' own
+    # times the pair's scale; the medians are the mean of the middle pair,
+    # formed as np.median forms it.
+    num_draws = report.ratios.shape[0]
+    middle = slice((num_draws - 1) // 2, num_draws // 2 + 1)
     chunk_stats = []
     for chunk in _chunks(table.num_pairs):
         block = np.ascontiguousarray(report.ratios[:, chunk].T)  # (pairs, draws)
+        scale = state_scale[chunk]
+        lowest, highest = np.min(block, axis=1), np.max(block, axis=1)
+        mid = np.partition(block, [middle.start, middle.stop - 1], axis=1)[:, middle]
         chunk_stats.append([
-            reduce(values, axis=1)
-            for values in (block, block * state_scale[chunk, None])
-            for reduce in (np.min, np.median, np.max)
+            lowest,
+            np.mean(mid, axis=1),
+            highest,
+            lowest * scale,
+            np.mean(mid * scale[:, None], axis=1),
+            highest * scale,
         ])
     ratio_columns = [np.concatenate(stat).tolist() for stat in zip(*chunk_stats)]
     rows = list(zip(
@@ -422,5 +455,8 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
         data_files.append("theorem_check.json")
 
-    write_manifest(out_dir, config, data_files)
+    counts = [
+        _counts(params.num_delays, report.num_pairs, report.num_certified, report.num_draws)
+    ]
+    write_manifest(out_dir, config, data_files, counts)
     return report_payload

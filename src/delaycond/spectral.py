@@ -11,13 +11,22 @@ Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples, builds the trajectory stack once, and forms the
 pair differences and isometry ratios from it.
 
-The scan runs in two passes over chunks of pair differences. The screen
-needs only the smaller Gram matrix (D D^T, or D^T D when M > N): its trace
-is ||D||_F^2 and its top eigenvalue ||D||_2^2. The certification pass takes
-the dense SVD of every pair the screen places within a rounding band of its
-minimum, and the reported minimum and argmin come from those dense values,
-so they equal an exhaustive dense scan's bit for bit, exact analytic ties
-included. Chunks of either pass are spread over the ``threads`` workers.
+The scan runs in two passes over chunks of pair differences: a screen, then
+a certification pass that takes the dense SVD of every pair the screen
+places within a rounding band of its minimum. The reported minimum and
+argmin come from those dense values, so they equal an exhaustive dense
+scan's bit for bit, exact analytic ties included. Chunks of either pass are
+spread over the ``threads`` workers. There are two screens:
+
+- When the samples are one exact orbit of a permutation flow (the cyclic
+  shift's orbits, checked by ``dynamics.is_permutation_orbit``), the
+  trajectory matrix of state i is that of state 0 with its columns permuted,
+  so pair (i, j) has the exact singular values of pair (0, j - i). The
+  screen is the dense soft rank of the n - 1 representatives (0, d), and a
+  kept separation class sends all its pairs to the certification pass.
+- Otherwise each pair is screened from its smaller Gram matrix (D D^T, or
+  D^T D when M > N): its trace is ||D||_F^2 and its top eigenvalue
+  ||D||_2^2.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map
 from .delay_map import DelayParams, trajectory_matrices, trajectory_matrix
-from .dynamics import FlowSpec
+from .dynamics import FlowSpec, is_permutation_orbit
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
 # Pairs per chunk in both scan passes and in the report's per-pair
@@ -70,15 +79,19 @@ class PairDiagnostics:
 class PairScanResult:
     """Minimum soft rank over all sample pairs (an upper bound estimate).
 
-    ``argmin_pair`` is lexicographically smallest among ties. ``soft_ranks``
-    holds every pair's dense soft rank in ``pair_indices`` order when the
-    scan is asked to keep per-pair values, else None. ``table`` is the pair
-    table the scan ran on, for callers that go on to use the same pairs.
+    ``argmin_pair`` is lexicographically smallest among ties.
+    ``num_certified`` counts the pairs whose dense SVD the minimum was taken
+    over: the screen's rounding band, or every pair when the scan keeps
+    per-pair values. ``soft_ranks`` holds every pair's dense soft rank in
+    ``pair_indices`` order when the scan is asked to keep per-pair values,
+    else None. ``table`` is the pair table the scan ran on, for callers that
+    go on to use the same pairs.
     """
 
     infimum: float
     argmin_pair: tuple[int, int]
     num_pairs: int
+    num_certified: int
     table: PairTable = field(repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
 
@@ -131,16 +144,22 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_rtol(m: int, n: int) -> float:
-    """Bound on the relative gap between screened and dense soft ranks of an m x n D.
+    """Bound rtol on the relative rounding error of a computed soft rank of an m x n D.
 
-    With unit roundoff u and p = min(m, n): each Gram entry is an inner
-    product of length max(m, n), so the Gram is off by at most max(m, n) u
-    ||D||_F^2 <= m n u ||D||_2^2 in norm, which moves its top eigenvalue by
-    as much, and its trace, ||D||_F^2, by at most (m + n) u relative;
-    eigvalsh and the SVD are backward stable, adding c p u and c m n u with
-    LAPACK's modest constant c. The factor 16 covers these terms with room:
-    at m = 32, n = 256 the bound is 3e-11, while measured gaps stay below
-    4e-15.
+    It bounds both the gap between a Gram-screened and a dense soft rank and
+    the gap between a dense soft rank and the exact value. With unit
+    roundoff u and p = min(m, n): each Gram entry is an inner product of
+    length max(m, n), so the Gram is off by at most max(m, n) u ||D||_F^2
+    <= m n u ||D||_2^2 in norm, which moves its top eigenvalue by as much,
+    and its trace, ||D||_F^2, by at most (m + n) u relative; eigvalsh and
+    the SVD are backward stable, adding c p u and c m n u with LAPACK's
+    modest constant c. The factor 16 covers these terms with room: at
+    m = 32, n = 256 the bound is 3e-11, while measured gaps stay below
+    4e-15, and 5.7e-14 between the dense values of one orbit separation
+    class. The Gram screen's band is (1 + rtol) / (1 - rtol) <= 1 + 3 rtol;
+    the orbit screen's is its square, ((1 + rtol) / (1 - rtol))^2 <= 1 + 5
+    rtol, since both its screen value and the screened dense value are
+    off the class's exact value. Both inequalities hold for rtol <= 0.1.
     """
     return 16.0 * float(np.finfo(float).eps) * (m * n + m + n)
 
@@ -241,41 +260,59 @@ def infimum_soft_rank(
     ``argmin_pair`` are dense-SVD values, identical to a sequential scan of
     every pair, whichever ``threads`` (0 picks the CPU count) evaluate the
     chunks. With ``keep_per_pair`` every pair gets the dense SVD and the
-    result keeps the values as ``soft_ranks``; without it only the pairs
-    that the Gram screen places within the rounding band of its minimum do.
+    result keeps the values as ``soft_ranks``. Without it only the pairs in
+    the rounding band of a screen get it: the separation classes of an
+    exact permutation-flow orbit (``dynamics.is_permutation_orbit``), screened
+    by their representatives (0, d), or else the pairs by the Gram screen.
     """
     table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
-    first_pass = _dense_soft_ranks if keep_per_pair else _screened_soft_ranks
-    values = np.concatenate(
-        ordered_map(
-            lambda pairs: first_pass(table.differences(pairs)), _chunks(num_pairs), threads
-        )
-    )
-    candidates = np.arange(num_pairs)
-    if not keep_per_pair:
-        # if every screened value is within rtol of its dense value, each pair
-        # at or below the dense minimum screens within (1 + rtol) / (1 - rtol)
-        # <= 1 + 3 rtol of the screened minimum
-        cutoff = np.min(values) * (1.0 + 3.0 * _band_rtol(*table.stack.shape[1:]))
-        # NaN fails every comparison, so a NaN anywhere sends every pair to the SVD
-        candidates = np.flatnonzero(~(values > cutoff))
-        stack = table.stack
-        values = np.concatenate(
+    rtol = _band_rtol(*table.stack.shape[1:])
+
+    def first_pass(soft_ranks, num: int) -> np.ndarray:
+        """``soft_ranks`` of the first ``num`` pairs of the pair order."""
+        return np.concatenate(
             ordered_map(
-                lambda part: _dense_soft_ranks(
-                    stack[table.i_idx[candidates[part]]] - stack[table.j_idx[candidates[part]]]
-                ),
-                _chunks(candidates.size),
-                threads,
+                lambda pairs: soft_ranks(table.differences(pairs)), _chunks(num), threads
             )
         )
+
+    if keep_per_pair:
+        candidates = np.arange(num_pairs)
+        values = first_pass(_dense_soft_ranks, num_pairs)
+    else:
+        if is_permutation_orbit(flow, table.stack[:, 0]):
+            # pair (i, j) has the exact singular values of the pair (0, j - i),
+            # and the pairs (0, d) lead the pair order
+            representatives = first_pass(_dense_soft_ranks, table.stack.shape[0] - 1)
+            # a representative and every member's dense value are each within
+            # rtol of the class's exact value, so the representative screens
+            # each member within (1 + rtol) / (1 - rtol), and the band is
+            # ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol
+            cutoff = np.min(representatives) * (1.0 + 5.0 * rtol)
+            in_band = ~(representatives > cutoff)[table.j_idx - table.i_idx - 1]
+        else:
+            screened = first_pass(_screened_soft_ranks, num_pairs)
+            # if every screened value is within rtol of its dense value, each
+            # pair at or below the dense minimum screens within (1 + rtol) /
+            # (1 - rtol) <= 1 + 3 rtol of the screened minimum
+            in_band = ~(screened > np.min(screened) * (1.0 + 3.0 * rtol))
+        # NaN fails every comparison, so a NaN screen value sends its pairs to the SVD
+        candidates = np.flatnonzero(in_band)
+        stack = table.stack
+
+        def certify(part: slice) -> np.ndarray:
+            pairs = candidates[part]
+            return _dense_soft_ranks(stack[table.i_idx[pairs]] - stack[table.j_idx[pairs]])
+
+        values = np.concatenate(ordered_map(certify, _chunks(candidates.size), threads))
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
     return PairScanResult(
         infimum=float(values[best]),
         argmin_pair=table.pair(int(candidates[best])),
         num_pairs=num_pairs,
+        num_certified=int(candidates.size),
         table=table,
         soft_ranks=values if keep_per_pair else None,
     )

@@ -245,6 +245,18 @@ class TestRunLemmaCheck:
             with open(os.path.join(out, name), "rb") as data:
                 assert hashlib.sha256(data.read()).hexdigest() == digest
 
+    def test_lemma_check_certifies_every_pair(self, tmp_path):
+        config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
+        run_lemma_check(config, str(tmp_path / "out"))
+        with open(tmp_path / "out" / "run_manifest.json", encoding="utf-8") as handle:
+            counts = json.load(handle)["counts"]
+        assert counts == {
+            "per_m": [
+                {"num_delays": m, "pairs": 28, "pairs_certified": 28, "draws": 0}
+                for m in (2, 4)
+            ]
+        }
+
 
 class TestRunScalingStudy:
     def test_needs_three_delay_counts(self, tmp_path):
@@ -268,6 +280,34 @@ class TestRunScalingStudy:
         assert summary["slope"] == pytest.approx(summary["slope"])  # finite
         for row in rows[1:]:
             assert float(row[1]) >= int(row[0]) / 2.0 - 1e-9
+
+    @pytest.mark.parametrize("origin", ["e3", "0.5, -1, 2, 0.25, 1.5, -0.75, 3, 1"])
+    def test_manifest_counts_leave_the_data_files(self, tmp_path, monkeypatch, origin):
+        config = load_config(
+            minimal_shift_config(
+                tmp_path, origin=origin, num_samples="8", delays="2,4,8", num_draws="12"
+            )
+        )
+        run_scaling_study(config, str(tmp_path / "orbit"))
+        # the same run with the orbit screen switched off takes the Gram screen
+        monkeypatch.setattr(spectral, "is_permutation_orbit", lambda flow, states: False)
+        run_scaling_study(config, str(tmp_path / "gram"))
+        manifests = {}
+        for out in ("orbit", "gram"):
+            with open(tmp_path / out / "run_manifest.json", encoding="utf-8") as handle:
+                manifests[out] = json.load(handle)
+            for name, digest in manifests[out]["checksums"].items():
+                with open(tmp_path / out / name, "rb") as data:
+                    content = data.read()
+                assert hashlib.sha256(content).hexdigest() == digest
+                assert b"pairs_certified" not in content
+        assert manifests["orbit"]["checksums"] == manifests["gram"]["checksums"]
+        for out in ("orbit", "gram"):
+            per_m = manifests[out]["counts"]["per_m"]
+            assert [entry["num_delays"] for entry in per_m] == [2, 4, 8]
+            for entry in per_m:
+                assert entry["pairs"] == 28 and entry["draws"] == 12
+                assert 1 <= entry["pairs_certified"] <= 28
 
 
 class TestRunFullReport:
@@ -326,36 +366,39 @@ class TestRunFullReport:
         np.savetxt(
             matrix_file, well_conditioned_flow(3, 6).matrix, delimiter=",", fmt="%.17g"
         )
-        config = load_config(
-            write_config(
-                tmp_path / "c.cfg",
-                f"kind = linear\nmatrix_path = {matrix_file}\nnum_samples = 16\n"
-                "delays = 4\nensemble = gaussian\nnum_draws = 20\nbase_seed = 5\n",
+        # odd and even draw counts: the median is one middle value or the mean of two
+        for num_draws in (1, 2, 19, 20):
+            config = load_config(
+                write_config(
+                    tmp_path / "c.cfg",
+                    f"kind = linear\nmatrix_path = {matrix_file}\nnum_samples = 16\n"
+                    f"delays = 4\nensemble = gaussian\nnum_draws = {num_draws}\n"
+                    "base_seed = 5\n",
+                )
             )
-        )
-        out = str(tmp_path / "out")
-        run_full_report(config, out)
+            out = str(tmp_path / f"out{num_draws}")
+            run_full_report(config, out)
 
-        flow = build_flow(config)
-        samples, _, _ = build_samples(config, flow)
-        report = monte_carlo(
-            flow, samples, DelayParams(4), "gaussian", 20, 5, keep_per_pair=True
-        )
-        state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
-        rows = read_csv(os.path.join(out, "per_pair.csv"))
-        assert rows[0][5:] == [
-            "ratio_min", "ratio_median", "ratio_max",
-            "state_ratio_min", "state_ratio_median", "state_ratio_max",
-        ]
-        assert len(rows) - 1 == report.table.num_pairs == 120
-        for k, row in enumerate(rows[1:]):
-            column = report.ratios[:, k]
-            expected = [
-                float(reduce(values))
-                for values in (column, column * state_scale[k])
-                for reduce in (np.min, np.median, np.max)
+            flow = build_flow(config)
+            samples, _, _ = build_samples(config, flow)
+            report = monte_carlo(
+                flow, samples, DelayParams(4), "gaussian", num_draws, 5, keep_per_pair=True
+            )
+            state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
+            rows = read_csv(os.path.join(out, "per_pair.csv"))
+            assert rows[0][5:] == [
+                "ratio_min", "ratio_median", "ratio_max",
+                "state_ratio_min", "state_ratio_median", "state_ratio_max",
             ]
-            assert [float(cell) for cell in row[5:]] == expected, f"pair {k}"
+            assert len(rows) - 1 == report.table.num_pairs == 120
+            for k, row in enumerate(rows[1:]):
+                column = report.ratios[:, k]
+                expected = [
+                    float(reduce(values))
+                    for values in (column, column * state_scale[k])
+                    for reduce in (np.min, np.median, np.max)
+                ]
+                assert [float(cell) for cell in row[5:]] == expected, f"{num_draws}: pair {k}"
 
     def test_theorem_check_emitted_when_constants_present(self, tmp_path):
         config = load_config(

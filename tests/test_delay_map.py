@@ -22,8 +22,16 @@ from delaycond import (
     user_coeffs,
 )
 from delaycond.delay_map import row_squared_norms
+from delaycond.dynamics import FlowSpec
 
-from test_dynamics import well_conditioned_flow
+from test_dynamics import relabelled_shift_flow, well_conditioned_flow
+
+
+def matvec_twin(flow: FlowSpec) -> FlowSpec:
+    """The same flow with its permutation forgotten, so backward iterates are matvecs."""
+    twin = FlowSpec(matrix=flow.matrix, inverse=flow.inverse, kind=flow.kind)
+    object.__setattr__(twin, "permutation", None)
+    return twin
 
 
 class TestDrawCoeffs:
@@ -148,6 +156,49 @@ class TestTrajectoryMatrix:
         for i in range(5):
             single = trajectory_matrix(flow, samples[i], DelayParams(4)).g
             assert np.array_equal(stack[i], single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_amb=st.integers(2, 24),
+        num=st.integers(1, 12),
+        m=st.integers(1, 40),
+        relabel=st.booleans(),
+        basis=st.booleans(),
+    )
+    def test_permutation_gathers_match_the_matvec_path_bitwise(
+        self, seed, n_amb, num, m, relabel, basis
+    ):
+        flow = relabelled_shift_flow(seed, n_amb) if relabel else make_shift_flow(n_amb)
+        rng = np.random.default_rng(seed)
+        if basis:
+            # signed basis states: -e_k carries -0.0 in every other entry
+            signs = rng.choice([-1.0, 1.0], size=(num, 1))
+            samples = signs * np.eye(n_amb)[rng.integers(0, n_amb, num)]
+        else:
+            samples = rng.standard_normal((num, n_amb))
+            samples[rng.random(samples.shape) < 0.3] = -0.0
+            samples[rng.random(samples.shape) < 0.2] = 0.0
+        params = DelayParams(m)
+        stack = trajectory_matrices(flow, samples, params)
+        reference = trajectory_matrices(matvec_twin(flow), samples, params)
+        single = trajectory_matrix(flow, samples[0], params).g
+        assert flow.permutation is not None
+        assert stack.tobytes() == reference.tobytes()  # zero signs included
+        assert single.tobytes() == reference[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_permutation_gathers_name_the_same_non_finite_sample(self, bad):
+        flow = make_shift_flow(5)
+        samples = np.random.default_rng(0).standard_normal((4, 5))
+        samples[2, 3] = bad
+        messages = []
+        for path in (flow, matvec_twin(flow)):
+            with pytest.raises(NonFiniteTrajectoryError) as info:
+                trajectory_matrices(path, samples, DelayParams(3))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("sample 2: backward iterate at delay index 0 of 3")
 
     def test_difference_rows_are_chords(self):
         flow = well_conditioned_flow(5, 4)

@@ -16,6 +16,7 @@ from delaycond import (
     make_shift_flow,
     step,
 )
+from delaycond.dynamics import FlowSpec, is_permutation_orbit
 
 
 def well_conditioned_flow(seed: int, n: int):
@@ -24,6 +25,23 @@ def well_conditioned_flow(seed: int, n: int):
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return make_linear_flow(q1 @ np.diag(rng.uniform(0.5, 2.0, n)) @ q2)
+
+
+def relabelled_shift_flow(seed: int, n: int) -> FlowSpec:
+    """The cyclic shift with its coordinates randomly relabelled: one n-cycle, kind "linear"."""
+    q = np.eye(n)[np.random.default_rng(seed).permutation(n)]
+    phi = q @ make_shift_flow(n).matrix @ q.T
+    return FlowSpec(matrix=phi, inverse=phi.T, kind="linear")
+
+
+def exact_orbit(flow: FlowSpec, x0: np.ndarray, num: int, backward: bool) -> np.ndarray:
+    """``num`` states x0, F x0, F^2 x0, ... with F the flow's inverse or its matrix."""
+    if not backward:
+        return generate_orbit(flow, x0, num).states
+    states = [np.asarray(x0, dtype=float)]
+    while len(states) < num:
+        states.append(flow.inverse @ states[-1])
+    return np.array(states)
 
 
 class TestMakeShiftFlow:
@@ -59,6 +77,43 @@ class TestMakeShiftFlow:
         for _ in range(20):
             x = rng.standard_normal(16)
             assert abs(np.linalg.norm(step(flow, x)) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestPermutationFlows:
+    def test_shift_inverse_is_a_gather(self):
+        flow = make_shift_flow(5)
+        x = np.arange(5.0)
+        assert np.array_equal(flow.inverse @ x, x[flow.permutation])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelled_shift_inverse_is_a_gather(self, seed):
+        flow = relabelled_shift_flow(seed, 9)
+        x = np.random.default_rng(seed).standard_normal(9)
+        assert np.array_equal(flow.inverse @ x, x[flow.permutation])
+
+    def test_non_permutations_have_none(self):
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # a signed permutation
+        assert make_linear_flow(rotation).permutation is None
+        assert make_linear_flow(np.diag([1.0, 2.0])).permutation is None
+        assert make_linear_flow(np.eye(3) * 0.5).permutation is None
+        doubled = FlowSpec(matrix=np.eye(2), inverse=np.ones((2, 2)), kind="linear")
+        assert doubled.permutation is None
+        zero = FlowSpec(matrix=np.eye(2), inverse=np.zeros((2, 2)), kind="linear")
+        assert zero.permutation is None
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_orbits_in_either_direction_are_recognised(self, backward):
+        flow = relabelled_shift_flow(3, 7)
+        origin = np.random.default_rng(3).standard_normal(7)
+        states = exact_orbit(flow, origin, 7, backward)
+        assert is_permutation_orbit(flow, states)
+        assert is_permutation_orbit(flow, states[:2])
+        assert is_permutation_orbit(flow, states[::-1])  # the other direction
+        assert not is_permutation_orbit(flow, states[[1, 0, 2, 3]])
+        assert not is_permutation_orbit(flow, states[::2])
+        assert not is_permutation_orbit(flow, states * (1.0 + np.eye(7)[0]))
+        linear = well_conditioned_flow(3, 7)
+        assert not is_permutation_orbit(linear, exact_orbit(linear, origin, 4, backward))
 
 
 class TestMakeLinearFlow:

@@ -21,9 +21,10 @@ from delaycond import (
     soft_rank,
 )
 from delaycond import spectral
+from delaycond.dynamics import is_permutation_orbit
 from delaycond.spectral import matrix_rank_of, pair_indices
 
-from test_dynamics import well_conditioned_flow
+from test_dynamics import exact_orbit, relabelled_shift_flow, well_conditioned_flow
 
 # Adjacent basis states of the 8-state shift with 4 delays: the pair Gram is
 # 2I minus the path adjacency, eigenvalues 2 - 2 cos(k pi / 5).
@@ -187,24 +188,54 @@ class TestInfimumSoftRank:
 
 
 @st.composite
-def scan_cases(draw):
-    """Flow, samples and delays: random linear flows or tie-heavy shifts, M up to N + 3."""
+def permutation_orbit_cases(draw):
+    """Exact orbits of a shift or a relabelled shift, forward or backward, n <= period."""
     seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 16))
+    flow = relabelled_shift_flow(seed, n) if draw(st.booleans()) else make_shift_flow(n)
     if draw(st.booleans()):
+        origin = np.random.default_rng(seed).standard_normal(n)
+    else:
+        origin = np.eye(n)[draw(st.integers(0, n - 1))]
+    num = draw(st.integers(2, n))  # both orbits have period n
+    samples = exact_orbit(flow, origin, num, backward=draw(st.booleans()))
+    return flow, samples, DelayParams(draw(st.integers(1, n + 3)))
+
+
+@st.composite
+def scan_cases(draw):
+    """Flow, samples, delays (M up to N + 3) and whether the scan takes the orbit screen.
+
+    Random linear flows, tie-heavy shifts on basis states in any order, or
+    exact permutation-flow orbits.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    branch = draw(st.sampled_from(["linear", "basis", "orbit"]))
+    if branch == "orbit":
+        flow, samples, params = draw(permutation_orbit_cases())
+    elif branch == "linear":
         n = draw(st.integers(2, 8))
         flow = well_conditioned_flow(seed, n)
         num = draw(st.integers(2, 12))
         samples = np.random.default_rng(seed).standard_normal((num, n))
+        params = DelayParams(draw(st.integers(1, n + 3)))
     else:
         n = draw(st.integers(2, 16))
         flow = make_shift_flow(n)
         rows = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
         samples = np.eye(n)[rows]
-    return flow, samples, DelayParams(draw(st.integers(1, n + 3)))
+        params = DelayParams(draw(st.integers(1, n + 3)))
+    gated = is_permutation_orbit(flow, samples)
+    assert gated or branch != "orbit"
+    return flow, samples, params, gated
+
+
+def _no_gram_screen(diffs):
+    raise AssertionError("the Gram screen ran")
 
 
 class TestScreenedScan:
-    """The Gram screen plus dense certification against the exhaustive dense scan."""
+    """Both screens plus dense certification against the exhaustive dense scan."""
 
     @staticmethod
     def exhaustive(flow, samples, params):
@@ -221,10 +252,12 @@ class TestScreenedScan:
         chunk=st.sampled_from([1, 3, 7, 512]),
     )
     def test_matches_exhaustive_dense_scan(self, case, threads, chunk):
-        flow, samples, params = case
+        flow, samples, params, gated = case
         reference, infimum, argmin = self.exhaustive(flow, samples, params)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_SCAN_CHUNK", chunk)
+            if gated:
+                mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
             screened = infimum_soft_rank(flow, samples, params, threads=threads)
             dense = infimum_soft_rank(
                 flow, samples, params, keep_per_pair=True, threads=threads
@@ -233,13 +266,14 @@ class TestScreenedScan:
             assert scan.infimum == infimum
             assert scan.argmin_pair == argmin
             assert scan.num_pairs == reference.soft_ranks.size
+        assert 1 <= screened.num_certified <= screened.num_pairs == dense.num_certified
         assert screened.soft_ranks is None
         assert np.array_equal(dense.soft_ranks, reference.soft_ranks)
 
     @settings(max_examples=60, deadline=None)
     @given(case=scan_cases(), perm_seed=st.integers(0, 2**32 - 1))
     def test_permuting_the_samples_permutes_the_soft_ranks(self, case, perm_seed):
-        flow, samples, params = case
+        flow, samples, params, _ = case
         num = samples.shape[0]
         perm = np.random.default_rng(perm_seed).permutation(num)
         scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
@@ -255,6 +289,47 @@ class TestScreenedScan:
         rank_bound = min(params.num_delays, flow.ambient_dim)
         assert np.all(permuted.soft_ranks >= 1.0)
         assert np.all(permuted.soft_ranks <= rank_bound * (1.0 + 1e-12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=permutation_orbit_cases())
+    def test_only_an_orbit_order_skips_the_gram_screen(self, case):
+        flow, samples, params = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
+            infimum_soft_rank(flow, samples, params)
+            infimum_soft_rank(flow, samples[::-1], params)  # the other direction
+            if samples.shape[0] >= 4:  # three states of a 3-cycle are an orbit in any order
+                with pytest.raises(AssertionError, match="the Gram screen ran"):
+                    infimum_soft_rank(flow, samples[[1, 0, *range(2, len(samples))]], params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=scan_cases(), k=st.integers(-20, 20), alpha_seed=st.integers(0, 2**32 - 1))
+    def test_scaling_the_samples_leaves_soft_ranks_and_ratios(self, case, k, alpha_seed):
+        flow, samples, params, gated = case
+        alpha = np.random.default_rng(alpha_seed).standard_normal(flow.ambient_dim)
+        base = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+        screened = infimum_soft_rank(flow, samples, params)
+        ratios = base.table.ratios(alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            if gated:  # a scaled orbit is still an orbit
+                mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
+            # 2^k scales every entry exactly, so nothing may move
+            scaled = infimum_soft_rank(flow, 2.0**k * samples, params, keep_per_pair=True)
+            scaled_screened = infimum_soft_rank(flow, 2.0**k * samples, params)
+            assert np.array_equal(scaled.soft_ranks, base.soft_ranks)
+            assert np.array_equal(scaled.table.ratios(alpha), ratios)
+            assert (scaled_screened.infimum, scaled_screened.argmin_pair) == (
+                screened.infimum, screened.argmin_pair
+            )
+            # 3 x rounds the samples: a rounding change, held to 1e-12 relative;
+            # a ratio is at most ||alpha||^2, which scales its rounding
+            tripled = infimum_soft_rank(flow, 3.0 * samples, params, keep_per_pair=True)
+            tripled_screened = infimum_soft_rank(flow, 3.0 * samples, params)
+        np.testing.assert_allclose(tripled.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            tripled.table.ratios(alpha), ratios, rtol=0, atol=1e-12 * (alpha @ alpha)
+        )
+        assert abs(tripled_screened.infimum - screened.infimum) <= 1e-12 * screened.infimum
 
     def test_analytic_ties_resolve_like_the_dense_scan(self):
         # all circularly adjacent pairs tie analytically; the Gram screen's
