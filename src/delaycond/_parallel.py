@@ -12,6 +12,13 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def resolve_threads(threads: int) -> int:
+    """The number of workers ``threads`` asks for: itself, or the CPU count for 0."""
+    if threads < 0:
+        raise InvalidArgumentError(f"threads must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
+
+
 def ordered_map(func: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """``[func(item) for item in items]`` on up to ``threads`` worker threads.
 
@@ -19,9 +26,7 @@ def ordered_map(func: Callable[[T], R], items: Sequence[T], threads: int) -> lis
     Each task builds its own working set when it starts, so at most
     ``threads`` of them are alive at once.
     """
-    if threads < 0:
-        raise InvalidArgumentError(f"threads must be >= 0, got {threads}")
-    workers = min(threads or os.cpu_count() or 1, len(items))
+    workers = min(resolve_threads(threads), len(items))
     if workers <= 1:
         return [func(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

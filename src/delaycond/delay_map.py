@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, Orbit, _check_state
+from .dynamics import FlowSpec, Orbit, _check_state, permutation_powers
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
@@ -137,22 +137,22 @@ def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
 def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> np.ndarray:
     """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) of each state, as an (n, m, N) array.
 
-    For a permutation flow each step is one gather over all states at once,
-    ``cur[:, perm] + 0.0``: bit for bit the matvec ``flow.inverse @ cur``,
-    whose zero sums are +0.0. Other flows take that matvec, state by state.
-    Raises NonFiniteTrajectoryError naming the first non-finite row of the
-    first state that has one (and that state's index, when ``named``).
+    For a permutation flow the rows are one gather over all states at once,
+    ``np.take(states, permutation_powers(perm, m), axis=1)``, with ``+ 0.0``
+    on rows k >= 1: bit for bit the matvecs ``flow.inverse @ cur``, whose zero
+    sums are +0.0. (``states[:, powers]`` gathers the same values, but not in
+    C order, which slows every later pass over the stack.) Other flows take
+    those matvecs, state by state. The array is C-contiguous either way. Raises
+    NonFiniteTrajectoryError naming the first non-finite row of the first
+    state that has one (and that state's index, when ``named``).
     """
-    out = np.empty((states.shape[0], m, flow.ambient_dim))
     perm = flow.permutation
     with np.errstate(over="ignore", invalid="ignore"):
         if perm is not None:
-            cur = states
-            for k in range(m):
-                out[:, k] = cur
-                if k + 1 < m:
-                    cur = cur[:, perm] + 0.0
+            out = np.take(states, permutation_powers(perm, m), axis=1)
+            out[:, 1:] += 0.0
         else:
+            out = np.empty((states.shape[0], m, flow.ambient_dim))
             for i, cur in enumerate(states):
                 for k in range(m):
                     out[i, k] = cur

@@ -89,6 +89,18 @@ def _permutation_of(mat: np.ndarray) -> np.ndarray | None:
     return perm
 
 
+def permutation_powers(perm: np.ndarray, m: int) -> np.ndarray:
+    """(m, N) index array whose row k is the index vector of P^k, P x == x[perm].
+
+    Row k satisfies (P^k x) == x[row k] for every x; row 0 is the identity.
+    """
+    powers = np.empty((m, perm.size), dtype=np.intp)
+    powers[0] = np.arange(perm.size)
+    for k in range(1, m):
+        powers[k] = powers[k - 1][perm]
+    return powers
+
+
 def is_permutation_orbit(flow: FlowSpec, states: np.ndarray) -> bool:
     """Whether ``states`` is one exact orbit of a permutation flow, in either direction.
 

@@ -19,7 +19,6 @@ import json
 import os
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
@@ -366,7 +365,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     # over the draws. State-space-denominator ratios are the secondary
     # diagnostic (the conditioning above is measured in trajectory space).
     table = report.table
-    state_dist_sq = pdist(samples, "sqeuclidean")
+    state_dist_sq = table.state_dist_sq
     state_scale = table.traj_dist_sq / state_dist_sq
     # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
     # monotone, so the state ratios' order statistics are the ratios' own

@@ -11,12 +11,23 @@ Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples, builds the trajectory stack once, and forms the
 pair differences and isometry ratios from it.
 
+For a permutation flow on integer-valued samples and coefficients of
+bounded size (the shift on basis states with Rademacher draws), the table
+runs in exact mode: the trajectory distances are M times the state
+distances, and the delay vectors are ``samples @ O_alpha.T`` with O_alpha
+one (M, N) gather of alpha, instead of ``stack @ alpha``. Every product and
+partial sum on either path is then an integer of at most 2^53, exact in
+double precision in any order of summation, so both give the same bits.
+The bounds are in ``PairTable`` and ``PairTable.ratios``; any other input
+takes the stack.
+
 The scan runs in two passes over chunks of pair differences: a screen, then
 a certification pass that takes the dense SVD of every pair the screen
 places within a rounding band of its minimum. The reported minimum and
 argmin come from those dense values, so they equal an exhaustive dense
 scan's bit for bit, exact analytic ties included. Chunks of either pass are
-spread over the ``threads`` workers. There are two screens:
+spread over the ``threads`` workers, and a pass of at least ``threads``
+pairs has at least one chunk per worker. There are two screens:
 
 - When the samples are one exact orbit of a permutation flow (the cyclic
   shift's orbits, checked by ``dynamics.is_permutation_orbit``), the
@@ -31,14 +42,15 @@ spread over the ``threads`` workers. There are two screens:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._parallel import ordered_map
+from ._parallel import ordered_map, resolve_threads
 from .delay_map import DelayParams, trajectory_matrices, trajectory_matrix
-from .dynamics import FlowSpec, is_permutation_orbit
+from .dynamics import FlowSpec, is_permutation_orbit, permutation_powers
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
 # Pairs per chunk in both scan passes and in the report's per-pair
@@ -169,8 +181,17 @@ class PairTable:
 
     Construction checks that there are at least 2 samples and that no two
     coincide (a coincident pair is an error, never skipped), then builds the
-    trajectory stack once. ``traj_dist_sq[k]`` is the squared trajectory-
-    vector distance of pair k, the denominator of its isometry ratio.
+    trajectory stack once. ``state_dist_sq[k]`` is the squared state-space
+    distance of pair k, and ``traj_dist_sq[k]`` its squared trajectory-vector
+    distance, the denominator of its isometry ratio.
+
+    The table is in exact mode when the flow is a permutation flow
+    (``flow.permutation`` set), every sample is integer-valued and
+    M N (2 max|x|)^2 <= 2^53. Each row of a trajectory matrix is then a
+    permutation of its sample, so ||x~ - y~||^2 = M ||x - y||^2, and every
+    square and partial sum of either side is an integer of at most 2^53, an
+    exact double in any order of summation. ``traj_dist_sq`` is then
+    ``M * state_dist_sq``, bit for bit the ``pdist`` of the flattened stack.
     """
 
     def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
@@ -179,18 +200,31 @@ class PairTable:
         if n < 2:
             raise InvalidArgumentError(f"need at least 2 samples to form a pair, got {n}")
         self.i_idx, self.j_idx = pair_indices(n)
-        dists = pdist(samples)  # condensed, in pair_indices order
+        self.state_dist_sq = pdist(samples, "sqeuclidean")  # condensed, in pair_indices order
         norms = np.linalg.norm(samples, axis=1)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
-        bad = np.flatnonzero(dists <= COINCIDENCE_THRESHOLD * scales)
+        # bit for bit pdist(samples), which takes the square root of the same sums
+        bad = np.flatnonzero(np.sqrt(self.state_dist_sq) <= COINCIDENCE_THRESHOLD * scales)
         if bad.size:
             i, j = self.pair(int(bad[0]))
             raise DegeneratePairError(
                 f"samples {i} and {j} coincide; "
                 "the scan minimum would be biased by skipping them"
             )
-        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N)
-        self.traj_dist_sq = pdist(self.stack.reshape(n, -1), "sqeuclidean")
+        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N), all finite
+        m, n_amb = self.stack.shape[1:]
+        self._max_abs = float(np.max(np.abs(samples)))
+        # exact mode: the (M, N) index array of P^-m, so alpha[...] is O_alpha
+        self._inverse_powers = None
+        if (
+            flow.permutation is not None
+            and _is_integral(samples)
+            and _sums_exactly(m * n_amb, 2.0, self._max_abs)
+        ):
+            self._inverse_powers = permutation_powers(np.argsort(flow.permutation), m)
+            self.traj_dist_sq = m * self.state_dist_sq
+        else:
+            self.traj_dist_sq = _stack_traj_dist_sq(self.stack)
 
     @property
     def num_pairs(self) -> int:
@@ -218,9 +252,62 @@ class PairTable:
         return out
 
     def ratios(self, alpha: np.ndarray) -> np.ndarray:
-        """Isometry ratio ||D alpha||^2 / ||D||_F^2 of every pair."""
-        measured = self.stack @ alpha  # (n, M) delay vectors
+        """Isometry ratio ||D alpha||^2 / ||D||_F^2 of every pair.
+
+        The numerator is the ``pdist`` of the delay vectors F_alpha(x) = G_x
+        alpha. In exact mode with an integer-valued alpha and M (2 N max|x|
+        max|alpha|)^2 <= 2^53, they are formed as ``samples @ O_alpha.T``:
+        row m of O_alpha is alpha permuted by P^m, one (M, N) gather. Every
+        product and partial sum of that product and of the ``pdist`` is then
+        an integer of at most 2^53, so the delay vectors and the numerator are
+        bit for bit those of ``stack @ alpha``, whatever the order of
+        summation. Other alpha take ``stack @ alpha``.
+        """
+        powers = self._inverse_powers
+        if (
+            powers is not None
+            and _is_integral(alpha)
+            and _sums_exactly(
+                powers.shape[0], 2.0 * powers.shape[1], self._max_abs, np.max(np.abs(alpha))
+            )
+        ):
+            # row 0 of each trajectory matrix is its sample, exactly
+            measured = _gathered_delay_vectors(self.stack[:, 0], powers, alpha)
+        else:
+            measured = _stack_delay_vectors(self.stack, alpha)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
+
+
+def _is_integral(values: np.ndarray) -> bool:
+    """Whether every entry is an integer (NaN is not; an infinity passes)."""
+    return bool(np.all(values == np.rint(values)))
+
+
+def _sums_exactly(terms: int, *factors: float) -> bool:
+    """Whether ``terms`` squares of integers up to prod(factors) in size sum to at most 2^53.
+
+    The factors are integer-valued; the bound is taken in exact integer
+    arithmetic, and an infinite factor fails it.
+    """
+    if not all(math.isfinite(factor) for factor in factors):
+        return False
+    return terms * math.prod(int(factor) for factor in factors) ** 2 <= 2**53
+
+
+# The two ways of forming the pair denominators and the delay vectors; tests
+# replace them to show which one ran.
+def _stack_traj_dist_sq(stack: np.ndarray) -> np.ndarray:
+    return pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
+
+
+def _stack_delay_vectors(stack: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    return stack @ alpha  # (n, M)
+
+
+def _gathered_delay_vectors(
+    samples: np.ndarray, inverse_powers: np.ndarray, alpha: np.ndarray
+) -> np.ndarray:
+    return samples @ alpha[inverse_powers].T  # O_alpha = alpha[inverse_powers]
 
 
 def _screened_soft_ranks(diffs: np.ndarray) -> np.ndarray:
@@ -241,10 +328,15 @@ def _dense_soft_ranks(diffs: np.ndarray) -> np.ndarray:
     return frobenius_sq / spectral_sq
 
 
-def _chunks(num: int) -> list[slice]:
-    return [
-        slice(start, min(start + _SCAN_CHUNK, num)) for start in range(0, num, _SCAN_CHUNK)
-    ]
+def _chunks(num: int, parts: int = 1) -> list[slice]:
+    """``range(num)`` in order, in slices of ``_SCAN_CHUNK`` pairs or fewer.
+
+    A pass of fewer than ``parts`` chunks is cut into slices of
+    ``num // parts`` pairs instead, so that it still gets at least one slice
+    per worker (up to one per pair).
+    """
+    size = max(1, min(_SCAN_CHUNK, num // parts))
+    return [slice(start, min(start + size, num)) for start in range(0, num, size)]
 
 
 def infimum_soft_rank(
@@ -265,6 +357,7 @@ def infimum_soft_rank(
     exact permutation-flow orbit (``dynamics.is_permutation_orbit``), screened
     by their representatives (0, d), or else the pairs by the Gram screen.
     """
+    workers = resolve_threads(threads)
     table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
     rtol = _band_rtol(*table.stack.shape[1:])
@@ -273,7 +366,9 @@ def infimum_soft_rank(
         """``soft_ranks`` of the first ``num`` pairs of the pair order."""
         return np.concatenate(
             ordered_map(
-                lambda pairs: soft_ranks(table.differences(pairs)), _chunks(num), threads
+                lambda pairs: soft_ranks(table.differences(pairs)),
+                _chunks(num, workers),
+                workers,
             )
         )
 
@@ -305,7 +400,9 @@ def infimum_soft_rank(
             pairs = candidates[part]
             return _dense_soft_ranks(stack[table.i_idx[pairs]] - stack[table.j_idx[pairs]])
 
-        values = np.concatenate(ordered_map(certify, _chunks(candidates.size), threads))
+        values = np.concatenate(
+            ordered_map(certify, _chunks(candidates.size, workers), workers)
+        )
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
     return PairScanResult(

@@ -24,7 +24,7 @@ from delaycond import (
 from delaycond.delay_map import row_squared_norms
 from delaycond.dynamics import FlowSpec
 
-from test_dynamics import relabelled_shift_flow, well_conditioned_flow
+from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
 
 
 def matvec_twin(flow: FlowSpec) -> FlowSpec:
@@ -163,13 +163,13 @@ class TestTrajectoryMatrix:
         n_amb=st.integers(2, 24),
         num=st.integers(1, 12),
         m=st.integers(1, 40),
-        relabel=st.booleans(),
+        kind=st.sampled_from(PERMUTATION_KINDS),
         basis=st.booleans(),
     )
     def test_permutation_gathers_match_the_matvec_path_bitwise(
-        self, seed, n_amb, num, m, relabel, basis
+        self, seed, n_amb, num, m, kind, basis
     ):
-        flow = relabelled_shift_flow(seed, n_amb) if relabel else make_shift_flow(n_amb)
+        flow = permutation_flow(kind, seed, n_amb)
         rng = np.random.default_rng(seed)
         if basis:
             # signed basis states: -e_k carries -0.0 in every other entry
@@ -184,6 +184,7 @@ class TestTrajectoryMatrix:
         reference = trajectory_matrices(matvec_twin(flow), samples, params)
         single = trajectory_matrix(flow, samples[0], params).g
         assert flow.permutation is not None
+        assert stack.flags.c_contiguous  # later passes over the stack assume C order
         assert stack.tobytes() == reference.tobytes()  # zero signs included
         assert single.tobytes() == reference[0].tobytes()
 

@@ -16,7 +16,7 @@ from delaycond import (
     make_shift_flow,
     step,
 )
-from delaycond.dynamics import FlowSpec, is_permutation_orbit
+from delaycond.dynamics import FlowSpec, is_permutation_orbit, permutation_powers
 
 
 def well_conditioned_flow(seed: int, n: int):
@@ -32,6 +32,22 @@ def relabelled_shift_flow(seed: int, n: int) -> FlowSpec:
     q = np.eye(n)[np.random.default_rng(seed).permutation(n)]
     phi = q @ make_shift_flow(n).matrix @ q.T
     return FlowSpec(matrix=phi, inverse=phi.T, kind="linear")
+
+
+def random_permutation_flow(seed: int, n: int) -> FlowSpec:
+    """A uniformly random relabelling of the coordinates, in general of several cycles."""
+    p = np.eye(n)[np.random.default_rng(seed).permutation(n)]
+    return FlowSpec(matrix=p, inverse=p.T, kind="linear")
+
+
+PERMUTATION_KINDS = ("shift", "relabelled", "random")
+
+
+def permutation_flow(kind: str, seed: int, n: int) -> FlowSpec:
+    """The shift, a relabelled shift or a random permutation flow on R^n, by ``kind``."""
+    if kind == "shift":
+        return make_shift_flow(n)
+    return (relabelled_shift_flow if kind == "relabelled" else random_permutation_flow)(seed, n)
 
 
 def exact_orbit(flow: FlowSpec, x0: np.ndarray, num: int, backward: bool) -> np.ndarray:
@@ -90,6 +106,17 @@ class TestPermutationFlows:
         flow = relabelled_shift_flow(seed, 9)
         x = np.random.default_rng(seed).standard_normal(9)
         assert np.array_equal(flow.inverse @ x, x[flow.permutation])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_powers_apply_the_inverse_k_times(self, seed):
+        flow = random_permutation_flow(seed, 9)
+        x = np.random.default_rng(seed).standard_normal(9)
+        powers = permutation_powers(flow.permutation, 20)
+        assert powers.shape == (20, 9)
+        cur = x
+        for k in range(20):
+            assert np.array_equal(x[powers[k]], cur)
+            cur = flow.inverse @ cur
 
     def test_non_permutations_have_none(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])  # a signed permutation

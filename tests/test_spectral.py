@@ -1,11 +1,13 @@
 
 
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from delaycond import (
     DegeneratePairError,
@@ -13,18 +15,26 @@ from delaycond import (
     InvalidArgumentError,
     NonFiniteTrajectoryError,
     UndefinedSoftRankError,
+    draw_coeffs,
     infimum_soft_rank,
     make_linear_flow,
     make_shift_flow,
     pair_soft_rank,
     shift_system_oracle,
     soft_rank,
+    trajectory_matrices,
 )
-from delaycond import spectral
+from delaycond import _parallel, spectral
 from delaycond.dynamics import is_permutation_orbit
-from delaycond.spectral import matrix_rank_of, pair_indices
+from delaycond.spectral import PairTable, matrix_rank_of, pair_indices
 
-from test_dynamics import exact_orbit, relabelled_shift_flow, well_conditioned_flow
+from test_dynamics import (
+    PERMUTATION_KINDS,
+    exact_orbit,
+    permutation_flow,
+    relabelled_shift_flow,
+    well_conditioned_flow,
+)
 
 # Adjacent basis states of the 8-state shift with 4 delays: the pair Gram is
 # 2I minus the path adjacency, eigenvalues 2 - 2 cos(k pi / 5).
@@ -343,6 +353,151 @@ class TestScreenedScan:
     def test_negative_threads_rejected(self):
         with pytest.raises(InvalidArgumentError, match="threads"):
             infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=-1)
+
+    @pytest.mark.parametrize("num", [0, 1, 5, 255, 1000])
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    def test_chunks_cover_the_pairs_in_at_least_one_part_per_worker(
+        self, monkeypatch, num, threads, chunk
+    ):
+        monkeypatch.setattr(spectral, "_SCAN_CHUNK", chunk)
+        workers = _parallel.resolve_threads(threads)
+        parts = spectral._chunks(num, workers)
+        assert [k for part in parts for k in range(num)[part]] == list(range(num))
+        sizes = [part.stop - part.start for part in parts]
+        assert min(workers, num) <= len(parts) <= num
+        assert all(1 <= size <= chunk for size in sizes)
+        if num >= workers * chunk:  # a large pass keeps whole chunks
+            assert set(sizes[:-1]) <= {chunk}
+
+    def test_zero_threads_resolve_to_the_cpu_count(self):
+        assert _parallel.resolve_threads(0) == (os.cpu_count() or 1)
+        assert _parallel.resolve_threads(3) == 3
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_small_passes_get_a_chunk_per_worker(self, monkeypatch, threads):
+        # 7 representatives and their certified pairs each fit in one _SCAN_CHUNK
+        passes = []
+
+        def recording_map(func, items, workers):
+            passes.append((len(items), workers))
+            return [func(item) for item in items]
+
+        monkeypatch.setattr(spectral, "ordered_map", recording_map)
+        infimum_soft_rank(make_shift_flow(8), np.eye(8), DelayParams(3), threads=threads)
+        assert [workers for _, workers in passes] == [threads, threads]
+        assert all(count >= threads for count, _ in passes)
+
+
+@st.composite
+def integer_cases(draw):
+    """A permutation flow, distinct integer-valued samples, M up to N + 3, an integer alpha.
+
+    Samples are signed basis states (-e_k carries -0.0) or small integers
+    with -0.0 among them; alpha is Rademacher, in {-1, 0, 1}, or small user
+    integers with -0.0 among them.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_amb = draw(st.integers(2, 12))
+    flow = permutation_flow(draw(st.sampled_from(PERMUTATION_KINDS)), seed, n_amb)
+    rng = np.random.default_rng(seed)
+    num = draw(st.integers(2, 10))
+    if draw(st.booleans()):
+        rows = rng.choice(2 * n_amb, size=min(num, 2 * n_amb), replace=False)
+        samples = np.where(rows < n_amb, 1.0, -1.0)[:, None] * np.eye(n_amb)[rows % n_amb]
+    else:
+        samples = np.unique(rng.integers(-5, 6, size=(num, n_amb)).astype(float), axis=0)
+        samples[(samples == 0.0) & (rng.random(samples.shape) < 0.5)] = -0.0
+        assume(samples.shape[0] >= 2)
+    ensemble = draw(st.sampled_from(["rademacher", "ternary", "user"]))
+    if ensemble == "rademacher":
+        alpha = draw_coeffs("rademacher", n_amb, seed).alpha
+    else:
+        high = 1 if ensemble == "ternary" else 5
+        alpha = rng.integers(-high, high + 1, size=n_amb).astype(float)
+        alpha[(alpha == 0.0) & (rng.random(n_amb) < 0.5)] = -0.0
+    return flow, samples, DelayParams(draw(st.integers(1, n_amb + 3))), alpha
+
+
+def _path_taken(*args):
+    raise AssertionError("a path that the gate rules out ran")
+
+
+class TestExactMode:
+    """Exact-integer denominators and delay vectors against the stack path."""
+
+    @staticmethod
+    def check(flow, samples, params, alpha, exact_table, exact_alpha):
+        """Bit-equal traj_dist_sq and ratios, with the ruled-out paths made to raise."""
+        stack = trajectory_matrices(flow, samples, params)
+        traj_dist_sq = pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
+        ratios = pdist(stack @ alpha, "sqeuclidean") / traj_dist_sq
+        with pytest.MonkeyPatch.context() as mp:
+            if exact_table:
+                mp.setattr(spectral, "_stack_traj_dist_sq", _path_taken)
+            else:  # the table never builds O_alpha's index array
+                mp.setattr(spectral, "permutation_powers", _path_taken)
+            if exact_alpha:
+                mp.setattr(spectral, "_stack_delay_vectors", _path_taken)
+            else:
+                mp.setattr(spectral, "_gathered_delay_vectors", _path_taken)
+            table = PairTable(flow, samples, params)
+            table_ratios = table.ratios(alpha)
+        assert table.traj_dist_sq.tobytes() == traj_dist_sq.tobytes()
+        assert table_ratios.tobytes() == ratios.tobytes()
+        assert table.state_dist_sq.tobytes() == pdist(samples, "sqeuclidean").tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=integer_cases())
+    def test_exact_mode_is_bit_equal_to_the_stack(self, case):
+        self.check(*case, exact_table=True, exact_alpha=True)
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0**40, -(2.0**40)])
+    def test_samples_off_the_gate_take_the_stack(self, entry):
+        samples = np.eye(6)[:4].copy()
+        samples[1, 2] = entry
+        alpha = draw_coeffs("rademacher", 6, 3).alpha
+        self.check(make_shift_flow(6), samples, DelayParams(4), alpha, False, False)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0**40])
+    def test_non_integer_or_large_alpha_takes_the_stack_numerator(self, scale):
+        flow = relabelled_shift_flow(5, 7)
+        samples = exact_orbit(flow, np.eye(7)[2], 7, backward=False)
+        alpha = scale * draw_coeffs("gaussian", 7, 11).alpha
+        if scale == 2.0**40:
+            alpha = np.rint(alpha)
+        self.check(flow, samples, DelayParams(5), alpha, True, False)
+
+    def test_non_permutation_flows_take_the_stack(self):
+        flow = well_conditioned_flow(2, 5)
+        alpha = draw_coeffs("rademacher", 5, 2).alpha
+        self.check(flow, np.eye(5), DelayParams(3), alpha, False, False)
+
+    @pytest.mark.parametrize(
+        "m, max_abs, exact_table, exact_alpha",
+        [
+            # N = 2, unit alpha: M N (2 max|x|)^2 and M (2 N max|x|)^2 reach
+            # 2^53 exactly at M = 1, max|x| = 2^25 and M = 2, max|x| = 2^24
+            (2, 2**24, True, True),
+            (2, 2**24 + 1, True, False),
+            (1, 2**25, True, False),
+            (1, 2**25 + 1, False, False),
+        ],
+    )
+    def test_the_bounds_include_2_to_the_53(self, m, max_abs, exact_table, exact_alpha):
+        samples = np.array([[max_abs, 3.0], [-1.0, -max_abs]])
+        alpha = np.array([1.0, -1.0])
+        self.check(make_shift_flow(2), samples, DelayParams(m), alpha, exact_table, exact_alpha)
+
+    def test_state_distances_are_the_square_of_pdist(self):
+        # the coincidence check takes sqrt(state_dist_sq) for pdist(samples),
+        # across scales where the squares overflow to inf or underflow to 0
+        rng = np.random.default_rng(0)
+        for scale in [1e-170, 1e-160, 1e-100, 1.0, 1e100, 1e155, 1e170]:
+            for _ in range(20):
+                samples = scale * rng.standard_normal((5, int(rng.integers(1, 30))))
+                dists = pdist(samples)
+                assert np.sqrt(pdist(samples, "sqeuclidean")).tobytes() == dists.tobytes()
 
 
 class TestShiftSystemOracle:
