@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,14 +232,25 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
+def _load_csv(path: str, key: str) -> np.ndarray:
+    """The rows of a numeric CSV file, or a ConfigError naming ``key``."""
+    with warnings.catch_warnings():
+        # numpy only warns on a file with no rows; that is rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: could not parse CSV: {exc}") from exc
+    if rows.shape[0] == 0:
+        raise ConfigError(f"{key}: the file holds no rows")
+    return rows
+
+
 def build_flow(config: ExperimentConfig) -> FlowSpec:
     """Instantiate the configured flow."""
     if config.kind == "shift":
         return make_shift_flow(config.ambient_dim, config.sampling_interval)
-    try:
-        matrix = np.loadtxt(config.matrix_path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"matrix_path: could not parse CSV matrix: {exc}") from exc
+    matrix = _load_csv(config.matrix_path, "matrix_path")
     return make_linear_flow(matrix, config.sampling_interval)
 
 
@@ -272,7 +284,7 @@ def build_samples(config: ExperimentConfig, flow: FlowSpec):
     files carry period None and are not assumed orbit-ordered.
     """
     if config.samples_path is not None:
-        states = np.loadtxt(config.samples_path, delimiter=",", ndmin=2)
+        states = _load_csv(config.samples_path, "samples_path")
         if states.shape[1] != flow.ambient_dim:
             raise ConfigError(
                 f"samples_path: states have dimension {states.shape[1]}, "

@@ -3,8 +3,8 @@
 The scalar time series is s_n = <alpha, x_n>. Stacking M consecutive past
 samples gives the delay vector; stacking the M backward iterates of a state
 gives the M x N trajectory matrix G (row m is Phi^{-m}(x)) and, flattened
-row by row, the trajectory vector in R^{MN}. The three are tied together by
-the identity delay_vector(x) = G_x @ alpha.
+row by row, the trajectory vector in R^{MN}. The delay vector is computed
+as G_x @ alpha, and ``_backward_rows`` is the one place the flow is iterated.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> n
 
     For a permutation flow the rows are one gather over all states at once,
     ``np.take(states, permutation_powers(perm, m), axis=1)``, with ``+ 0.0``
-    on rows k >= 1: bit for bit the matvecs ``flow.inverse @ cur``, whose zero
+    on rows k >= 1: bit for bit the matvecs by ``flow.inverse``, whose zero
     sums are +0.0. (``states[:, powers]`` gathers the same values, but not in
     C order, which slows every later pass over the stack.) Other flows take
     those matvecs, state by state. The array is C-contiguous either way. Raises
@@ -214,20 +214,11 @@ def delay_vector(
 ) -> np.ndarray:
     """Length-M vector of past measurements: entry m is <alpha, Phi^{-m}(x)>.
 
-    Computed by iterating the inverse flow directly; agrees with
-    ``trajectory_matrix(flow, x, params).g @ alpha`` to floating-point
-    reassociation (1e-12 relative).
+    Exactly ``trajectory_matrix(flow, x, params).g @ alpha``, the delay map
+    F_alpha(x) = G_x alpha.
     """
-    x = _check_state(flow, x)
     a = _check_coeffs(flow, alpha)
-    _warn_excess_delays(flow, params)
-    out = np.empty(params.num_delays)
-    cur = x
-    for m in range(params.num_delays):
-        out[m] = np.dot(a, cur)
-        if m + 1 < params.num_delays:
-            cur = flow.inverse @ cur
-    return out
+    return trajectory_matrix(flow, x, params).g @ a
 
 
 def basis_delay_vector(
@@ -235,22 +226,14 @@ def basis_delay_vector(
 ) -> np.ndarray:
     """Delay vector of the p-th canonical coordinate functional (0-based).
 
-    Equals column p of the trajectory matrix: entry m is coordinate p of
+    A copy of column p of the trajectory matrix: entry m is coordinate p of
     Phi^{-m}(x).
     """
-    x = _check_state(flow, x)
     if not 0 <= p < flow.ambient_dim:
         raise InvalidArgumentError(
             f"basis index p={p} out of range [0, {flow.ambient_dim})"
         )
-    _warn_excess_delays(flow, params)
-    out = np.empty(params.num_delays)
-    cur = x
-    for m in range(params.num_delays):
-        out[m] = cur[p]
-        if m + 1 < params.num_delays:
-            cur = flow.inverse @ cur
-    return out
+    return trajectory_matrix(flow, x, params).g[:, p].copy()
 
 
 def row_squared_norms(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -258,9 +241,9 @@ def row_squared_norms(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
     Summing per-row dot products keeps the trajectory-vector norm and the
     matrix Frobenius norm bitwise identical (the vector is the row-wise
-    flattening of the matrix). ``isometry_ratio`` takes its one-pair
-    denominator from here; the scan's denominators,
-    ``PairTable.traj_dist_sq``, come from ``pdist`` and agree to rounding.
+    flattening of the matrix). ``isometry_ratio`` takes its chord norms from
+    here; every ratio denominator, ``PairTable.traj_dist_sq``, comes from
+    ``pdist`` and agrees to rounding.
     """
     row_sqs = np.einsum("mn,mn->m", mat, mat)
     return row_sqs, float(np.sum(row_sqs))

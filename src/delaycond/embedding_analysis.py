@@ -31,7 +31,6 @@ from .delay_map import (
     derive_seed,
     draw_coeffs,
     row_squared_norms,
-    trajectory_matrix,
     _check_coeffs,
     _check_ensemble,
 )
@@ -40,7 +39,7 @@ from .errors import InvalidArgumentError
 from .spectral import (
     PairDiagnostics,
     PairTable,
-    check_distinct,
+    _pair_table,
     infimum_soft_rank,
     soft_rank,
 )
@@ -150,24 +149,19 @@ def isometry_ratio(
 ) -> PairDiagnostics:
     """Per-pair diagnostics: ratio ||D alpha||^2 / ||D||_F^2 with D = G_x - G_y.
 
-    The denominator equals the squared trajectory-vector distance
-    ||x~ - y~||^2 because the trajectory vector is the row-wise flattening
-    of the trajectory matrix; it is accumulated row by row so the two read
-    identically.
+    D and the ratio are read from the two-sample ``PairTable`` of (x, y), so
+    the ratio is bit for bit the one ``conditioning`` and ``monte_carlo``
+    report for that pair; its denominator is the squared trajectory-vector
+    distance ||x~ - y~||^2.
     """
-    _check_coeffs(flow, alpha)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    check_distinct(x, y)
-    diff = trajectory_matrix(flow, x, params).g - trajectory_matrix(flow, y, params).g
-    row_sqs, denom = row_squared_norms(diff)
-    measured = diff @ alpha.alpha
-    numer = float(np.dot(measured, measured))
+    a = _check_coeffs(flow, alpha)
+    table = _pair_table(flow, x, y, params)
+    diff = table.differences(slice(0, 1))[0]
+    row_sqs, _ = row_squared_norms(diff)
     return PairDiagnostics(
-        pair=(0, 1),
         soft_rank=soft_rank(diff).value,
         chord_norms=np.sqrt(row_sqs),
-        ratio=numer / denom,
+        ratio=float(table.ratios(a)[0]),
     )
 
 

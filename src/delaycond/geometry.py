@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_map import DelayParams, TrajectoryVector, trajectory_vector
+from .delay_map import DelayParams, TrajectoryVector, trajectory_matrices
 from .dynamics import FlowSpec, generate_orbit
 from .errors import (
     InvalidArgumentError,
@@ -95,9 +95,13 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
 def trajectory_manifold_points(
     flow: FlowSpec, samples: np.ndarray, params: DelayParams
 ) -> list[TrajectoryVector]:
-    """Map each sample to its trajectory vector in R^{MN}."""
+    """Map each sample to its trajectory vector in R^{MN}, from one trajectory stack."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return [trajectory_vector(flow, x, params) for x in samples]
+    stack = trajectory_matrices(flow, samples, params)
+    stack.setflags(write=False)
+    return [
+        TrajectoryVector(entries=g.reshape(-1), base_point=x) for g, x in zip(stack, samples)
+    ]
 
 
 def curve_volume(points: np.ndarray, closed: bool = False) -> float:

@@ -9,7 +9,8 @@ results carry the pair count.
 
 Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples, builds the trajectory stack once, and forms the
-pair differences and isometry ratios from it.
+pair differences and isometry ratios from it; the one-pair functions read
+the two-sample table of their pair.
 
 For a permutation flow on integer-valued samples and coefficients of
 bounded size (the shift on basis states with Rademacher draws), the table
@@ -49,8 +50,8 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map, resolve_threads
-from .delay_map import DelayParams, trajectory_matrices, trajectory_matrix
-from .dynamics import FlowSpec, is_permutation_orbit, permutation_powers
+from .delay_map import DelayParams, trajectory_matrices
+from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
 # Pairs per chunk in both scan passes and in the report's per-pair
@@ -74,17 +75,16 @@ class SoftRankResult:
 
 @dataclass(frozen=True)
 class PairDiagnostics:
-    """One pair's indices, soft rank, chord norms and isometry ratio.
+    """One pair's soft rank, chord norms and isometry ratio.
 
     ``ratio`` is the squared-distance ratio of the measured delay vectors to
     the trajectory vectors. ``chord_norms[m]`` is the distance between the
     m-th backward iterates of the two states.
     """
 
-    pair: tuple[int, int]
     soft_rank: float
     chord_norms: np.ndarray
-    ratio: float | None = None
+    ratio: float
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,15 @@ def matrix_rank_of(result: SoftRankResult) -> int:
     return int(np.sum(s > 1e-10 * s[0]))
 
 
-def check_distinct(x: np.ndarray, y: np.ndarray) -> None:
-    """Raise when two states coincide to within 1e-12 relative distance."""
-    scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-    if float(np.linalg.norm(x - y)) <= COINCIDENCE_THRESHOLD * scale:
-        raise DegeneratePairError("states coincide; pair diagnostics are undefined")
-
-
 def pair_soft_rank(
     flow: FlowSpec, x: np.ndarray, y: np.ndarray, params: DelayParams
 ) -> SoftRankResult:
-    """Soft rank of the trajectory-matrix difference G_x - G_y."""
-    check_distinct(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    gx = trajectory_matrix(flow, x, params)
-    gy = trajectory_matrix(flow, y, params)
-    return soft_rank(gx.g - gy.g)
+    """Soft rank of the trajectory-matrix difference G_x - G_y.
+
+    Read from the two-sample ``PairTable`` of (x, y), so it is the scan's
+    dense value of that pair bit for bit.
+    """
+    return soft_rank(_pair_table(flow, x, y, params).differences(slice(0, 1))[0])
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,11 +173,13 @@ def _band_rtol(m: int, n: int) -> float:
 class PairTable:
     """The C(n, 2) sample pairs of one (flow, samples, M), in ``pair_indices`` order.
 
-    Construction checks that there are at least 2 samples and that no two
-    coincide (a coincident pair is an error, never skipped), then builds the
-    trajectory stack once. ``state_dist_sq[k]`` is the squared state-space
-    distance of pair k, and ``traj_dist_sq[k]`` its squared trajectory-vector
-    distance, the denominator of its isometry ratio.
+    Construction checks that there are at least 2 samples, builds the
+    trajectory stack once (which checks that every sample and backward
+    iterate is finite), then checks that no two samples coincide. This is the
+    library's one coincidence rule; a coincident pair is an error, never
+    skipped. ``state_dist_sq[k]`` is the squared state-space distance of pair
+    k, and ``traj_dist_sq[k]`` its squared trajectory-vector distance, the
+    denominator of its isometry ratio.
 
     The table is in exact mode when the flow is a permutation flow
     (``flow.permutation`` set), every sample is integer-valued and
@@ -199,6 +195,9 @@ class PairTable:
         n = samples.shape[0]
         if n < 2:
             raise InvalidArgumentError(f"need at least 2 samples to form a pair, got {n}")
+        # built first: it names a non-finite sample, which the distance test
+        # below would take for a coincident pair (inf <= 1e-12 * inf)
+        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N), all finite
         self.i_idx, self.j_idx = pair_indices(n)
         self.state_dist_sq = pdist(samples, "sqeuclidean")  # condensed, in pair_indices order
         norms = np.linalg.norm(samples, axis=1)
@@ -209,9 +208,8 @@ class PairTable:
             i, j = self.pair(int(bad[0]))
             raise DegeneratePairError(
                 f"samples {i} and {j} coincide; "
-                "the scan minimum would be biased by skipping them"
+                "their isometry ratio and soft rank are undefined"
             )
-        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N), all finite
         m, n_amb = self.stack.shape[1:]
         self._max_abs = float(np.max(np.abs(samples)))
         # exact mode: the (M, N) index array of P^-m, so alpha[...] is O_alpha
@@ -276,6 +274,13 @@ class PairTable:
         else:
             measured = _stack_delay_vectors(self.stack, alpha)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
+
+
+def _pair_table(
+    flow: FlowSpec, x: np.ndarray, y: np.ndarray, params: DelayParams
+) -> PairTable:
+    """The two-sample table of states x and y, which the one-pair functions read."""
+    return PairTable(flow, np.stack([_check_state(flow, x), _check_state(flow, y)]), params)
 
 
 def _is_integral(values: np.ndarray) -> bool:

@@ -544,6 +544,45 @@ class TestCliMain:
         assert "error:" in captured.err and "not finite" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_sample_exit_one(self, tmp_path, capsys, bad):
+        # an infinite entry is named like a NaN, not taken for a coincident pair
+        samples = np.eye(8)[:4]
+        samples[2, 5] = float(bad)
+        samples_file = tmp_path / "samples.csv"
+        np.savetxt(samples_file, samples, delimiter=",")
+        config_path = minimal_shift_config(
+            tmp_path, samples_path=str(samples_file), num_samples=None
+        )
+        assert main(["report", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "error: sample 2: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("key", ["samples_path", "matrix_path"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1,0\nx,1\n", "could not parse CSV"), ("", "no rows"), ("# none\n", "no rows")],
+    )
+    def test_malformed_csv_exit_one_without_traceback(
+        self, tmp_path, capsys, recwarn, key, text, message
+    ):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text(text, encoding="utf-8")
+        if key == "samples_path":
+            config_path = minimal_shift_config(
+                tmp_path, ambient_dim="2", samples_path=str(csv_file), num_samples=None
+            )
+        else:
+            config_path = minimal_shift_config(
+                tmp_path, kind="linear", ambient_dim=None, matrix_path=str(csv_file)
+            )
+        assert main(["report", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key}: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.cfg")]) == 1
 

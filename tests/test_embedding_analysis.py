@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delaycond import (
     DegeneratePairError,
@@ -14,18 +16,41 @@ from delaycond import (
     make_linear_flow,
     make_shift_flow,
     monte_carlo,
+    pair_soft_rank,
     scaling_study,
     theorem_condition_check,
+    trajectory_matrices,
     user_coeffs,
 )
 from delaycond.delay_map import (
+    delay_vector,
     derive_seed,
     row_squared_norms,
-    trajectory_matrix,
     trajectory_vector,
 )
+from delaycond.spectral import PairTable, pair_indices
 
-from test_dynamics import well_conditioned_flow
+from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
+
+PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
+
+
+def pair_family(family: str, seed: int):
+    """(flow, samples, alpha) of one input family, with at least 2 distinct samples.
+
+    "permutation integer" puts the pair table in exact mode: a permutation
+    flow with small integer samples and coefficients.
+    """
+    rng = np.random.default_rng(seed)
+    if family == "shift basis":
+        return make_shift_flow(8), np.eye(8)[:5], draw_coeffs("gaussian", 8, seed)
+    n = int(rng.integers(2, 9))
+    if family == "linear gaussian":
+        samples = rng.standard_normal((int(rng.integers(2, 7)), n))
+        return well_conditioned_flow(seed, n), samples, user_coeffs(rng.standard_normal(n))
+    flow = permutation_flow(PERMUTATION_KINDS[seed % 3], seed, n)
+    samples = np.unique(rng.integers(-3, 4, size=(6, n)), axis=0).astype(float)
+    return flow, samples, user_coeffs(rng.integers(-2, 3, size=n).astype(float))
 
 
 class TestIsometryRatio:
@@ -76,6 +101,36 @@ class TestIsometryRatio:
         with pytest.raises(DegeneratePairError):
             isometry_ratio(flow, x, x, user_coeffs(np.ones(4)), DelayParams(2))
 
+    def test_mismatched_pair_is_a_typed_error(self):
+        flow = make_shift_flow(4)
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
+            isometry_ratio(
+                flow, np.eye(4)[0], np.ones(3), user_coeffs(np.ones(4)), DelayParams(2)
+            )
+
+
+class TestOnePairViews:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(PAIR_FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 10),
+    )
+    def test_one_pair_functions_read_the_pair_table(self, family, seed, m):
+        # bit for bit: the one-pair functions and the scan share one definition
+        flow, samples, alpha = pair_family(family, seed)
+        assume(samples.shape[0] >= 2)
+        params = DelayParams(m)
+        ratios = PairTable(flow, samples, params).ratios(alpha.alpha)
+        soft_ranks = infimum_soft_rank(flow, samples, params, keep_per_pair=True).soft_ranks
+        stack = trajectory_matrices(flow, samples, params)
+        for k, (i, j) in enumerate(zip(*pair_indices(samples.shape[0]))):
+            x, y = samples[i], samples[j]
+            assert isometry_ratio(flow, x, y, alpha, params).ratio == ratios[k]
+            assert pair_soft_rank(flow, x, y, params).value == soft_ranks[k]
+        for i, x in enumerate(samples):
+            assert np.array_equal(delay_vector(flow, x, alpha, params), stack[i] @ alpha.alpha)
+
 
 class TestConditioning:
     def test_one_dimensional_flow_is_perfectly_conditioned(self):
@@ -84,20 +139,19 @@ class TestConditioning:
         result = conditioning(flow, samples, user_coeffs(np.array([1.0])), DelayParams(3))
         assert result.epsilon == 0.0
 
-    def test_epsilon_is_max_deviation_over_pairwise_ratios(self):
-        flow = make_shift_flow(8)
-        samples = np.eye(8)[:5]
+    @pytest.mark.parametrize("family", PAIR_FAMILIES)
+    @pytest.mark.parametrize("seed", [99, 5, 12])
+    def test_epsilon_is_max_deviation_over_pairwise_ratios(self, family, seed):
+        flow, samples, alpha = pair_family(family, seed)
         params = DelayParams(3)
-        alpha = draw_coeffs("gaussian", 8, 99)
         result = conditioning(flow, samples, alpha, params)
         deviations = {}
-        for i in range(5):
-            for j in range(i + 1, 5):
-                diag = isometry_ratio(flow, samples[i], samples[j], alpha, params)
-                deviations[(i, j)] = abs(diag.ratio - 1.0)
+        for i, j in zip(*pair_indices(samples.shape[0])):
+            diag = isometry_ratio(flow, samples[i], samples[j], alpha, params)
+            deviations[(int(i), int(j))] = abs(diag.ratio - 1.0)
         best = max(deviations.values())
-        assert abs(result.epsilon - best) <= 1e-12 * max(best, 1.0)
-        assert deviations[result.worst_pair] == best
+        assert result.epsilon == best
+        assert result.worst_pair == min(p for p, dev in deviations.items() if dev == best)
 
     def test_bit_identical_across_runs(self):
         flow = make_shift_flow(32)

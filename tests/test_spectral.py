@@ -12,6 +12,7 @@ from scipy.spatial.distance import pdist
 from delaycond import (
     DegeneratePairError,
     DelayParams,
+    DimensionMismatchError,
     InvalidArgumentError,
     NonFiniteTrajectoryError,
     UndefinedSoftRankError,
@@ -115,6 +116,17 @@ class TestPairSoftRank:
         with pytest.raises(DegeneratePairError):
             pair_soft_rank(flow, x, x.copy(), DelayParams(4))
 
+    def test_mismatched_pair_is_a_typed_error(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
+            pair_soft_rank(make_shift_flow(4), np.eye(4)[0], np.ones(3), DelayParams(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_state_is_named(self, bad):
+        y = np.eye(4)[1]
+        y[2] = bad
+        with pytest.raises(NonFiniteTrajectoryError, match="sample 1: "):
+            pair_soft_rank(make_shift_flow(4), np.eye(4)[0], y, DelayParams(2))
+
     def test_full_rank_before_any_chord_cycle_closes(self):
         # the chords e_m - e_{m+d} trace the d-jump cycles of Z_n; the
         # difference matrix keeps full rank exactly while no cycle completes,
@@ -185,6 +197,15 @@ class TestInfimumSoftRank:
         samples = np.eye(6)[[0, 3, 3, 0]]
         with pytest.raises(DegeneratePairError, match="samples 0 and 3 coincide"):
             infimum_soft_rank(flow, samples, DelayParams(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_is_named_not_coincident(self, bad):
+        # inf <= 1e-12 * inf: a distance test alone takes an infinite
+        # sample for a coincident pair
+        samples = np.eye(6)[:4]
+        samples[2, 1] = bad
+        with pytest.raises(NonFiniteTrajectoryError, match="sample 2: "):
+            infimum_soft_rank(make_shift_flow(6), samples, DelayParams(2))
 
     def test_needs_two_samples(self):
         flow = make_shift_flow(6)
