@@ -9,6 +9,7 @@ as G_x @ alpha, and ``_backward_rows`` is the one place the flow is iterated.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ from .dynamics import FlowSpec, Orbit, _check_state, permutation_powers
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
+
+_PACKAGE = __name__.partition(".")[0]
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,16 @@ def time_series(orbit: Orbit, alpha: MeasurementCoeffs) -> np.ndarray:
 
 
 def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
+    """Warn when M > N, naming the first caller outside the package."""
     if params.num_delays > flow.ambient_dim:
+        frame, stacklevel = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"num_delays={params.num_delays} exceeds the ambient dimension "
             f"{flow.ambient_dim}; the soft rank plateaus at the ambient dimension",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 

@@ -6,6 +6,9 @@ pure function of (config, package version), so reruns produce byte-identical
 data files; the run manifest, written last, records a SHA-256 checksum per
 data file plus the one field that may differ between reruns, the timestamp.
 
+Each driver computes its data files as values, then ``_write_run`` writes
+them all, so a run that fails leaves the output directory as it was.
+
 Column-by-column and field-by-field documentation lives in
 docs/report_schema.md.
 """
@@ -44,22 +47,20 @@ BOUND_SLACK = 1e-9
 ORACLE_TOLERANCE = 1e-10
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
+    """Write the column names, then one row per entry of the 1-D arrays.
 
-
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    Cells are the ``tolist()`` values (floats in shortest round-trip form);
+    a bool column reads ``true``/``false``.
+    """
+    cells = [
+        np.where(values, "true", "false").tolist() if values.dtype == bool else values.tolist()
+        for values in columns.values()
+    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -86,8 +87,8 @@ def _counts(num_delays: int, num_pairs: int, num_certified: int, draws: int) -> 
 
 
 def write_manifest(
-    out_dir: str, config: ExperimentConfig, data_files: list[str], counts: list[dict]
-) -> str:
+    out_dir: str, config: ExperimentConfig, names: list[str], counts: list[dict]
+) -> None:
     """Write the run manifest (last, once) with per-file checksums.
 
     ``counts`` (one ``_counts`` entry per delay count) says how much work
@@ -97,13 +98,29 @@ def write_manifest(
     manifest = {
         "artifact_version": __version__,
         "config": dict(sorted(config.raw_items.items())),
-        "checksums": {name: _sha256(os.path.join(out_dir, name)) for name in data_files},
+        "checksums": {name: _sha256(os.path.join(out_dir, name)) for name in names},
         "counts": {"per_m": counts},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = os.path.join(out_dir, "run_manifest.json")
-    write_json(path, manifest)
-    return path
+    write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
+
+
+def _write_run(
+    out_dir: str, config: ExperimentConfig, files: dict[str, dict], counts: list[dict]
+) -> None:
+    """Write each data file of a computed run, then its manifest.
+
+    ``files`` maps a ``.csv`` name to its columns (header name -> 1-D array)
+    and any other name to a JSON payload.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            write_csv(path, content)
+        else:
+            write_json(path, content)
+    write_manifest(out_dir, config, list(files), counts)
 
 
 def _basis_index(state: np.ndarray) -> int:
@@ -130,13 +147,16 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "lemma-check is defined for the shift system only; got kind="
             + config.kind
         )
+    n = config.ambient_dim
+    if max(config.delays) > n:
+        raise ConfigError(
+            f"delays: the shift-system oracle needs M <= N = {n}; got M = {max(config.delays)}"
+        )
     flow = build_flow(config)
     samples, desc, _period = build_samples(config, flow)
     basis = np.array([_basis_index(s) for s in samples])
-    n = flow.ambient_dim
 
-    os.makedirs(out_dir, exist_ok=True)
-    data_files = []
+    files = {}
     per_m = []
     counts = []
     passed = True
@@ -153,22 +173,15 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         max_disagreement = float(np.max(np.abs(scan.soft_ranks - oracle)))
         satisfied = scan.soft_ranks >= bound - BOUND_SLACK
         all_satisfied = bool(np.all(satisfied))
-        rows = list(zip(
-            table.i_idx.tolist(),
-            table.j_idx.tolist(),
-            seps.tolist(),
-            scan.soft_ranks.tolist(),
-            oracle.tolist(),
-            [bound] * table.num_pairs,
-            satisfied.tolist(),
-        ))
-        name = f"lemma_check_M{m}.csv"
-        write_csv(
-            os.path.join(out_dir, name),
-            ["i", "j", "d", "soft_rank", "oracle_value", "bound_M_over_2", "satisfied"],
-            rows,
-        )
-        data_files.append(name)
+        files[f"lemma_check_M{m}.csv"] = {
+            "i": table.i_idx,
+            "j": table.j_idx,
+            "d": seps,
+            "soft_rank": scan.soft_ranks,
+            "oracle_value": oracle,
+            "bound_M_over_2": np.full(table.num_pairs, bound),
+            "satisfied": satisfied,
+        }
         counts.append(_counts(m, scan.num_pairs, scan.num_certified, 0))
         oracle_ok = max_disagreement <= ORACLE_TOLERANCE
         passed = passed and all_satisfied and oracle_ok
@@ -190,9 +203,8 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "per_m": per_m,
         "passed": passed,
     }
-    write_json(os.path.join(out_dir, "lemma_summary.json"), summary)
-    data_files.append("lemma_summary.json")
-    write_manifest(out_dir, config, data_files, counts)
+    files["lemma_summary.json"] = summary
+    _write_run(out_dir, config, files, counts)
     return summary
 
 
@@ -212,35 +224,30 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
         threads=threads,
     )
 
-    os.makedirs(out_dir, exist_ok=True)
-    rows = [
-        (r.num_delays, r.infimum_soft_rank, r.eps_median, r.eps_q05, r.eps_q95, r.eps_max)
-        for r in study.rows
-    ]
-    write_csv(
-        os.path.join(out_dir, "scaling.csv"),
-        ["M", "infimum_soft_rank", "eps_median", "eps_q05", "eps_q95", "eps_max"],
-        rows,
-    )
+    rows = study.rows
+    table = {"M": np.array([r.num_delays for r in rows])}
+    for name in ("infimum_soft_rank", "eps_median", "eps_q05", "eps_q95", "eps_max"):
+        table[name] = np.array([getattr(r, name) for r in rows])
     summary = {
         "slope": study.slope,
         "slope_stderr": study.slope_stderr,
-        "num_delays": [r.num_delays for r in study.rows],
-        "eps_median": [r.eps_median for r in study.rows],
-        "eps_mean": [r.eps_mean for r in study.rows],
-        "eps_max": [r.eps_max for r in study.rows],
+        "num_delays": table["M"].tolist(),
+        "eps_median": table["eps_median"].tolist(),
+        "eps_mean": [r.eps_mean for r in rows],
+        "eps_max": table["eps_max"].tolist(),
         "ensemble": config.ensemble,
         "num_draws": config.num_draws,
         "base_seed": config.base_seed,
         "samples": desc,
         "ambient_dim": flow.ambient_dim,
     }
-    write_json(os.path.join(out_dir, "scaling_summary.json"), summary)
     counts = [
         _counts(r.params["num_delays"], r.num_pairs, r.num_certified, r.num_draws)
         for r in study.reports
     ]
-    write_manifest(out_dir, config, ["scaling.csv", "scaling_summary.json"], counts)
+    _write_run(
+        out_dir, config, {"scaling.csv": table, "scaling_summary.json": summary}, counts
+    )
     return summary
 
 
@@ -255,7 +262,16 @@ def _geometry_payload(
     """``points`` holds the trajectory vector of each sample, one per row."""
     payload: dict = {}
 
-    if orbit_ordered:
+    if not orbit_ordered:
+        payload["trajectory_manifold"] = {
+            "note": "volume and reach need orbit-ordered samples; got an explicit sample file"
+        }
+    elif samples.shape[0] < 3:
+        payload["trajectory_manifold"] = {
+            "note": "volume and reach need at least 3 orbit-ordered samples for "
+            f"finite-difference tangents; got {samples.shape[0]}"
+        }
+    else:
         closed = period is not None and period == samples.shape[0]
         volume = curve_volume(points, closed=closed)
         reach = reach_estimate(points, finite_difference_tangents(points))
@@ -269,10 +285,6 @@ def _geometry_payload(
             "dim": config.manifold_dim if config.manifold_dim is not None else 1.0,
             "num_points": int(points.shape[0]),
             "closed_curve": closed,
-        }
-    else:
-        payload["trajectory_manifold"] = {
-            "note": "volume and reach need orbit-ordered samples; got an explicit sample file"
         }
 
     lyap = lyapunov_exponent_inverse_flow(
@@ -331,9 +343,6 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     )
     eps = report.epsilons
 
-    os.makedirs(out_dir, exist_ok=True)
-    data_files = []
-
     report_payload = {
         "ensemble": report.ensemble,
         "num_draws": report.num_draws,
@@ -358,15 +367,12 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             for k, r in enumerate(report.per_draw)
         ],
     }
-    write_json(os.path.join(out_dir, "embedding_report.json"), report_payload)
-    data_files.append("embedding_report.json")
 
     # Per-pair table: soft ranks are coefficient-free; ratio aggregates run
     # over the draws. State-space-denominator ratios are the secondary
     # diagnostic (the conditioning above is measured in trajectory space).
     table = report.table
-    state_dist_sq = table.state_dist_sq
-    state_scale = table.traj_dist_sq / state_dist_sq
+    state_scale = table.traj_dist_sq / table.state_dist_sq
     # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
     # monotone, so the state ratios' order statistics are the ratios' own
     # times the pair's scale; the medians are the mean of the middle pair,
@@ -379,55 +385,39 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         scale = state_scale[chunk]
         lowest, highest = np.min(block, axis=1), np.max(block, axis=1)
         mid = np.partition(block, [middle.start, middle.stop - 1], axis=1)[:, middle]
-        chunk_stats.append([
-            lowest,
-            np.mean(mid, axis=1),
-            highest,
-            lowest * scale,
-            np.mean(mid * scale[:, None], axis=1),
-            highest * scale,
-        ])
-    ratio_columns = [np.concatenate(stat).tolist() for stat in zip(*chunk_stats)]
-    rows = list(zip(
-        table.i_idx.tolist(),
-        table.j_idx.tolist(),
-        state_dist_sq.tolist(),
-        table.traj_dist_sq.tolist(),
-        report.soft_ranks.tolist(),
-        *ratio_columns,
-    ))
-    write_csv(
-        os.path.join(out_dir, "per_pair.csv"),
-        [
-            "i",
-            "j",
-            "state_dist_sq",
-            "traj_dist_sq",
-            "soft_rank",
-            "ratio_min",
-            "ratio_median",
-            "ratio_max",
-            "state_ratio_min",
-            "state_ratio_median",
-            "state_ratio_max",
-        ],
-        rows,
-    )
-    data_files.append("per_pair.csv")
+        chunk_stats.append({
+            "ratio_min": lowest,
+            "ratio_median": np.mean(mid, axis=1),
+            "ratio_max": highest,
+            "state_ratio_min": lowest * scale,
+            "state_ratio_median": np.mean(mid * scale[:, None], axis=1),
+            "state_ratio_max": highest * scale,
+        })
+    per_pair = {
+        "i": table.i_idx,
+        "j": table.j_idx,
+        "state_dist_sq": table.state_dist_sq,
+        "traj_dist_sq": table.traj_dist_sq,
+        "soft_rank": report.soft_ranks,
+        **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
+    }
 
     points = table.stack.reshape(table.stack.shape[0], -1)
     geometry_payload = _geometry_payload(
         config, flow, samples, points, period, orbit_ordered
     )
-    write_json(os.path.join(out_dir, "geometry.json"), geometry_payload)
-    data_files.append("geometry.json")
+    files = {
+        "embedding_report.json": report_payload,
+        "per_pair.csv": per_pair,
+        "geometry.json": geometry_payload,
+    }
 
     if config.c_user is not None:
         manifold = geometry_payload["trajectory_manifold"]
         if "volume" not in manifold:
             raise ConfigError(
                 "c_user: the theorem check needs trajectory-manifold volume and "
-                "reach, which require orbit-ordered samples"
+                "reach, which require at least 3 orbit-ordered samples"
             )
         check = theorem_condition_check(
             infimum_soft_rank=report.infimum_soft_rank,
@@ -437,25 +427,21 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             reach=manifold["reach"],
             c_user=config.c_user,
         )
-        write_json(
-            os.path.join(out_dir, "theorem_check.json"),
-            {
-                "infimum_soft_rank": check.infimum_soft_rank,
-                "epsilon": check.epsilon,
-                "epsilon_source": "median over draws",
-                "manifold_dim": check.manifold_dim,
-                "volume": check.volume,
-                "reach": check.reach,
-                "c_user": check.c_user,
-                "required_soft_rank": check.required_soft_rank,
-                "satisfied": check.satisfied,
-                "degenerate": check.degenerate,
-            },
-        )
-        data_files.append("theorem_check.json")
+        files["theorem_check.json"] = {
+            "infimum_soft_rank": check.infimum_soft_rank,
+            "epsilon": check.epsilon,
+            "epsilon_source": "median over draws",
+            "manifold_dim": check.manifold_dim,
+            "volume": check.volume,
+            "reach": check.reach,
+            "c_user": check.c_user,
+            "required_soft_rank": check.required_soft_rank,
+            "satisfied": check.satisfied,
+            "degenerate": check.degenerate,
+        }
 
     counts = [
         _counts(params.num_delays, report.num_pairs, report.num_certified, report.num_draws)
     ]
-    write_manifest(out_dir, config, data_files, counts)
+    _write_run(out_dir, config, files, counts)
     return report_payload

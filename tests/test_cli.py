@@ -13,7 +13,7 @@ from delaycond.config import build_flow, build_samples, load_config, parse_origi
 from delaycond.delay_map import DelayParams
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
-from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study
+from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
 
 from test_dynamics import well_conditioned_flow
 
@@ -455,6 +455,80 @@ class TestRunFullReport:
         config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
         with pytest.raises(ConfigError, match="delays"):
             run_full_report(config, str(tmp_path / "out"))
+
+
+class TestSingleOutputPath:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(
+            str(path),
+            {
+                "flag": np.array([True, False, True, False, True, False]),
+                "count": np.array([0, -1, 2**62, 7, 3, 1], dtype=np.int64),
+                "value": np.array([0.1, -0.0, 1e-05, 5e-324, 1e16, 1.7976931348623157e308]),
+            },
+        )
+        assert path.read_bytes() == (
+            b"flag,count,value\r\n"
+            b"true,0,0.1\r\n"
+            b"false,-1,-0.0\r\n"
+            b"true,4611686018427387904,1e-05\r\n"
+            b"false,7,5e-324\r\n"
+            b"true,3,1e+16\r\n"
+            b"false,1,1.7976931348623157e+308\r\n"
+        )
+
+    def test_failed_rerun_leaves_the_directory_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        good = minimal_shift_config(tmp_path, num_draws="5")
+        assert main(["report", "--config", good, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # explicit samples have no orbit order, so the theorem check fails
+        # only after the draws and the geometry
+        samples_file = tmp_path / "samples.csv"
+        np.savetxt(samples_file, np.eye(8)[:5], delimiter=",")
+        late_failure = minimal_shift_config(
+            tmp_path, samples_path=str(samples_file), num_samples=None,
+            num_draws="5", c_user="1.0", manifold_dim="1.0",
+        )
+        assert main(["report", "--config", late_failure, "--out", str(out)]) == 1
+        assert "error: c_user: " in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after == before
+        checksums = json.loads(after["run_manifest.json"])["checksums"]
+        assert set(checksums) | {"run_manifest.json"} == set(after)
+        for name, digest in checksums.items():
+            assert hashlib.sha256(after[name]).hexdigest() == digest
+
+    def test_two_orbit_samples_note_the_manifold(self, tmp_path):
+        config_path = minimal_shift_config(tmp_path, num_samples="2", num_draws="3")
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+        geometry = json.loads((out / "geometry.json").read_text(encoding="utf-8"))
+        manifold = geometry["trajectory_manifold"]
+        assert list(manifold) == ["note"]
+        assert "at least 3" in manifold["note"]
+
+    def test_two_orbit_samples_cannot_feed_the_theorem_check(self, tmp_path, capsys):
+        config_path = minimal_shift_config(
+            tmp_path, num_samples="2", num_draws="3", c_user="1.0", manifold_dim="1.0"
+        )
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: c_user: " in err and "at least 3" in err
+        assert not out.exists()
+
+    def test_lemma_delays_above_ambient_dim_fail_before_the_scan(
+        self, tmp_path, capsys, recwarn
+    ):
+        config_path = minimal_shift_config(tmp_path, delays="9")
+        out = tmp_path / "o"
+        assert main(["lemma-check", "--config", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: delays: " in err and "N = 8" in err
+        assert not list(recwarn)
+        assert not out.exists()
 
 
 class TestSchemaReference:

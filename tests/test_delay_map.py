@@ -13,9 +13,13 @@ from delaycond import (
     derive_seed,
     draw_coeffs,
     generate_orbit,
+    infimum_soft_rank,
     make_linear_flow,
     make_shift_flow,
+    monte_carlo,
+    pair_soft_rank,
     time_series,
+    trajectory_manifold_points,
     trajectory_matrices,
     trajectory_matrix,
     trajectory_vector,
@@ -124,10 +128,31 @@ class TestTrajectoryMatrix:
         tm = trajectory_matrix(flow, x, DelayParams(5))
         assert np.array_equal(tm.g[0], x)
 
-    def test_excess_delays_warn(self):
-        flow = make_shift_flow(3)
-        with pytest.warns(RuntimeWarning, match="plateaus"):
-            trajectory_matrix(flow, np.eye(3)[0], DelayParams(4))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda f, s, p: trajectory_matrix(f, s[0], p), id="trajectory_matrix"),
+            pytest.param(lambda f, s, p: trajectory_matrices(f, s, p), id="trajectory_matrices"),
+            pytest.param(
+                lambda f, s, p: delay_vector(f, s[0], user_coeffs(np.ones(3)), p),
+                id="delay_vector",
+            ),
+            pytest.param(lambda f, s, p: pair_soft_rank(f, s[0], s[1], p), id="pair_soft_rank"),
+            pytest.param(lambda f, s, p: infimum_soft_rank(f, s, p), id="infimum_soft_rank"),
+            pytest.param(
+                lambda f, s, p: monte_carlo(f, s, p, "gaussian", 2, 0), id="monte_carlo"
+            ),
+            pytest.param(
+                lambda f, s, p: trajectory_manifold_points(f, s, p),
+                id="trajectory_manifold_points",
+            ),
+        ],
+    )
+    def test_excess_delays_warn(self, call):
+        # the warning names the caller's line, not a line inside the package
+        with pytest.warns(RuntimeWarning, match="plateaus") as record:
+            call(make_shift_flow(3), np.eye(3), DelayParams(4))
+        assert [w.filename for w in record] == [__file__] * len(record)
 
     def test_zero_delays_rejected(self):
         with pytest.raises(InvalidArgumentError):
