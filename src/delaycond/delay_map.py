@@ -141,23 +141,33 @@ def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
         )
 
 
+def _gathered_rows(states: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Row k of each state gathered by ``powers[k]``, as a C-contiguous (n, m, N) array.
+
+    With powers = ``permutation_powers(flow.permutation, m)`` these are the
+    backward iterates of each state. Rows k >= 1 get ``+ 0.0``, which makes
+    them bit for bit the matvecs by ``flow.inverse``, whose zero sums are
+    +0.0. (``states[:, powers]`` gathers the same values, but not in C order,
+    which slows every later pass over the result.)
+    """
+    out = np.take(states, powers, axis=1)
+    out[:, 1:] += 0.0
+    return out
+
+
 def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> np.ndarray:
     """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) of each state, as an (n, m, N) array.
 
-    For a permutation flow the rows are one gather over all states at once,
-    ``np.take(states, permutation_powers(perm, m), axis=1)``, with ``+ 0.0``
-    on rows k >= 1: bit for bit the matvecs by ``flow.inverse``, whose zero
-    sums are +0.0. (``states[:, powers]`` gathers the same values, but not in
-    C order, which slows every later pass over the stack.) Other flows take
-    those matvecs, state by state. The array is C-contiguous either way. Raises
+    For a permutation flow the rows are one gather over all states at once
+    (``_gathered_rows``). Other flows take the matvecs by ``flow.inverse``,
+    state by state. The array is C-contiguous either way. Raises
     NonFiniteTrajectoryError naming the first non-finite row of the first
     state that has one (and that state's index, when ``named``).
     """
     perm = flow.permutation
     with np.errstate(over="ignore", invalid="ignore"):
         if perm is not None:
-            out = np.take(states, permutation_powers(perm, m), axis=1)
-            out[:, 1:] += 0.0
+            out = _gathered_rows(states, permutation_powers(perm, m))
         else:
             out = np.empty((states.shape[0], m, flow.ambient_dim))
             for i, cur in enumerate(states):

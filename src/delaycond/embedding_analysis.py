@@ -32,7 +32,6 @@ from .delay_map import (
     draw_coeffs,
     row_squared_norms,
     _check_coeffs,
-    _check_ensemble,
 )
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError
@@ -187,6 +186,13 @@ def conditioning(
     return _conditioning(table, alpha, table.ratios(alpha.alpha))
 
 
+def _draw_all(
+    ensemble: str, n: int, num_draws: int, base_seed: int
+) -> list[MeasurementCoeffs]:
+    """Draws 0, ..., num_draws - 1 of the stream rooted at ``base_seed``."""
+    return [draw_coeffs(ensemble, n, derive_seed(base_seed, k)) for k in range(num_draws)]
+
+
 def monte_carlo(
     flow: FlowSpec,
     samples: np.ndarray,
@@ -196,6 +202,7 @@ def monte_carlo(
     base_seed: int,
     threads: int = 1,
     keep_per_pair: bool = False,
+    draws: list[MeasurementCoeffs] | None = None,
 ) -> EmbeddingReport:
     """Conditioning distribution over seeded coefficient draws.
 
@@ -204,20 +211,20 @@ def monte_carlo(
     splits only the soft-rank scan. The draws run in order on the pair table
     of that scan. ``keep_per_pair`` retains that table, every pair's dense
     soft rank and the full (draws, pairs) ratio matrix for per-pair
-    reporting.
+    reporting. ``draws``, when given, holds the coefficients of those draws,
+    already made; ``scaling_study`` makes them once for every M.
     """
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
-    _check_ensemble(ensemble)
+    if draws is None:  # draw_coeffs checks the ensemble
+        draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
     scan = infimum_soft_rank(
         flow, samples, params, keep_per_pair=keep_per_pair, threads=threads
     )
     table = scan.table
-    n_amb = flow.ambient_dim
     per_draw = []
     ratios = np.empty((num_draws, table.num_pairs)) if keep_per_pair else None
-    for k in range(num_draws):
-        coeffs = draw_coeffs(ensemble, n_amb, derive_seed(base_seed, k))
+    for k, coeffs in enumerate(draws):
         draw_ratios = table.ratios(coeffs.alpha)
         per_draw.append(_conditioning(table, coeffs, draw_ratios))
         if keep_per_pair:
@@ -235,9 +242,9 @@ def monte_carlo(
         quantiles=quantiles,
         infimum_soft_rank=scan.infimum,
         params={
-            "ambient_dim": n_amb,
+            "ambient_dim": flow.ambient_dim,
             "num_delays": params.num_delays,
-            "num_samples": int(table.stack.shape[0]),
+            "num_samples": table.shape[0],
             "sampling_interval": flow.sampling_interval,
         },
         num_pairs=scan.num_pairs,
@@ -260,9 +267,9 @@ def scaling_study(
     """Median-eps-vs-M table with a least-squares log-log slope.
 
     The same coefficient draws (keyed by base_seed and draw index, which do
-    not involve M) are reused across delay counts, pairing the per-M
-    comparisons. Median eps, not the max, enters the fit; the max is
-    reported per row.
+    not involve M) are made once and reused across delay counts, pairing
+    the per-M comparisons. Median eps, not the max, enters the fit; the max
+    is reported per row.
     """
     m_list = list(m_list)
     if len(m_list) < 2:
@@ -272,12 +279,13 @@ def scaling_study(
     if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise InvalidArgumentError(f"delay counts must be ascending, got {m_list}")
 
+    draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
     rows = []
     reports = []
     for m in m_list:
         report = monte_carlo(
             flow, samples, DelayParams(m), ensemble, num_draws, base_seed,
-            threads=threads,
+            threads=threads, draws=draws,
         )
         eps = report.epsilons
         rows.append(

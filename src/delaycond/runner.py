@@ -37,7 +37,7 @@ from .geometry import (
     finite_difference_tangents,
     reach_estimate,
 )
-from .spectral import _chunks, infimum_soft_rank, shift_system_oracle
+from .spectral import PairTable, _chunks, infimum_soft_rank, shift_system_oracle
 
 # Floating-point slack on exact-equality bound comparisons (the m/2 bound is
 # attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
@@ -254,12 +254,15 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
 def _geometry_payload(
     config: ExperimentConfig,
     flow: FlowSpec,
-    samples: np.ndarray,
-    points: np.ndarray,
+    table: PairTable,
     period: int | None,
     orbit_ordered: bool,
 ) -> dict:
-    """``points`` holds the trajectory vector of each sample, one per row."""
+    """Trajectory-manifold, Lyapunov and delay-selection diagnostics of the samples.
+
+    The manifold's points are the trajectory vectors of ``table``'s samples.
+    """
+    samples = table.samples
     payload: dict = {}
 
     if not orbit_ordered:
@@ -272,6 +275,7 @@ def _geometry_payload(
             f"finite-difference tangents; got {samples.shape[0]}"
         }
     else:
+        points = table.stack.reshape(table.shape[0], -1)
         closed = period is not None and period == samples.shape[0]
         volume = curve_volume(points, closed=closed)
         reach = reach_estimate(points, finite_difference_tangents(points))
@@ -330,6 +334,11 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     samples, desc, period = build_samples(config, flow)
     params = DelayParams(config.delays[0])
     orbit_ordered = config.samples_path is None
+    if config.c_user is not None and not (orbit_ordered and samples.shape[0] >= 3):
+        raise ConfigError(
+            "c_user: the theorem check needs trajectory-manifold volume and "
+            "reach, which require at least 3 orbit-ordered samples"
+        )
 
     report = monte_carlo(
         flow,
@@ -402,10 +411,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
     }
 
-    points = table.stack.reshape(table.stack.shape[0], -1)
-    geometry_payload = _geometry_payload(
-        config, flow, samples, points, period, orbit_ordered
-    )
+    geometry_payload = _geometry_payload(config, flow, table, period, orbit_ordered)
     files = {
         "embedding_report.json": report_payload,
         "per_pair.csv": per_pair,
@@ -414,11 +420,6 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
 
     if config.c_user is not None:
         manifold = geometry_payload["trajectory_manifold"]
-        if "volume" not in manifold:
-            raise ConfigError(
-                "c_user: the theorem check needs trajectory-manifold volume and "
-                "reach, which require at least 3 orbit-ordered samples"
-            )
         check = theorem_condition_check(
             infimum_soft_rank=report.infimum_soft_rank,
             epsilon=report.quantiles[0.5],

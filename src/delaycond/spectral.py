@@ -8,19 +8,21 @@ finite sample only upper-bounds the minimum over the whole attractor, so
 results carry the pair count.
 
 Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
-which checks the samples, builds the trajectory stack once, and forms the
-pair differences and isometry ratios from it; the one-pair functions read
-the two-sample table of their pair.
+which checks the samples and forms the pair differences and isometry
+ratios; the one-pair functions read the two-sample table of their pair.
 
-For a permutation flow on integer-valued samples and coefficients of
-bounded size (the shift on basis states with Rademacher draws), the table
-runs in exact mode: the trajectory distances are M times the state
-distances, and the delay vectors are ``samples @ O_alpha.T`` with O_alpha
-one (M, N) gather of alpha, instead of ``stack @ alpha``. Every product and
-partial sum on either path is then an integer of at most 2^53, exact in
-double precision in any order of summation, so both give the same bits.
-The bounds are in ``PairTable`` and ``PairTable.ratios``; any other input
-takes the stack.
+For a permutation flow on integer-valued samples of bounded size (the shift
+on basis states), the table runs in exact mode and builds no trajectory
+stack: each trajectory matrix is one (M, N) gather of its sample, so a pair
+difference is a gather of the sample difference, and the trajectory
+distances are M times the state distances. With coefficients of bounded
+size too (Rademacher draws), the delay vectors are ``samples @ O_alpha.T``
+with O_alpha one (M, N) gather of alpha, instead of ``stack @ alpha``.
+Every product and partial sum on either path is then an integer of at most
+2^53, exact in double precision in any order of summation, so both give the
+same bits. The bounds are in ``PairTable`` and ``PairTable.ratios``; any
+other input takes the (n, M, N) stack, built once per table (in exact mode,
+on first use).
 
 The scan runs in two passes over chunks of pair differences: a screen, then
 a certification pass that takes the dense SVD of every pair the screen
@@ -50,7 +52,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map, resolve_threads
-from .delay_map import DelayParams, trajectory_matrices
+from .delay_map import DelayParams, _gathered_rows, _warn_excess_delays, trajectory_matrices
 from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
@@ -173,33 +175,59 @@ def _band_rtol(m: int, n: int) -> float:
 class PairTable:
     """The C(n, 2) sample pairs of one (flow, samples, M), in ``pair_indices`` order.
 
-    Construction checks that there are at least 2 samples, builds the
-    trajectory stack once (which checks that every sample and backward
-    iterate is finite), then checks that no two samples coincide. This is the
-    library's one coincidence rule; a coincident pair is an error, never
-    skipped. ``state_dist_sq[k]`` is the squared state-space distance of pair
-    k, and ``traj_dist_sq[k]`` its squared trajectory-vector distance, the
-    denominator of its isometry ratio.
+    Construction checks that there are at least 2 samples, decides exact
+    mode, builds the trajectory stack outside it (which checks that every
+    sample and backward iterate is finite), then checks that no two samples
+    coincide. This is the library's one coincidence rule; a coincident pair
+    is an error, never skipped. ``samples`` is a copy of the samples and
+    ``shape`` is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
+    state-space distance of pair k, and ``traj_dist_sq[k]`` its squared
+    trajectory-vector distance, the denominator of its isometry ratio.
 
     The table is in exact mode when the flow is a permutation flow
     (``flow.permutation`` set), every sample is integer-valued and
-    M N (2 max|x|)^2 <= 2^53. Each row of a trajectory matrix is then a
-    permutation of its sample, so ||x~ - y~||^2 = M ||x - y||^2, and every
-    square and partial sum of either side is an integer of at most 2^53, an
-    exact double in any order of summation. ``traj_dist_sq`` is then
-    ``M * state_dist_sq``, bit for bit the ``pdist`` of the flattened stack.
+    M N (2 max|x|)^2 <= 2^53; such samples are finite. Each row of a
+    trajectory matrix is then a permutation of its sample, so ||x~ - y~||^2
+    = M ||x - y||^2, and every square and partial sum of either side is an
+    integer of at most 2^53, an exact double in any order of summation.
+    ``traj_dist_sq`` is then ``M * state_dist_sq``, bit for bit the ``pdist``
+    of the flattened stack, and ``differences`` gathers each pair from its
+    sample difference; ``stack`` is gathered from the samples only when read.
     """
 
     def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        samples = np.array(samples, dtype=float, ndmin=2)
         n = samples.shape[0]
         if n < 2:
             raise InvalidArgumentError(f"need at least 2 samples to form a pair, got {n}")
-        # built first: it names a non-finite sample, which the distance test
-        # below would take for a coincident pair (inf <= 1e-12 * inf)
-        self.stack = trajectory_matrices(flow, samples, params)  # (n, M, N), all finite
+        m, n_amb = params.num_delays, flow.ambient_dim
+        self.samples = samples
+        self.shape = (n, m, n_amb)
+        self._max_abs = float(np.max(np.abs(samples), initial=0.0))
+        # exact mode, decided before anything is built: its samples are finite
+        exact = (
+            flow.permutation is not None
+            and samples.shape[1] == n_amb
+            and _is_integral(samples)
+            and _sums_exactly(m * n_amb, 2.0, self._max_abs)
+        )
         self.i_idx, self.j_idx = pair_indices(n)
         self.state_dist_sq = pdist(samples, "sqeuclidean")  # condensed, in pair_indices order
+        if exact:
+            _warn_excess_delays(flow, params)
+            self._stack = None
+            # the (M, N) index arrays of P^m and P^-m: gathering by powers
+            # forms the backward iterates, and alpha[inverse_powers] is O_alpha
+            self._powers = permutation_powers(flow.permutation, m)
+            self._inverse_powers = permutation_powers(np.argsort(flow.permutation), m)
+            self.traj_dist_sq = m * self.state_dist_sq
+        else:
+            # built before the distance test below: it names a non-finite
+            # sample, which that test would take for a coincident pair
+            # (inf <= 1e-12 * inf)
+            self._stack = trajectory_matrices(flow, samples, params)  # all finite
+            self._powers = self._inverse_powers = None
+            self.traj_dist_sq = _stack_traj_dist_sq(self._stack)
         norms = np.linalg.norm(samples, axis=1)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
         # bit for bit pdist(samples), which takes the square root of the same sums
@@ -210,19 +238,13 @@ class PairTable:
                 f"samples {i} and {j} coincide; "
                 "their isometry ratio and soft rank are undefined"
             )
-        m, n_amb = self.stack.shape[1:]
-        self._max_abs = float(np.max(np.abs(samples)))
-        # exact mode: the (M, N) index array of P^-m, so alpha[...] is O_alpha
-        self._inverse_powers = None
-        if (
-            flow.permutation is not None
-            and _is_integral(samples)
-            and _sums_exactly(m * n_amb, 2.0, self._max_abs)
-        ):
-            self._inverse_powers = permutation_powers(np.argsort(flow.permutation), m)
-            self.traj_dist_sq = m * self.state_dist_sq
-        else:
-            self.traj_dist_sq = _stack_traj_dist_sq(self.stack)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The (n, M, N) trajectory stack; in exact mode, gathered on first use."""
+        if self._stack is None:
+            self._stack = _gathered_rows(self.samples, self._powers)
+        return self._stack
 
     @property
     def num_pairs(self) -> int:
@@ -231,14 +253,21 @@ class PairTable:
     def pair(self, k: int) -> tuple[int, int]:
         return int(self.i_idx[k]), int(self.j_idx[k])
 
-    def differences(self, pairs: slice) -> np.ndarray:
-        """stack[i] - stack[j] over a contiguous range of the pair order.
+    def differences(self, pairs: slice | np.ndarray) -> np.ndarray:
+        """stack[i] - stack[j] of the pairs at a slice or an index array of the pair order.
 
-        The partners j of one i are consecutive, so each row's share of the
-        range is one subtraction from a slice of the stack, with no gathered
-        copies.
+        In exact mode each is gathered from its sample difference, with
+        ``+ 0.0`` on rows m >= 1 as the stack has (``_gathered_rows``): the
+        same bits, signed zeros included. Otherwise a slice takes, for each
+        i in it, one subtraction from a slice of the stack (the partners j
+        of one i are consecutive), with no gathered copies.
         """
-        stack = self.stack
+        if self._powers is not None:
+            sample_diffs = self.samples[self.i_idx[pairs]] - self.samples[self.j_idx[pairs]]
+            return _gathered_rows(sample_diffs, self._powers)
+        stack = self._stack
+        if not isinstance(pairs, slice):
+            return stack[self.i_idx[pairs]] - stack[self.j_idx[pairs]]
         out = np.empty((pairs.stop - pairs.start,) + stack.shape[1:])
         k = pairs.start
         while k < pairs.stop:
@@ -269,8 +298,7 @@ class PairTable:
                 powers.shape[0], 2.0 * powers.shape[1], self._max_abs, np.max(np.abs(alpha))
             )
         ):
-            # row 0 of each trajectory matrix is its sample, exactly
-            measured = _gathered_delay_vectors(self.stack[:, 0], powers, alpha)
+            measured = _gathered_delay_vectors(self.samples, powers, alpha)
         else:
             measured = _stack_delay_vectors(self.stack, alpha)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
@@ -365,7 +393,7 @@ def infimum_soft_rank(
     workers = resolve_threads(threads)
     table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
-    rtol = _band_rtol(*table.stack.shape[1:])
+    rtol = _band_rtol(*table.shape[1:])
 
     def first_pass(soft_ranks, num: int) -> np.ndarray:
         """``soft_ranks`` of the first ``num`` pairs of the pair order."""
@@ -381,10 +409,10 @@ def infimum_soft_rank(
         candidates = np.arange(num_pairs)
         values = first_pass(_dense_soft_ranks, num_pairs)
     else:
-        if is_permutation_orbit(flow, table.stack[:, 0]):
+        if is_permutation_orbit(flow, table.samples):
             # pair (i, j) has the exact singular values of the pair (0, j - i),
             # and the pairs (0, d) lead the pair order
-            representatives = first_pass(_dense_soft_ranks, table.stack.shape[0] - 1)
+            representatives = first_pass(_dense_soft_ranks, table.shape[0] - 1)
             # a representative and every member's dense value are each within
             # rtol of the class's exact value, so the representative screens
             # each member within (1 + rtol) / (1 - rtol), and the band is
@@ -399,14 +427,12 @@ def infimum_soft_rank(
             in_band = ~(screened > np.min(screened) * (1.0 + 3.0 * rtol))
         # NaN fails every comparison, so a NaN screen value sends its pairs to the SVD
         candidates = np.flatnonzero(in_band)
-        stack = table.stack
-
-        def certify(part: slice) -> np.ndarray:
-            pairs = candidates[part]
-            return _dense_soft_ranks(stack[table.i_idx[pairs]] - stack[table.j_idx[pairs]])
-
         values = np.concatenate(
-            ordered_map(certify, _chunks(candidates.size, workers), workers)
+            ordered_map(
+                lambda part: _dense_soft_ranks(table.differences(candidates[part])),
+                _chunks(candidates.size, workers),
+                workers,
+            )
         )
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break

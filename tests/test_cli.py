@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from delaycond import spectral
+from delaycond import runner, spectral
 from delaycond.cli import main
 from delaycond.config import build_flow, build_samples, load_config, parse_origin
 from delaycond.delay_map import DelayParams
@@ -39,7 +39,17 @@ def minimal_shift_config(tmp_path, **overrides):
     return write_config(tmp_path / "exp.cfg", "\n".join(lines) + "\n")
 
 
+SHIPPED_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
+
+
 class TestLoadConfig:
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in os.listdir(SHIPPED_CONFIGS) if n.endswith(".cfg"))
+    )
+    def test_shipped_configs_load(self, name):
+        config = load_config(os.path.join(SHIPPED_CONFIGS, name))
+        assert config.kind == "shift" and config.delays
+
     def test_minimal_shift_config_loads(self, tmp_path):
         config = load_config(minimal_shift_config(tmp_path))
         assert config.kind == "shift"
@@ -484,7 +494,6 @@ class TestSingleOutputPath:
         assert main(["report", "--config", good, "--out", str(out)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         # explicit samples have no orbit order, so the theorem check fails
-        # only after the draws and the geometry
         samples_file = tmp_path / "samples.csv"
         np.savetxt(samples_file, np.eye(8)[:5], delimiter=",")
         late_failure = minimal_shift_config(
@@ -517,6 +526,29 @@ class TestSingleOutputPath:
         assert main(["report", "--config", config_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error: c_user: " in err and "at least 3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("geometry", ["samples_path", "two_samples"])
+    def test_theorem_check_without_geometry_fails_before_the_draws(
+        self, tmp_path, monkeypatch, capsys, geometry
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the draws ran")
+
+        monkeypatch.setattr(runner, "monte_carlo", no_draws)
+        if geometry == "samples_path":
+            samples_file = tmp_path / "samples.csv"
+            np.savetxt(samples_file, np.eye(8)[:5], delimiter=",")
+            overrides = {"samples_path": str(samples_file), "num_samples": None}
+        else:
+            overrides = {"num_samples": "2"}
+        config_path = minimal_shift_config(
+            tmp_path, c_user="1.0", manifold_dim="1.0", **overrides
+        )
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: c_user: " in err and "at least 3 orbit-ordered samples" in err
         assert not out.exists()
 
     def test_lemma_delays_above_ambient_dim_fail_before_the_scan(

@@ -20,12 +20,14 @@ from delaycond import (
     infimum_soft_rank,
     make_linear_flow,
     make_shift_flow,
+    monte_carlo,
     pair_soft_rank,
     shift_system_oracle,
     soft_rank,
     trajectory_matrices,
 )
 from delaycond import _parallel, spectral
+from delaycond.delay_map import _gathered_rows
 from delaycond.dynamics import is_permutation_orbit
 from delaycond.spectral import PairTable, matrix_rank_of, pair_indices
 
@@ -519,6 +521,98 @@ class TestExactMode:
                 samples = scale * rng.standard_normal((5, int(rng.integers(1, 30))))
                 dists = pdist(samples)
                 assert np.sqrt(pdist(samples, "sqeuclidean")).tobytes() == dists.tobytes()
+
+
+class TestStackFreeExactMode:
+    """Exact-mode tables gather each pair difference from the samples and build no stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=integer_cases(), data=st.data())
+    def test_differences_are_bit_equal_to_the_stack(self, case, data):
+        flow, samples, params, _alpha = case
+        stack = trajectory_matrices(flow, samples, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "trajectory_matrices", _path_taken)
+            table = PairTable(flow, samples, params)
+            num = table.num_pairs
+            start = data.draw(st.integers(0, num - 1), label="start")
+            stop = data.draw(st.integers(start + 1, num), label="stop")
+            picked = np.array(
+                data.draw(st.lists(st.integers(0, num - 1), min_size=1, max_size=12)),
+                dtype=np.intp,
+            )
+            ranges = [
+                (table.differences(slice(start, stop)), np.arange(start, stop)),
+                (table.differences(picked), picked),
+            ]
+        assert table.shape == stack.shape
+        assert table.samples.tobytes() == stack[:, 0].tobytes()
+        for diffs, pairs in ranges:
+            expected = stack[table.i_idx[pairs]] - stack[table.j_idx[pairs]]
+            assert diffs.flags.c_contiguous
+            assert diffs.tobytes() == expected.tobytes()
+            dense = spectral._dense_soft_ranks(diffs)
+            assert dense.tobytes() == spectral._dense_soft_ranks(expected).tobytes()
+        # gathered on first read, with the stack path's bits
+        assert table.stack.tobytes() == stack.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=integer_cases(), pick=st.data())
+    def test_two_sample_tables_are_bit_equal_to_the_stack(self, case, pick):
+        flow, samples, params, _alpha = case
+        i, j = pick.draw(
+            st.lists(st.integers(0, samples.shape[0] - 1), min_size=2, max_size=2, unique=True)
+        )
+        stack = trajectory_matrices(flow, samples[[i, j]], params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "trajectory_matrices", _path_taken)
+            result = pair_soft_rank(flow, samples[i], samples[j], params)
+        expected = soft_rank(stack[0] - stack[1])
+        assert result.singular_values.tobytes() == expected.singular_values.tobytes()
+        assert result.value == expected.value
+
+    @pytest.mark.parametrize("keep_per_pair", [False, True])
+    @pytest.mark.parametrize("order", ["orbit", "shuffled"])
+    def test_exact_scan_and_integer_draws_build_no_stack(self, monkeypatch, keep_per_pair, order):
+        flow = make_shift_flow(24)
+        samples = np.eye(24)
+        if order == "shuffled":  # not an orbit order, so the Gram screen runs
+            samples = samples[np.random.default_rng(3).permutation(24)]
+        expected = monte_carlo(
+            flow, samples, DelayParams(6), "rademacher", 20, base_seed=4,
+            keep_per_pair=keep_per_pair,
+        )
+        monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
+        report = monte_carlo(
+            flow, samples, DelayParams(6), "rademacher", 20, base_seed=4,
+            threads=2, keep_per_pair=keep_per_pair,
+        )
+        assert report.infimum_soft_rank == expected.infimum_soft_rank
+        assert report.epsilons.tobytes() == expected.epsilons.tobytes()
+        assert report.num_certified == expected.num_certified
+        if keep_per_pair:
+            assert report.soft_ranks.tobytes() == expected.soft_ranks.tobytes()
+            assert report.ratios.tobytes() == expected.ratios.tobytes()
+
+    def test_non_integer_alpha_gathers_the_stack_once(self, monkeypatch):
+        gathered = []
+
+        def counting(states, powers):
+            gathered.append(states.shape)
+            return _gathered_rows(states, powers)
+
+        flow, params = make_shift_flow(8), DelayParams(3)
+        table = infimum_soft_rank(flow, np.eye(8), params).table
+        monkeypatch.setattr(spectral, "_gathered_rows", counting)
+        monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
+        table.ratios(draw_coeffs("rademacher", 8, 0).alpha)
+        assert gathered == []
+        alpha = draw_coeffs("gaussian", 8, 0).alpha
+        first, second = table.ratios(alpha), table.ratios(alpha)
+        assert gathered == [(8, 8)]
+        stack = trajectory_matrices(flow, np.eye(8), params)
+        expected = pdist(stack @ alpha, "sqeuclidean") / table.traj_dist_sq
+        assert first.tobytes() == second.tobytes() == expected.tobytes()
 
 
 class TestShiftSystemOracle:
