@@ -192,15 +192,23 @@ def inverse_step(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
 
 
 def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> Orbit:
-    """Forward orbit of exactly ``length`` states starting at x0."""
+    """Forward orbit of exactly ``length`` states starting at x0.
+
+    When ``flow.matrix`` is an exact 0/1 permutation matrix and x0 is
+    finite, each step is the gather ``cur[forward] + 0.0`` instead of the
+    matvec, with the same bits: each matvec entry sums one exact 1 * x and
+    zeros, and that sum turns -0.0 into +0.0 as ``+ 0.0`` does.
+    """
     if length < 1:
         raise InvalidArgumentError(f"orbit length must be >= 1, got {length}")
     cur = _check_state(flow, x0)
+    # a gather keeps an infinity where the matvec's 0 * inf makes NaN
+    forward = _permutation_of(flow.matrix) if np.all(np.isfinite(cur)) else None
     states = np.empty((length, flow.ambient_dim))
     for n in range(length):
         states[n] = cur
         if n + 1 < length:
-            cur = flow.matrix @ cur
+            cur = flow.matrix @ cur if forward is None else cur[forward] + 0.0
     return Orbit(states=_freeze(states))
 
 

@@ -64,8 +64,9 @@ class ConditioningResult:
 class EmbeddingReport:
     """Monte Carlo conditioning summary over coefficient draws.
 
-    ``num_pairs`` and ``num_certified`` are the scan's pair count and the
-    number of pairs it took the dense SVD of. ``table``, ``soft_ranks`` (per
+    ``num_pairs``, ``num_certified`` and ``num_chunks`` are the scan's pair
+    count, the number of pairs it took the dense SVD of, and the number of
+    chunks of pair differences it formed. ``table``, ``soft_ranks`` (per
     pair) and ``ratios`` (draws x pairs) are kept only when ``monte_carlo``
     is asked to keep per-pair values, else None; their pair axis is in
     ``pair_indices`` order.
@@ -80,6 +81,7 @@ class EmbeddingReport:
     params: dict
     num_pairs: int
     num_certified: int
+    num_chunks: int
     table: PairTable | None = field(default=None, repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
     ratios: np.ndarray | None = field(default=None, repr=False)
@@ -249,6 +251,7 @@ def monte_carlo(
         },
         num_pairs=scan.num_pairs,
         num_certified=scan.num_certified,
+        num_chunks=scan.num_chunks,
         table=table if keep_per_pair else None,
         soft_ranks=scan.soft_ranks,
         ratios=ratios,

@@ -27,7 +27,12 @@ from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
 from .delay_map import DelayParams, derive_seed, draw_coeffs
 from .dynamics import FlowSpec, lyapunov_exponent_inverse_flow
-from .embedding_analysis import monte_carlo, scaling_study, theorem_condition_check
+from .embedding_analysis import (
+    EmbeddingReport,
+    monte_carlo,
+    scaling_study,
+    theorem_condition_check,
+)
 from .errors import ConfigError, InvalidArgumentError, ZeroVarianceError
 from .geometry import (
     REACH_BIAS_NOTE,
@@ -37,7 +42,13 @@ from .geometry import (
     finite_difference_tangents,
     reach_estimate,
 )
-from .spectral import PairTable, _chunks, infimum_soft_rank, shift_system_oracle
+from .spectral import (
+    PairScanResult,
+    PairTable,
+    _chunks,
+    infimum_soft_rank,
+    shift_system_oracle,
+)
 
 # Floating-point slack on exact-equality bound comparisons (the m/2 bound is
 # attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
@@ -77,11 +88,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _counts(num_delays: int, num_pairs: int, num_certified: int, draws: int) -> dict:
+def _counts(scan: PairScanResult | EmbeddingReport, num_delays: int, draws: int) -> dict:
+    """The manifest's ``counts.per_m`` entry of one scan, or of the report built on it."""
     return {
         "num_delays": num_delays,
-        "pairs": num_pairs,
-        "pairs_certified": num_certified,
+        "pairs": scan.num_pairs,
+        "pairs_certified": scan.num_certified,
+        "chunks": scan.num_chunks,
         "draws": draws,
     }
 
@@ -182,7 +195,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "bound_M_over_2": np.full(table.num_pairs, bound),
             "satisfied": satisfied,
         }
-        counts.append(_counts(m, scan.num_pairs, scan.num_certified, 0))
+        counts.append(_counts(scan, m, 0))
         oracle_ok = max_disagreement <= ORACLE_TOLERANCE
         passed = passed and all_satisfied and oracle_ok
         per_m.append(
@@ -241,10 +254,7 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
         "samples": desc,
         "ambient_dim": flow.ambient_dim,
     }
-    counts = [
-        _counts(r.params["num_delays"], r.num_pairs, r.num_certified, r.num_draws)
-        for r in study.reports
-    ]
+    counts = [_counts(r, r.params["num_delays"], r.num_draws) for r in study.reports]
     _write_run(
         out_dir, config, {"scaling.csv": table, "scaling_summary.json": summary}, counts
     )
@@ -326,6 +336,45 @@ def _geometry_payload(
     return payload
 
 
+def _per_pair_columns(report: EmbeddingReport) -> dict[str, np.ndarray]:
+    """The ``per_pair.csv`` columns of a report that kept its per-pair values.
+
+    Soft ranks are coefficient-free; ratio aggregates run over the draws.
+    State-space-denominator ratios are the secondary diagnostic (the
+    conditioning is measured in trajectory space).
+    """
+    table = report.table
+    state_scale = table.traj_dist_sq / table.state_dist_sq
+    # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
+    # monotone, so the state ratios' order statistics are the ratios' own
+    # times the pair's scale; the medians are the mean of the middle pair,
+    # formed as np.median forms it.
+    num_draws = report.ratios.shape[0]
+    middle = slice((num_draws - 1) // 2, num_draws // 2 + 1)
+    chunk_stats = []
+    for chunk in _chunks(table.num_pairs, 1, num_draws):
+        block = np.ascontiguousarray(report.ratios[:, chunk].T)  # (pairs, draws)
+        scale = state_scale[chunk]
+        lowest, highest = np.min(block, axis=1), np.max(block, axis=1)
+        mid = np.partition(block, [middle.start, middle.stop - 1], axis=1)[:, middle]
+        chunk_stats.append({
+            "ratio_min": lowest,
+            "ratio_median": np.mean(mid, axis=1),
+            "ratio_max": highest,
+            "state_ratio_min": lowest * scale,
+            "state_ratio_median": np.mean(mid * scale[:, None], axis=1),
+            "state_ratio_max": highest * scale,
+        })
+    return {
+        "i": table.i_idx,
+        "j": table.j_idx,
+        "state_dist_sq": table.state_dist_sq,
+        "traj_dist_sq": table.traj_dist_sq,
+        "soft_rank": report.soft_ranks,
+        **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
+    }
+
+
 def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Monte Carlo conditioning report with per-pair and geometry companions."""
     if len(config.delays) != 1:
@@ -377,44 +426,10 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         ],
     }
 
-    # Per-pair table: soft ranks are coefficient-free; ratio aggregates run
-    # over the draws. State-space-denominator ratios are the secondary
-    # diagnostic (the conditioning above is measured in trajectory space).
-    table = report.table
-    state_scale = table.traj_dist_sq / table.state_dist_sq
-    # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
-    # monotone, so the state ratios' order statistics are the ratios' own
-    # times the pair's scale; the medians are the mean of the middle pair,
-    # formed as np.median forms it.
-    num_draws = report.ratios.shape[0]
-    middle = slice((num_draws - 1) // 2, num_draws // 2 + 1)
-    chunk_stats = []
-    for chunk in _chunks(table.num_pairs):
-        block = np.ascontiguousarray(report.ratios[:, chunk].T)  # (pairs, draws)
-        scale = state_scale[chunk]
-        lowest, highest = np.min(block, axis=1), np.max(block, axis=1)
-        mid = np.partition(block, [middle.start, middle.stop - 1], axis=1)[:, middle]
-        chunk_stats.append({
-            "ratio_min": lowest,
-            "ratio_median": np.mean(mid, axis=1),
-            "ratio_max": highest,
-            "state_ratio_min": lowest * scale,
-            "state_ratio_median": np.mean(mid * scale[:, None], axis=1),
-            "state_ratio_max": highest * scale,
-        })
-    per_pair = {
-        "i": table.i_idx,
-        "j": table.j_idx,
-        "state_dist_sq": table.state_dist_sq,
-        "traj_dist_sq": table.traj_dist_sq,
-        "soft_rank": report.soft_ranks,
-        **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
-    }
-
-    geometry_payload = _geometry_payload(config, flow, table, period, orbit_ordered)
+    geometry_payload = _geometry_payload(config, flow, report.table, period, orbit_ordered)
     files = {
         "embedding_report.json": report_payload,
-        "per_pair.csv": per_pair,
+        "per_pair.csv": _per_pair_columns(report),
         "geometry.json": geometry_payload,
     }
 
@@ -441,8 +456,6 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "degenerate": check.degenerate,
         }
 
-    counts = [
-        _counts(params.num_delays, report.num_pairs, report.num_certified, report.num_draws)
-    ]
+    counts = [_counts(report, params.num_delays, report.num_draws)]
     _write_run(out_dir, config, files, counts)
     return report_payload

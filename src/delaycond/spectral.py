@@ -30,7 +30,9 @@ places within a rounding band of its minimum. The reported minimum and
 argmin come from those dense values, so they equal an exhaustive dense
 scan's bit for bit, exact analytic ties included. Chunks of either pass are
 spread over the ``threads`` workers, and a pass of at least ``threads``
-pairs has at least one chunk per worker. There are two screens:
+pairs has at least one chunk per worker. A chunk is sized in bytes, at most
+``_CHUNK_BYTES`` of differences or one pair, so a worker's working set does
+not grow with M N. There are two screens:
 
 - When the samples are one exact orbit of a permutation flow (the cyclic
   shift's orbits, checked by ``dynamics.is_permutation_orbit``), the
@@ -56,10 +58,10 @@ from .delay_map import DelayParams, _gathered_rows, _warn_excess_delays, traject
 from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
 from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
 
-# Pairs per chunk in both scan passes and in the report's per-pair
-# reductions. A scan worker holds one chunk of differences at a time,
-# _SCAN_CHUNK * M * N floats: 32 MB at M = 32, N = 256.
-_SCAN_CHUNK = 512
+# Bytes of one chunk of pair data, in every scan pass (M N floats per pair)
+# and in the report's per-pair reductions (one float per draw and pair).
+# Each scan worker holds one chunk of differences at a time.
+_CHUNK_BYTES = 4 << 20
 
 # Relative distance below which two states are treated as coincident.
 COINCIDENCE_THRESHOLD = 1e-12
@@ -96,16 +98,18 @@ class PairScanResult:
     ``argmin_pair`` is lexicographically smallest among ties.
     ``num_certified`` counts the pairs whose dense SVD the minimum was taken
     over: the screen's rounding band, or every pair when the scan keeps
-    per-pair values. ``soft_ranks`` holds every pair's dense soft rank in
-    ``pair_indices`` order when the scan is asked to keep per-pair values,
-    else None. ``table`` is the pair table the scan ran on, for callers that
-    go on to use the same pairs.
+    per-pair values. ``num_chunks`` counts the chunks of pair differences
+    the scan formed, over all its passes. ``soft_ranks`` holds every pair's
+    dense soft rank in ``pair_indices`` order when the scan is asked to keep
+    per-pair values, else None. ``table`` is the pair table the scan ran
+    on, for callers that go on to use the same pairs.
     """
 
     infimum: float
     argmin_pair: tuple[int, int]
     num_pairs: int
     num_certified: int
+    num_chunks: int
     table: PairTable = field(repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
 
@@ -361,14 +365,16 @@ def _dense_soft_ranks(diffs: np.ndarray) -> np.ndarray:
     return frobenius_sq / spectral_sq
 
 
-def _chunks(num: int, parts: int = 1) -> list[slice]:
-    """``range(num)`` in order, in slices of ``_SCAN_CHUNK`` pairs or fewer.
+def _chunks(num: int, parts: int, item_floats: int) -> list[slice]:
+    """``range(num)`` in order, in slices of at most ``_CHUNK_BYTES`` of items.
 
-    A pass of fewer than ``parts`` chunks is cut into slices of
-    ``num // parts`` pairs instead, so that it still gets at least one slice
-    per worker (up to one per pair).
+    Each item is ``item_floats`` doubles; a slice holds at least one item,
+    however large. A pass of fewer than ``parts`` chunks is cut into slices
+    of ``num // parts`` items instead, so that it still gets at least one
+    slice per worker (up to one per item).
     """
-    size = max(1, min(_SCAN_CHUNK, num // parts))
+    per_chunk = _CHUNK_BYTES // (8 * item_floats)
+    size = max(1, min(per_chunk, num // parts))
     return [slice(start, min(start + size, num)) for start in range(0, num, size)]
 
 
@@ -394,25 +400,26 @@ def infimum_soft_rank(
     table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
     rtol = _band_rtol(*table.shape[1:])
+    pair_floats = table.shape[1] * table.shape[2]
+    num_chunks = 0
 
-    def first_pass(soft_ranks, num: int) -> np.ndarray:
-        """``soft_ranks`` of the first ``num`` pairs of the pair order."""
+    def scan_pass(soft_ranks, num: int, select=lambda part: part) -> np.ndarray:
+        """``soft_ranks`` of the pairs ``select(part)`` over the chunks of ``range(num)``."""
+        nonlocal num_chunks
+        parts = _chunks(num, workers, pair_floats)
+        num_chunks += len(parts)
         return np.concatenate(
-            ordered_map(
-                lambda pairs: soft_ranks(table.differences(pairs)),
-                _chunks(num, workers),
-                workers,
-            )
+            ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
         )
 
     if keep_per_pair:
         candidates = np.arange(num_pairs)
-        values = first_pass(_dense_soft_ranks, num_pairs)
+        values = scan_pass(_dense_soft_ranks, num_pairs)
     else:
         if is_permutation_orbit(flow, table.samples):
             # pair (i, j) has the exact singular values of the pair (0, j - i),
             # and the pairs (0, d) lead the pair order
-            representatives = first_pass(_dense_soft_ranks, table.shape[0] - 1)
+            representatives = scan_pass(_dense_soft_ranks, table.shape[0] - 1)
             # a representative and every member's dense value are each within
             # rtol of the class's exact value, so the representative screens
             # each member within (1 + rtol) / (1 - rtol), and the band is
@@ -420,20 +427,14 @@ def infimum_soft_rank(
             cutoff = np.min(representatives) * (1.0 + 5.0 * rtol)
             in_band = ~(representatives > cutoff)[table.j_idx - table.i_idx - 1]
         else:
-            screened = first_pass(_screened_soft_ranks, num_pairs)
+            screened = scan_pass(_screened_soft_ranks, num_pairs)
             # if every screened value is within rtol of its dense value, each
             # pair at or below the dense minimum screens within (1 + rtol) /
             # (1 - rtol) <= 1 + 3 rtol of the screened minimum
             in_band = ~(screened > np.min(screened) * (1.0 + 3.0 * rtol))
         # NaN fails every comparison, so a NaN screen value sends its pairs to the SVD
         candidates = np.flatnonzero(in_band)
-        values = np.concatenate(
-            ordered_map(
-                lambda part: _dense_soft_ranks(table.differences(candidates[part])),
-                _chunks(candidates.size, workers),
-                workers,
-            )
-        )
+        values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
     return PairScanResult(
@@ -441,6 +442,7 @@ def infimum_soft_rank(
         argmin_pair=table.pair(int(candidates[best])),
         num_pairs=num_pairs,
         num_certified=int(candidates.size),
+        num_chunks=num_chunks,
         table=table,
         soft_ranks=values if keep_per_pair else None,
     )

@@ -262,7 +262,7 @@ class TestRunLemmaCheck:
             counts = json.load(handle)["counts"]
         assert counts == {
             "per_m": [
-                {"num_delays": m, "pairs": 28, "pairs_certified": 28, "draws": 0}
+                {"num_delays": m, "pairs": 28, "pairs_certified": 28, "chunks": 1, "draws": 0}
                 for m in (2, 4)
             ]
         }
@@ -318,6 +318,7 @@ class TestRunScalingStudy:
             for entry in per_m:
                 assert entry["pairs"] == 28 and entry["draws"] == 12
                 assert 1 <= entry["pairs_certified"] <= 28
+                assert entry["chunks"] == 2  # a screen and a certification pass
 
 
 class TestRunFullReport:
@@ -370,14 +371,15 @@ class TestRunFullReport:
         assert geometry["inverse_flow_lyapunov"]["exponent"] == pytest.approx(0.0, abs=1e-10)
 
     def test_per_pair_ratio_columns_are_per_pair_reductions(self, tmp_path, monkeypatch):
-        # 7 pairs per chunk, so the 120 pairs cross chunk boundaries
-        monkeypatch.setattr(spectral, "_SCAN_CHUNK", 7)
         matrix_file = tmp_path / "m.csv"
         np.savetxt(
             matrix_file, well_conditioned_flow(3, 6).matrix, delimiter=",", fmt="%.17g"
         )
         # odd and even draw counts: the median is one middle value or the mean of two
         for num_draws in (1, 2, 19, 20):
+            # 7 pairs per per-pair reduction chunk, so the 120 pairs cross
+            # chunk boundaries
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", 7 * 8 * num_draws)
             config = load_config(
                 write_config(
                     tmp_path / "c.cfg",

@@ -238,6 +238,37 @@ class TestGenerateOrbit:
         with pytest.raises(InvalidArgumentError):
             generate_orbit(make_shift_flow(3), np.eye(3)[0], 0)
 
+    @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
+    @pytest.mark.parametrize("n", [5, 64, 257])
+    def test_permutation_steps_match_the_matvec_bitwise(self, kind, n):
+        flow = permutation_flow(kind, n, n)
+        # a matrix whose matvec raises shows that the steps are gathers
+        gather_only = FlowSpec(
+            matrix=flow.matrix.view(_NoMatvec), inverse=flow.inverse, kind=flow.kind
+        )
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x0 = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            x0[rng.random(n) < 0.2] = -0.0
+            expected = [x0]
+            while len(expected) < 9:
+                expected.append(flow.matrix @ expected[-1])
+            states = generate_orbit(gather_only, x0, 9).states
+            assert np.array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
+
+    def test_non_finite_origin_keeps_the_matvec(self):
+        flow = make_shift_flow(3)
+        x0 = np.array([np.inf, 1.0, 2.0])
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+            states = generate_orbit(flow, x0, 3).states
+            np.testing.assert_array_equal(states[1], flow.matrix @ x0)
+            np.testing.assert_array_equal(states[2], flow.matrix @ states[1])
+
+
+class _NoMatvec(np.ndarray):
+    def __matmul__(self, other):
+        raise AssertionError("the flow matrix was applied by a matvec")
+
 
 class TestLyapunovExponent:
     def test_shift_flow_is_an_isometry(self):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from delaycond import (
     soft_rank,
     trajectory_matrices,
 )
-from delaycond import _parallel, spectral
+from delaycond import _parallel, runner, spectral
 from delaycond.delay_map import _gathered_rows
 from delaycond.dynamics import is_permutation_orbit
 from delaycond.spectral import PairTable, matrix_rank_of, pair_indices
@@ -267,6 +268,15 @@ def _no_gram_screen(diffs):
     raise AssertionError("the Gram screen ran")
 
 
+def _per_pair_csv(report) -> bytes:
+    """The ``per_pair.csv`` bytes ``report`` writes for a report that kept its per-pair values."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "per_pair.csv")
+        runner.write_csv(path, runner._per_pair_columns(report))
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
 class TestScreenedScan:
     """Both screens plus dense certification against the exhaustive dense scan."""
 
@@ -283,25 +293,40 @@ class TestScreenedScan:
         case=scan_cases(),
         threads=st.sampled_from([0, 1, 2, 4]),
         chunk=st.sampled_from([1, 3, 7, 512]),
+        num_draws=st.integers(1, 6),
     )
-    def test_matches_exhaustive_dense_scan(self, case, threads, chunk):
+    def test_matches_exhaustive_dense_scan(self, case, threads, chunk, num_draws):
         flow, samples, params, gated = case
         reference, infimum, argmin = self.exhaustive(flow, samples, params)
+        default_screened = infimum_soft_rank(flow, samples, params, threads=threads)
+        default_report = monte_carlo(
+            flow, samples, params, "rademacher", num_draws, 3, keep_per_pair=True
+        )
+        # ``chunk`` pairs per scan chunk; the one-byte budget puts every pass,
+        # the report's per-pair reductions included, in one-pair chunks
+        budget = 1 if chunk == 1 else chunk * 8 * params.num_delays * flow.ambient_dim
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_SCAN_CHUNK", chunk)
+            mp.setattr(spectral, "_CHUNK_BYTES", budget)
             if gated:
                 mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
             screened = infimum_soft_rank(flow, samples, params, threads=threads)
             dense = infimum_soft_rank(
                 flow, samples, params, keep_per_pair=True, threads=threads
             )
+            report = monte_carlo(
+                flow, samples, params, "rademacher", num_draws, 3,
+                threads=threads, keep_per_pair=True,
+            )
         for scan in (screened, dense, reference):
             assert scan.infimum == infimum
             assert scan.argmin_pair == argmin
             assert scan.num_pairs == reference.soft_ranks.size
         assert 1 <= screened.num_certified <= screened.num_pairs == dense.num_certified
+        assert screened.num_certified == default_screened.num_certified
         assert screened.soft_ranks is None
         assert np.array_equal(dense.soft_ranks, reference.soft_ranks)
+        assert math.ceil(dense.num_pairs / chunk) <= dense.num_chunks <= dense.num_pairs
+        assert _per_pair_csv(report) == _per_pair_csv(default_report)
 
     @settings(max_examples=60, deadline=None)
     @given(case=scan_cases(), perm_seed=st.integers(0, 2**32 - 1))
@@ -379,13 +404,17 @@ class TestScreenedScan:
 
     @pytest.mark.parametrize("num", [0, 1, 5, 255, 1000])
     @pytest.mark.parametrize("threads", [0, 1, 2, 3])
-    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    @pytest.mark.parametrize("chunk", [0, 1, 7, 512])
+    @pytest.mark.parametrize("item_floats", [1, 96])
     def test_chunks_cover_the_pairs_in_at_least_one_part_per_worker(
-        self, monkeypatch, num, threads, chunk
+        self, monkeypatch, num, threads, chunk, item_floats
     ):
-        monkeypatch.setattr(spectral, "_SCAN_CHUNK", chunk)
+        # a budget just short of chunk + 1 items holds ``chunk``; 0 means
+        # less than one item, which still gets a chunk of its own
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", (chunk + 1) * 8 * item_floats - 1)
+        chunk = max(chunk, 1)
         workers = _parallel.resolve_threads(threads)
-        parts = spectral._chunks(num, workers)
+        parts = spectral._chunks(num, workers, item_floats)
         assert [k for part in parts for k in range(num)[part]] == list(range(num))
         sizes = [part.stop - part.start for part in parts]
         assert min(workers, num) <= len(parts) <= num
@@ -393,13 +422,37 @@ class TestScreenedScan:
         if num >= workers * chunk:  # a large pass keeps whole chunks
             assert set(sizes[:-1]) <= {chunk}
 
+    @pytest.mark.parametrize("keep_per_pair", [False, True])
+    def test_chunks_stay_within_the_byte_budget(self, monkeypatch, keep_per_pair):
+        # the largest step of the lemma check on the 128-state shift orbit
+        m, n = 32, 128
+        passes = []
+
+        def recording_map(func, items, workers):
+            passes.extend(part.stop - part.start for part in items)
+            return [func(item) for item in items]
+
+        monkeypatch.setattr(spectral, "ordered_map", recording_map)
+        scan = infimum_soft_rank(
+            make_shift_flow(n), np.eye(n), DelayParams(m), keep_per_pair=keep_per_pair,
+            threads=2,
+        )
+        assert len(passes) == scan.num_chunks
+        scanned = scan.num_pairs if keep_per_pair else n - 1 + scan.num_certified
+        assert sum(passes) == scanned
+        assert all(
+            pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes
+        )
+        if keep_per_pair:  # a large pass fills its chunks
+            assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
+
     def test_zero_threads_resolve_to_the_cpu_count(self):
         assert _parallel.resolve_threads(0) == (os.cpu_count() or 1)
         assert _parallel.resolve_threads(3) == 3
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_small_passes_get_a_chunk_per_worker(self, monkeypatch, threads):
-        # 7 representatives and their certified pairs each fit in one _SCAN_CHUNK
+        # 7 representatives and their certified pairs each fit in one chunk's bytes
         passes = []
 
         def recording_map(func, items, workers):
