@@ -4,7 +4,8 @@ Data files are CSV (RFC 4180, header row, floats in shortest round-trip
 form); metadata and summaries are JSON with sorted keys. Every number is a
 pure function of (config, package version), so reruns produce byte-identical
 data files; the run manifest, written last, records a SHA-256 checksum per
-data file plus the one field that may differ between reruns, the timestamp.
+data file plus the fields that may differ between reruns: the timestamp, the
+chunk counts and the environment (versions, threads, CPU count).
 
 Each driver computes its data files as values, then ``_write_run`` writes
 them all, so a run that fails leaves the output directory as it was.
@@ -20,9 +21,12 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 
 import numpy as np
+import scipy
 
+from ._parallel import resolve_threads
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
 from .delay_map import DelayParams, derive_seed, draw_coeffs
@@ -99,27 +103,48 @@ def _counts(scan: PairScanResult | EmbeddingReport, num_delays: int, draws: int)
     }
 
 
+def _environment(threads: int) -> dict:
+    """The manifest's ``environment``: what the run ran on, with ``threads`` resolved."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": resolve_threads(threads),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_manifest(
-    out_dir: str, config: ExperimentConfig, names: list[str], counts: list[dict]
+    out_dir: str,
+    config: ExperimentConfig,
+    names: list[str],
+    counts: list[dict],
+    threads: int,
 ) -> None:
     """Write the run manifest (last, once) with per-file checksums.
 
     ``counts`` (one ``_counts`` entry per delay count) says how much work
-    the run did; it lives here, never in a data file, since the number of
-    dense-SVD pairs depends on which scan path ran.
+    the run did, and ``environment`` what it ran on; both live here, never
+    in a data file, since the number of dense-SVD pairs depends on which
+    scan path ran and the chunk counts on ``threads``.
     """
     manifest = {
         "artifact_version": __version__,
         "config": dict(sorted(config.raw_items.items())),
         "checksums": {name: _sha256(os.path.join(out_dir, name)) for name in names},
         "counts": {"per_m": counts},
+        "environment": _environment(threads),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
 
 
 def _write_run(
-    out_dir: str, config: ExperimentConfig, files: dict[str, dict], counts: list[dict]
+    out_dir: str,
+    config: ExperimentConfig,
+    files: dict[str, dict],
+    counts: list[dict],
+    threads: int,
 ) -> None:
     """Write each data file of a computed run, then its manifest.
 
@@ -133,7 +158,7 @@ def _write_run(
             write_csv(path, content)
         else:
             write_json(path, content)
-    write_manifest(out_dir, config, list(files), counts)
+    write_manifest(out_dir, config, list(files), counts, threads)
 
 
 def _basis_index(state: np.ndarray) -> int:
@@ -217,7 +242,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "passed": passed,
     }
     files["lemma_summary.json"] = summary
-    _write_run(out_dir, config, files, counts)
+    _write_run(out_dir, config, files, counts, threads)
     return summary
 
 
@@ -256,7 +281,11 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
     }
     counts = [_counts(r, r.params["num_delays"], r.num_draws) for r in study.reports]
     _write_run(
-        out_dir, config, {"scaling.csv": table, "scaling_summary.json": summary}, counts
+        out_dir,
+        config,
+        {"scaling.csv": table, "scaling_summary.json": summary},
+        counts,
+        threads,
     )
     return summary
 
@@ -345,24 +374,29 @@ def _per_pair_columns(report: EmbeddingReport) -> dict[str, np.ndarray]:
     """
     table = report.table
     state_scale = table.traj_dist_sq / table.state_dist_sq
-    # chunk by chunk, so no (draws, pairs) copy is formed. Rounding is
-    # monotone, so the state ratios' order statistics are the ratios' own
-    # times the pair's scale; the medians are the mean of the middle pair,
-    # formed as np.median forms it.
+    # chunk by chunk over (draws, pairs) views, so no whole-matrix copy is
+    # formed. Rounding is monotone, so the state ratios' order statistics are
+    # the ratios' own times the pair's scale; the medians are the mean of the
+    # one or two middle values, formed as np.median forms it. A single-kth
+    # partition puts the lower middle value in place; the upper one is the
+    # least value above it.
     num_draws = report.ratios.shape[0]
-    middle = slice((num_draws - 1) // 2, num_draws // 2 + 1)
+    low, high = (num_draws - 1) // 2, num_draws // 2
     chunk_stats = []
     for chunk in _chunks(table.num_pairs, 1, num_draws):
-        block = np.ascontiguousarray(report.ratios[:, chunk].T)  # (pairs, draws)
+        block = report.ratios[:, chunk]  # (draws, pairs)
         scale = state_scale[chunk]
-        lowest, highest = np.min(block, axis=1), np.max(block, axis=1)
-        mid = np.partition(block, [middle.start, middle.stop - 1], axis=1)[:, middle]
+        lowest, highest = np.min(block, axis=0), np.max(block, axis=0)
+        part = np.partition(block, low, axis=0)
+        mid = part[low:low + 1]
+        if high > low:
+            mid = np.stack([part[low], np.min(part[high:], axis=0)])
         chunk_stats.append({
             "ratio_min": lowest,
-            "ratio_median": np.mean(mid, axis=1),
+            "ratio_median": np.mean(mid, axis=0),
             "ratio_max": highest,
             "state_ratio_min": lowest * scale,
-            "state_ratio_median": np.mean(mid * scale[:, None], axis=1),
+            "state_ratio_median": np.mean(mid * scale, axis=0),
             "state_ratio_max": highest * scale,
         })
     return {
@@ -457,5 +491,5 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         }
 
     counts = [_counts(report, params.num_delays, report.num_draws)]
-    _write_run(out_dir, config, files, counts)
+    _write_run(out_dir, config, files, counts, threads)
     return report_payload

@@ -369,13 +369,15 @@ def _chunks(num: int, parts: int, item_floats: int) -> list[slice]:
     """``range(num)`` in order, in slices of at most ``_CHUNK_BYTES`` of items.
 
     Each item is ``item_floats`` doubles; a slice holds at least one item,
-    however large. A pass of fewer than ``parts`` chunks is cut into slices
-    of ``num // parts`` items instead, so that it still gets at least one
-    slice per worker (up to one per item).
+    however large. A pass of fewer than ``parts`` full chunks is cut instead
+    into ``min(parts, num)`` slices of ``ceil(num / parts)`` items or one
+    fewer, so that every worker gets one slice and none is left over.
     """
-    per_chunk = _CHUNK_BYTES // (8 * item_floats)
-    size = max(1, min(per_chunk, num // parts))
-    return [slice(start, min(start + size, num)) for start in range(0, num, size)]
+    per_chunk = max(1, _CHUNK_BYTES // (8 * item_floats))
+    if num < parts * per_chunk:
+        bounds = [-(-num * k // parts) for k in range(parts + 1)]
+        return [slice(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
+    return [slice(start, min(start + per_chunk, num)) for start in range(0, num, per_chunk)]
 
 
 def infimum_soft_rank(

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from scipy.spatial.distance import pdist
 
 from delaycond import runner, spectral
@@ -37,6 +39,19 @@ def minimal_shift_config(tmp_path, **overrides):
     spec.update(overrides)
     lines = [f"{k} = {v}" for k, v in spec.items() if v is not None]
     return write_config(tmp_path / "exp.cfg", "\n".join(lines) + "\n")
+
+
+def partition_descending_above_kth(a, kth, axis=-1):
+    """A valid ``np.partition`` result with the values above ``kth`` in descending order.
+
+    ``np.partition`` promises only that they are not less than the kth
+    value, so code that reads the next order statistic off a fixed position
+    passes with some orders and fails with this one.
+    """
+    part = np.moveaxis(np.sort(a, axis=axis), axis, 0)
+    top = int(np.max(kth)) + 1
+    part[top:] = part[top:][::-1].copy()
+    return np.moveaxis(part, 0, axis)
 
 
 SHIPPED_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
@@ -375,42 +390,98 @@ class TestRunFullReport:
         np.savetxt(
             matrix_file, well_conditioned_flow(3, 6).matrix, delimiter=",", fmt="%.17g"
         )
-        # odd and even draw counts: the median is one middle value or the mean of two
-        for num_draws in (1, 2, 19, 20):
+        flows = {
+            "linear": f"kind = linear\nmatrix_path = {matrix_file}\nensemble = gaussian\n",
+            # Rademacher draws on a shift orbit: many ratios of a pair repeat exactly
+            "shift": "kind = shift\nambient_dim = 16\nensemble = rademacher\n",
+        }
+        tied = False
+        for kind, flow_lines in flows.items():
             # 7 pairs per per-pair reduction chunk, so the 120 pairs cross
-            # chunk boundaries
-            monkeypatch.setattr(spectral, "_CHUNK_BYTES", 7 * 8 * num_draws)
-            config = load_config(
-                write_config(
-                    tmp_path / "c.cfg",
-                    f"kind = linear\nmatrix_path = {matrix_file}\nnum_samples = 16\n"
-                    f"delays = 4\nensemble = gaussian\nnum_draws = {num_draws}\n"
-                    "base_seed = 5\n",
-                )
-            )
-            out = str(tmp_path / f"out{num_draws}")
-            run_full_report(config, out)
+            # chunk boundaries, or one pair per chunk; numpy's own partition
+            # order, or the least favourable one it is allowed to leave
+            for pairs_per_chunk, partition in (
+                (7, np.partition),
+                (1, np.partition),
+                (7, partition_descending_above_kth),
+            ):
+                # odd and even draw counts: the median is one middle value or
+                # the mean of two
+                for num_draws in (1, 2, 19, 20):
+                    case = (
+                        f"{kind}, {pairs_per_chunk} per chunk, {partition.__name__}, "
+                        f"{num_draws} draws"
+                    )
+                    monkeypatch.setattr(
+                        spectral, "_CHUNK_BYTES", pairs_per_chunk * 8 * num_draws
+                    )
+                    monkeypatch.setattr(runner.np, "partition", partition)
+                    config = load_config(
+                        write_config(
+                            tmp_path / "c.cfg",
+                            flow_lines + "num_samples = 16\ndelays = 4\n"
+                            f"num_draws = {num_draws}\nbase_seed = 5\n",
+                        )
+                    )
+                    out = str(tmp_path / case.replace(", ", "-").replace(" ", "_"))
+                    run_full_report(config, out)
+                    monkeypatch.undo()
 
-            flow = build_flow(config)
-            samples, _, _ = build_samples(config, flow)
-            report = monte_carlo(
-                flow, samples, DelayParams(4), "gaussian", num_draws, 5, keep_per_pair=True
+                    flow = build_flow(config)
+                    samples, _, _ = build_samples(config, flow)
+                    report = monte_carlo(
+                        flow, samples, DelayParams(4), config.ensemble, num_draws, 5,
+                        keep_per_pair=True,
+                    )
+                    state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
+                    rows = read_csv(os.path.join(out, "per_pair.csv"))
+                    assert rows[0][5:] == [
+                        "ratio_min", "ratio_median", "ratio_max",
+                        "state_ratio_min", "state_ratio_median", "state_ratio_max",
+                    ]
+                    assert len(rows) - 1 == report.table.num_pairs == 120
+                    for k, row in enumerate(rows[1:]):
+                        column = report.ratios[:, k]
+                        tied = tied or np.unique(column).size < num_draws // 2
+                        expected = [
+                            float(reduce(values))
+                            for values in (column, column * state_scale[k])
+                            for reduce in (np.min, np.median, np.max)
+                        ]
+                        assert [float(cell) for cell in row[5:]] == expected, f"{case}: pair {k}"
+        assert tied  # some pair has fewer distinct ratios than half its draws
+
+    def test_manifest_environment_leaves_the_data_files(self, tmp_path, monkeypatch):
+        config = load_config(
+            minimal_shift_config(
+                tmp_path, ambient_dim="16", num_samples="16", delays="4", num_draws="20"
             )
-            state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
-            rows = read_csv(os.path.join(out, "per_pair.csv"))
-            assert rows[0][5:] == [
-                "ratio_min", "ratio_median", "ratio_max",
-                "state_ratio_min", "state_ratio_median", "state_ratio_max",
-            ]
-            assert len(rows) - 1 == report.table.num_pairs == 120
-            for k, row in enumerate(rows[1:]):
-                column = report.ratios[:, k]
-                expected = [
-                    float(reduce(values))
-                    for values in (column, column * state_scale[k])
-                    for reduce in (np.min, np.median, np.max)
-                ]
-                assert [float(cell) for cell in row[5:]] == expected, f"{num_draws}: pair {k}"
+        )
+        manifests = {}
+        for threads in (1, 2, 0):
+            run_full_report(config, str(tmp_path / f"t{threads}"), threads=threads)
+            with open(tmp_path / f"t{threads}" / "run_manifest.json", encoding="utf-8") as handle:
+                manifests[threads] = json.load(handle)
+        # the same run with no environment recorded
+        monkeypatch.setattr(runner, "_environment", lambda threads: {})
+        run_full_report(config, str(tmp_path / "bare"))
+        with open(tmp_path / "bare" / "run_manifest.json", encoding="utf-8") as handle:
+            bare = json.load(handle)
+        assert bare["environment"] == {}
+        for threads, manifest in manifests.items():
+            assert manifest["checksums"] == bare["checksums"]
+            for name, digest in manifest["checksums"].items():
+                with open(tmp_path / f"t{threads}" / name, "rb") as data:
+                    content = data.read()
+                assert hashlib.sha256(content).hexdigest() == digest
+                assert b"cpu_count" not in content
+            assert manifest["environment"] == {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "threads": threads or os.cpu_count(),
+                "cpu_count": os.cpu_count(),
+            }
 
     def test_theorem_check_emitted_when_constants_present(self, tmp_path):
         config = load_config(

@@ -402,7 +402,7 @@ class TestScreenedScan:
         with pytest.raises(InvalidArgumentError, match="threads"):
             infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=-1)
 
-    @pytest.mark.parametrize("num", [0, 1, 5, 255, 1000])
+    @pytest.mark.parametrize("num", [0, 1, 4, 5, 255, 1000])
     @pytest.mark.parametrize("threads", [0, 1, 2, 3])
     @pytest.mark.parametrize("chunk", [0, 1, 7, 512])
     @pytest.mark.parametrize("item_floats", [1, 96])
@@ -421,6 +421,9 @@ class TestScreenedScan:
         assert all(1 <= size <= chunk for size in sizes)
         if num >= workers * chunk:  # a large pass keeps whole chunks
             assert set(sizes[:-1]) <= {chunk}
+        else:  # a small pass gets one slice per worker, ceil(num / workers) or one fewer
+            assert len(parts) == min(workers, num)
+            assert set(sizes) <= {-(-num // workers), num // workers}
 
     @pytest.mark.parametrize("keep_per_pair", [False, True])
     def test_chunks_stay_within_the_byte_budget(self, monkeypatch, keep_per_pair):
