@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,25 +22,6 @@ from .dynamics import FlowSpec, make_linear_flow, make_shift_flow
 from .errors import ConfigError
 from .geometry import sample_attractor
 
-_KNOWN_KEYS = {
-    "kind",
-    "ambient_dim",
-    "matrix_path",
-    "sampling_interval",
-    "origin",
-    "num_samples",
-    "samples_path",
-    "delays",
-    "ensemble",
-    "num_draws",
-    "base_seed",
-    "outputs",
-    "target_eps_grid",
-    "c_user",
-    "manifold_dim",
-    "num_bins",
-}
-
 _DEFAULT_EPS_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 
@@ -48,7 +29,9 @@ _DEFAULT_EPS_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``raw_items`` echoes the parsed key/value pairs for the run manifest.
+    Every field but ``raw_items`` is the config key of the same name, and
+    those fields are the keys a config file may give. ``raw_items`` echoes
+    the parsed key/value pairs for the run manifest.
     """
 
     kind: str
@@ -68,6 +51,9 @@ class ExperimentConfig:
     manifold_dim: float | None
     num_bins: int
     raw_items: dict[str, str] = field(default_factory=dict)
+
+
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw_items"}
 
 
 def _parse_items(path: str) -> dict[str, str]:

@@ -28,12 +28,16 @@ class MeasurementCoeffs:
     """Coefficient vector selecting the linear measurement functional <alpha, .>.
 
     ``seed`` is the integer that reproduces a drawn vector; it is None for
-    user-supplied coefficients.
+    user-supplied coefficients. Every entry of ``alpha`` must be finite.
     """
 
     alpha: np.ndarray
     ensemble: str  # "rademacher" | "gaussian" | "user"
     seed: int | None = None
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.alpha)):
+            raise InvalidArgumentError("coefficients must be finite")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .delay_map import (
     _check_coeffs,
 )
 from .dynamics import FlowSpec
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NonFiniteTrajectoryError
 from .spectral import (
     PairDiagnostics,
     PairTable,
@@ -170,9 +170,17 @@ def _conditioning(
     table: PairTable, coeffs: MeasurementCoeffs, ratios: np.ndarray
 ) -> ConditioningResult:
     deviations = np.abs(ratios - 1.0)
-    k = int(np.argmax(deviations))  # first occurrence = lexicographic pair
+    k = int(np.argmax(deviations))  # first occurrence = lexicographic pair; a NaN wins
+    epsilon = float(deviations[k])
+    if not math.isfinite(epsilon):
+        i, j = table.pair(k)
+        source = "user coefficients" if coeffs.seed is None else f"draw seed {coeffs.seed}"
+        raise NonFiniteTrajectoryError(
+            f"{source}: the isometry ratio of samples {i} and {j} is not finite; "
+            "their measured squared distance overflows"
+        )
     return ConditioningResult(
-        epsilon=float(deviations[k]), worst_pair=table.pair(k), alpha_seed=coeffs.seed
+        epsilon=epsilon, worst_pair=table.pair(k), alpha_seed=coeffs.seed
     )
 
 
@@ -220,6 +228,8 @@ def monte_carlo(
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
     if draws is None:  # draw_coeffs checks the ensemble
         draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
+    elif len(draws) != num_draws:
+        raise InvalidArgumentError(f"got {len(draws)} draws for num_draws = {num_draws}")
     scan = infimum_soft_rank(
         flow, samples, params, keep_per_pair=keep_per_pair, threads=threads
     )

@@ -22,7 +22,10 @@ class DegeneratePairError(DelaycondError, ValueError):
 
 
 class NonFiniteTrajectoryError(DelaycondError, ValueError):
-    """A backward iterate overflowed or is NaN, so no pair diagnostic is defined."""
+    """A backward iterate, or a distance or ratio formed from them, overflowed or is NaN.
+
+    No pair diagnostic is defined then.
+    """
 
 
 class UndefinedSoftRankError(DelaycondError, ZeroDivisionError):

@@ -20,6 +20,7 @@ from .dynamics import FlowSpec, generate_orbit
 from .errors import (
     InvalidArgumentError,
     NoEstimateError,
+    NonFiniteTrajectoryError,
     ZeroVarianceError,
 )
 
@@ -72,13 +73,21 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     The period is detected as the first return to x0 within relative
     tolerance 1e-9; only the first full period of states is kept. Fewer
     than 2 unique states (a fixed point) is an error since no pair scan can
-    be formed.
+    be formed, and so is an x0 with no finite norm to scale the tolerance.
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 samples, got n={n}")
     # one lookahead state so a period of exactly n is still detected
     states = generate_orbit(flow, x0, n + 1).states
-    scale = max(float(np.linalg.norm(states[0])), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(states[0]))
+    if not math.isfinite(norm):
+        # an overflowing norm would match every state as a return to x0
+        raise NonFiniteTrajectoryError(
+            "the orbit's first state has no finite norm: an entry is not finite, "
+            "or the sum of its squares overflows"
+        )
+    scale = max(norm, np.finfo(float).tiny)
     period = None
     for k in range(1, n + 1):
         if float(np.linalg.norm(states[k] - states[0])) <= _PERIOD_TOLERANCE * scale:

@@ -10,8 +10,10 @@ chunk counts and the environment (versions, threads, CPU count).
 Each driver computes its data files as values, then ``_write_run`` writes
 them all, so a run that fails leaves the output directory as it was.
 
-Column-by-column and field-by-field documentation lives in
-docs/report_schema.md.
+A JSON record of one result (a draw's conditioning, the Lyapunov estimate,
+the delay selection, the theorem check) holds its dataclass's fields, so a
+field added there enters the data file. Column-by-column and field-by-field
+documentation lives in docs/report_schema.md.
 """
 
 from __future__ import annotations
@@ -333,11 +335,7 @@ def _geometry_payload(
     lyap = lyapunov_exponent_inverse_flow(
         flow, samples[0], num_steps=200, perturbation=1e-8, seed=config.base_seed
     )
-    payload["inverse_flow_lyapunov"] = {
-        "exponent": lyap.exponent,
-        "num_steps": lyap.num_steps,
-        "num_probes": lyap.num_probes,
-    }
+    payload["inverse_flow_lyapunov"] = vars(lyap)
 
     if orbit_ordered and samples.shape[0] >= 8:
         alpha0 = draw_coeffs(
@@ -348,9 +346,7 @@ def _geometry_payload(
         try:
             selection = delay_selection(series, num_bins=config.num_bins)
             payload["delay_selection"] = {
-                "autocorr_first_zero": selection.autocorr_first_zero,
-                "mi_first_min": selection.mi_first_min,
-                "num_bins": selection.num_bins,
+                **vars(selection),
                 "series_alpha_seed": alpha0.seed,
                 "series_length": int(series.size),
             }
@@ -449,15 +445,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "rate": [report.failure_rate(g) for g in config.target_eps_grid],
         },
         "infimum_soft_rank": report.infimum_soft_rank,
-        "per_draw": [
-            {
-                "draw": k,
-                "epsilon": r.epsilon,
-                "worst_pair": list(r.worst_pair),
-                "alpha_seed": r.alpha_seed,
-            }
-            for k, r in enumerate(report.per_draw)
-        ],
+        "per_draw": [{"draw": k, **vars(r)} for k, r in enumerate(report.per_draw)],
     }
 
     geometry_payload = _geometry_payload(config, flow, report.table, period, orbit_ordered)
@@ -477,18 +465,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             reach=manifold["reach"],
             c_user=config.c_user,
         )
-        files["theorem_check.json"] = {
-            "infimum_soft_rank": check.infimum_soft_rank,
-            "epsilon": check.epsilon,
-            "epsilon_source": "median over draws",
-            "manifold_dim": check.manifold_dim,
-            "volume": check.volume,
-            "reach": check.reach,
-            "c_user": check.c_user,
-            "required_soft_rank": check.required_soft_rank,
-            "satisfied": check.satisfied,
-            "degenerate": check.degenerate,
-        }
+        files["theorem_check.json"] = {**vars(check), "epsilon_source": "median over draws"}
 
     counts = [_counts(report, params.num_delays, report.num_draws)]
     _write_run(out_dir, config, files, counts, threads)

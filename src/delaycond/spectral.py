@@ -56,7 +56,12 @@ from scipy.spatial.distance import pdist
 from ._parallel import ordered_map, resolve_threads
 from .delay_map import DelayParams, _gathered_rows, _warn_excess_delays, trajectory_matrices
 from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
-from .errors import DegeneratePairError, InvalidArgumentError, UndefinedSoftRankError
+from .errors import (
+    DegeneratePairError,
+    InvalidArgumentError,
+    NonFiniteTrajectoryError,
+    UndefinedSoftRankError,
+)
 
 # Bytes of one chunk of pair data, in every scan pass (M N floats per pair)
 # and in the report's per-pair reductions (one float per draw and pair).
@@ -181,9 +186,10 @@ class PairTable:
 
     Construction checks that there are at least 2 samples, decides exact
     mode, builds the trajectory stack outside it (which checks that every
-    sample and backward iterate is finite), then checks that no two samples
-    coincide. This is the library's one coincidence rule; a coincident pair
-    is an error, never skipped. ``samples`` is a copy of the samples and
+    sample and backward iterate is finite), then checks that no squared
+    trajectory distance overflows and that no two samples coincide. This
+    is the library's one coincidence rule; a coincident pair is an error,
+    never skipped. ``samples`` is a copy of the samples and
     ``shape`` is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
     state-space distance of pair k, and ``traj_dist_sq[k]`` its squared
     trajectory-vector distance, the denominator of its isometry ratio.
@@ -232,6 +238,14 @@ class PairTable:
             self._stack = trajectory_matrices(flow, samples, params)  # all finite
             self._powers = self._inverse_powers = None
             self.traj_dist_sq = _stack_traj_dist_sq(self._stack)
+        # before the coincidence test, which would take the overflowing norms
+        # of such samples for a coincidence (inf <= 1e-12 * inf)
+        overflow = np.flatnonzero(~np.isfinite(self.traj_dist_sq))
+        if overflow.size:
+            i, j = self.pair(int(overflow[0]))
+            raise NonFiniteTrajectoryError(
+                f"samples {i} and {j}: their squared trajectory distance overflows"
+            )
         norms = np.linalg.norm(samples, axis=1)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
         # bit for bit pdist(samples), which takes the square root of the same sums

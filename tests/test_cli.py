@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from scipy.spatial.distance import pdist
 
 from delaycond import runner, spectral
 from delaycond.cli import main
-from delaycond.config import build_flow, build_samples, load_config, parse_origin
+from delaycond.config import _KNOWN_KEYS, build_flow, build_samples, load_config, parse_origin
 from delaycond.delay_map import DelayParams
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
 
 from test_dynamics import well_conditioned_flow
+from test_embedding_analysis import large_shift_orbit
+
+
+SCHEMA_DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "report_schema.md")
 
 
 def write_config(path, text):
@@ -654,10 +659,7 @@ class TestSchemaReference:
                 TestSchemaReference._collect_keys(item, found)
 
     def test_every_emitted_column_and_field_is_documented(self, tmp_path):
-        schema_doc = os.path.join(
-            os.path.dirname(__file__), "..", "docs", "report_schema.md"
-        )
-        with open(schema_doc, encoding="utf-8") as handle:
+        with open(SCHEMA_DOC, encoding="utf-8") as handle:
             documented = handle.read()
 
         # the config file is reloaded before each run, so reuse is safe
@@ -695,6 +697,42 @@ class TestSchemaReference:
                             missing.add(f"{name}:{key}")
         assert not missing, f"undocumented report fields: {sorted(missing)}"
 
+    def test_config_table_lists_the_known_keys(self):
+        with open(SCHEMA_DOC, encoding="utf-8") as handle:
+            section = handle.read().split("## Config file")[1].split("\n## ")[0]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
+        assert documented == _KNOWN_KEYS
+
+    def test_result_records_hold_the_documented_fields(self, tmp_path):
+        # each record is its result dataclass's fields; a field added there
+        # must be documented and added here before it can enter a data file
+        report_cfg = load_config(
+            minimal_shift_config(
+                tmp_path, ambient_dim="16", num_samples="16", delays="4",
+                num_draws="3", c_user="1.0", manifold_dim="1.0",
+            )
+        )
+        run_full_report(report_cfg, str(tmp_path / "report"))
+
+        def read(name):
+            with open(tmp_path / "report" / name, encoding="utf-8") as handle:
+                return json.load(handle)
+
+        geometry = read("geometry.json")
+        per_draw = read("embedding_report.json")["per_draw"]
+        assert [set(entry) for entry in per_draw] == [
+            {"draw", "epsilon", "worst_pair", "alpha_seed"}
+        ] * 3
+        assert set(geometry["inverse_flow_lyapunov"]) == {"exponent", "num_steps", "num_probes"}
+        assert set(geometry["delay_selection"]) == {
+            "autocorr_first_zero", "mi_first_min", "num_bins", "series_alpha_seed",
+            "series_length",
+        }
+        assert set(read("theorem_check.json")) == {
+            "infimum_soft_rank", "epsilon", "epsilon_source", "manifold_dim", "volume",
+            "reach", "c_user", "required_soft_rank", "satisfied", "degenerate",
+        }
+
 
 class TestCliMain:
     def test_lemma_check_exit_zero(self, tmp_path, capsys):
@@ -710,18 +748,51 @@ class TestCliMain:
         assert main(["report", "--config", config_path]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_overflowing_flow_exit_one_without_traceback(self, tmp_path, capsys):
-        matrix_file = tmp_path / "m.csv"
-        np.savetxt(matrix_file, 0.25 * np.eye(4), delimiter=",")
-        config_path = write_config(
-            tmp_path / "c.cfg",
-            f"kind = linear\nmatrix_path = {matrix_file}\n"
-            "num_samples = 4\ndelays = 600\nnum_draws = 3\n",
-        )
-        assert main(["report", "--config", config_path, "--out", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize(
+        "subcommand, scale, from_file, message",
+        [
+            # the inverse flow multiplies by 4 per delay
+            ("report", None, False, "backward iterate at delay index"),
+            # shift orbits of (scale, 0, 0, 0.37 scale, 0, ...), from the
+            # origin or from a file of six of their states
+            ("scaling", 5e153, False, "isometry ratio"),
+            ("report", 5e153, True, "squared trajectory distance overflows"),
+            ("report", 3e153, True, "isometry ratio"),
+            ("scaling", 1e160, False, "no finite norm"),
+            ("report", 1e160, True, "squared trajectory distance overflows"),
+        ],
+    )
+    def test_overflowing_flow_exit_one_without_traceback(
+        self, tmp_path, capsys, subcommand, scale, from_file, message
+    ):
+        if scale is None:
+            matrix_file = tmp_path / "m.csv"
+            np.savetxt(matrix_file, 0.25 * np.eye(4), delimiter=",")
+            config_path = write_config(
+                tmp_path / "c.cfg",
+                f"kind = linear\nmatrix_path = {matrix_file}\n"
+                "num_samples = 4\ndelays = 600\nnum_draws = 3\n",
+            )
+        else:
+            states = large_shift_orbit(scale)
+            if from_file:
+                np.savetxt(tmp_path / "samples.csv", states, delimiter=",")
+                where = {"samples_path": str(tmp_path / "samples.csv"), "num_samples": None}
+            else:
+                where = {"origin": ",".join(str(float(v)) for v in states[0])}
+            config_path = minimal_shift_config(
+                tmp_path,
+                delays="2, 3, 4" if subcommand == "scaling" else "4",
+                ensemble="gaussian",
+                num_draws="5",
+                **where,
+            )
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", config_path, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "error:" in captured.err and "not finite" in captured.err
+        assert "error:" in captured.err and message in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_sample_exit_one(self, tmp_path, capsys, bad):

@@ -25,7 +25,7 @@ from delaycond import (
     trajectory_vector,
     user_coeffs,
 )
-from delaycond.delay_map import row_squared_norms
+from delaycond.delay_map import MeasurementCoeffs, row_squared_norms
 from delaycond.dynamics import FlowSpec
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
@@ -70,6 +70,15 @@ class TestDrawCoeffs:
             draw_coeffs("rademacher", 0, 1)
         with pytest.raises(InvalidArgumentError):
             draw_coeffs("uniform", 4, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_coefficients_must_be_finite(self, bad):
+        # a non-finite entry would make every conditioning eps and ratio NaN
+        alpha = np.array([1.0, bad, 0.0])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            user_coeffs(alpha)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            MeasurementCoeffs(alpha=alpha, ensemble="gaussian", seed=3)
 
     def test_derived_seeds_are_order_independent(self):
         forward = [derive_seed(7, k) for k in range(5)]

@@ -28,6 +28,7 @@ from delaycond.delay_map import (
     row_squared_norms,
     trajectory_vector,
 )
+from delaycond.dynamics import generate_orbit
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
@@ -184,16 +185,47 @@ class TestConditioning:
             isometry_ratio(flow, np.eye(8)[0], np.eye(8)[1], alpha, DelayParams(2))
 
 
+def large_shift_orbit(scale: float) -> np.ndarray:
+    """Six shift-orbit states of (scale, 0, 0, 0.37 scale, 0, 0, 0, 0)."""
+    origin = np.zeros(8)
+    origin[[0, 3]] = scale, 0.37 * scale
+    return generate_orbit(make_shift_flow(8), origin, 6).states
+
+
 class TestMonteCarlo:
-    def test_overflowing_flow_is_a_typed_error(self):
-        # an overflowing stack must surface neither as eps = nan nor as a
-        # raw LinAlgError from the SVD
-        flow = make_linear_flow(0.25 * np.eye(4))
-        params = DelayParams(600)
-        with pytest.raises(NonFiniteTrajectoryError):
-            conditioning(flow, np.eye(4), draw_coeffs("rademacher", 4, 0), params)
-        with pytest.raises(NonFiniteTrajectoryError):
-            monte_carlo(flow, np.eye(4), params, "rademacher", 3, base_seed=0)
+    @pytest.mark.parametrize(
+        "flow, samples, m, ensemble, message",
+        [
+            (make_linear_flow(0.25 * np.eye(4)), np.eye(4), 600, "rademacher", "not finite"),
+            # the squared trajectory distances overflow; at 1e160 the state
+            # norms do too, which the coincidence test took for samples 0 and 1
+            # coinciding
+            (make_shift_flow(8), large_shift_orbit(5e153), 4, "gaussian", "samples 0 and 1"),
+            (make_shift_flow(8), large_shift_orbit(1e160), 4, "gaussian", "samples 0 and 1"),
+            # the distances are finite, but some measured squared distances overflow
+            (make_shift_flow(8), large_shift_orbit(3e153), 4, "gaussian", "ratio"),
+        ],
+        ids=["inverse-flow", "distance-5e153", "norm-1e160", "ratio-3e153"],
+    )
+    def test_overflowing_flow_is_a_typed_error(self, flow, samples, m, ensemble, message):
+        # an overflow must surface neither as eps = nan or inf nor as a raw
+        # LinAlgError from the SVD; draw 2 is one that overflows at 3e153
+        params = DelayParams(m)
+        alpha = draw_coeffs(ensemble, flow.ambient_dim, 2)
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            conditioning(flow, samples, alpha, params)
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            monte_carlo(flow, samples, params, ensemble, 5, base_seed=0)
+
+    def test_draws_must_number_num_draws(self):
+        flow = make_shift_flow(8)
+        draws = [draw_coeffs("rademacher", 8, k) for k in range(3)]
+        for num_draws, keep in ((5, False), (2, True)):
+            with pytest.raises(InvalidArgumentError, match="got 3 draws"):
+                monte_carlo(
+                    flow, np.eye(8), DelayParams(2), "rademacher", num_draws, 0,
+                    keep_per_pair=keep, draws=draws,
+                )
 
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)

@@ -5,6 +5,7 @@ from delaycond import (
     DelayParams,
     InvalidArgumentError,
     NoEstimateError,
+    NonFiniteTrajectoryError,
     ZeroVarianceError,
     autocorr_first_zero,
     curve_volume,
@@ -46,6 +47,16 @@ class TestSampleAttractor:
         assert sample.period is None
         dists = np.linalg.norm(sample.states[:, None] - sample.states[None, :], axis=2)
         assert np.all(dists[np.triu_indices(5, 1)] > 0.0)
+
+    # stepping an infinite state by a matvec makes NaN (0 * inf), with a warning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    @pytest.mark.parametrize("scale", [1e160, np.inf])
+    def test_origin_without_finite_norm_is_not_a_fixed_point(self, scale):
+        # an overflowing norm would match the next state as a return to x0
+        origin = np.zeros(8)
+        origin[[0, 3]] = scale, 0.37 * scale
+        with pytest.raises(NonFiniteTrajectoryError, match="no finite norm"):
+            sample_attractor(make_shift_flow(8), origin, 8)
 
     def test_needs_two_requested(self):
         with pytest.raises(InvalidArgumentError):
