@@ -49,10 +49,8 @@ def main(argv: list[str] | None = None) -> int:
         # assertions here, so remap bad usage to the config-error code
         return 0 if exc.code in (0, None) else 1
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.base_seed = args.seed
-            config.raw_items["base_seed"] = str(args.seed)
+        overrides = {} if args.seed is None else {"base_seed": str(args.seed)}
+        config = load_config(args.config, overrides)
         out_dir = args.out if args.out is not None else config.outputs
         threads = args.threads
 

@@ -10,6 +10,7 @@ failures name the line.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import warnings
@@ -22,7 +23,51 @@ from .dynamics import FlowSpec, make_linear_flow, make_shift_flow
 from .errors import ConfigError
 from .geometry import sample_attractor
 
-_DEFAULT_EPS_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+def _integer(minimum: int):
+    """Parser of an integer >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _number(text: str) -> float:
+    """Parser of a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _comma_list(parse):
+    """Parser of a comma list whose every entry ``parse`` accepts."""
+    return lambda text: [parse(token) for token in text.split(",")]
+
+
+def _choice(*options: str):
+    """Parser of one of ``options``."""
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}; got {text!r}")
+        return text
+    return parse
+
+
+def _key(parse, default=None):
+    """A config key's field: ``parse`` turns its text into its value, or
+    raises ValueError; ``default`` is its value when the file omits it."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"parse": parse})
+    return field(default=default, metadata={"parse": parse})
 
 
 @dataclass
@@ -30,26 +75,31 @@ class ExperimentConfig:
     """Validated experiment description.
 
     Every field but ``raw_items`` is the config key of the same name, and
-    those fields are the keys a config file may give. ``raw_items`` echoes
-    the parsed key/value pairs for the run manifest.
+    those fields are the keys a config file may give. Each key's parser and
+    bound are in its field's metadata and its default is the field's
+    default; ``kind`` and ``delays`` have none, ``load_config`` requires
+    them. ``raw_items`` echoes the parsed key/value pairs for the run
+    manifest.
     """
 
-    kind: str
-    ambient_dim: int | None
-    matrix_path: str | None
-    sampling_interval: float
-    origin: str
-    num_samples: int | None
-    samples_path: str | None
-    delays: list[int]
-    ensemble: str
-    num_draws: int
-    base_seed: int
-    outputs: str
-    target_eps_grid: list[float]
-    c_user: float | None
-    manifold_dim: float | None
-    num_bins: int
+    kind: str = _key(_choice("shift", "linear"))
+    ambient_dim: int | None = _key(_integer(minimum=2))
+    matrix_path: str | None = _key(str)
+    sampling_interval: float = _key(_number, 1.0)
+    origin: str = _key(str, "e1")
+    num_samples: int | None = _key(_integer(minimum=2))
+    samples_path: str | None = _key(str)
+    delays: list[int] = _key(_comma_list(_integer(minimum=1)))
+    ensemble: str = _key(_choice(*ENSEMBLES), "rademacher")
+    num_draws: int = _key(_integer(minimum=1), 100)
+    base_seed: int = _key(_integer(minimum=0), 0)
+    outputs: str = _key(str, "results")
+    target_eps_grid: list[float] = _key(
+        _comma_list(_number), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    )
+    c_user: float | None = _key(_number)
+    manifold_dim: float | None = _key(_number)
+    num_bins: int = _key(_integer(minimum=2), 16)
     raw_items: dict[str, str] = field(default_factory=dict)
 
 
@@ -82,140 +132,48 @@ def _parse_items(path: str) -> dict[str, str]:
     return items
 
 
-def _get_int(items, key, minimum=None):
-    try:
-        value = int(items[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {items[key]!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
-    return value
+def load_config(path: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse and validate a config file; see the module docstring for format.
 
-
-def _get_float(items, key, positive=False):
-    try:
-        value = float(items[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {items[key]!r}") from None
-    if positive and not value > 0:
-        raise ConfigError(f"{key}: must be positive, got {value}")
-    return value
-
-
-def _get_int_list(items, key, minimum=1):
-    try:
-        values = [int(tok) for tok in items[key].split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"{key}: expected comma-separated integers, got {items[key]!r}"
-        ) from None
-    if any(v < minimum for v in values):
-        raise ConfigError(f"{key}: all entries must be >= {minimum}, got {values}")
-    return values
-
-
-def _get_float_list(items, key):
-    try:
-        return [float(tok) for tok in items[key].split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"{key}: expected comma-separated numbers, got {items[key]!r}"
-        ) from None
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a config file; see the module docstring for format."""
-    items = _parse_items(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
+    ``overrides`` replaces or adds key/value pairs before they are parsed, so
+    an override is validated, and echoed in ``raw_items``, as the file's
+    own text would be.
+    """
+    items = {**_parse_items(path), **(overrides or {})}
+    values = {}
+    for spec in fields(ExperimentConfig):
+        if spec.name in items:
+            try:
+                values[spec.name] = spec.metadata["parse"](items[spec.name])
+            except ValueError as exc:
+                raise ConfigError(f"{spec.name}: {exc}") from None
 
     if "kind" not in items:
         raise ConfigError("kind: required (shift or linear)")
-    kind = items["kind"]
-    if kind not in ("shift", "linear"):
-        raise ConfigError(f"kind: must be one of shift, linear; got {kind!r}")
-
-    ambient_dim = None
-    matrix_path = None
-    if kind == "shift":
-        if "ambient_dim" not in items:
-            raise ConfigError("ambient_dim: required for kind = shift")
-        ambient_dim = _get_int(items, "ambient_dim", minimum=2)
-    else:
-        if "matrix_path" not in items:
-            raise ConfigError("matrix_path: required for kind = linear")
-        matrix_path = items["matrix_path"]
-        if not os.path.isabs(matrix_path):
-            matrix_path = os.path.join(base_dir, matrix_path)
-        if not os.path.isfile(matrix_path):
-            raise ConfigError(f"matrix_path: no such file: {items['matrix_path']!r}")
-
-    samples_path = None
-    num_samples = None
+    if values["kind"] == "shift" and "ambient_dim" not in items:
+        raise ConfigError("ambient_dim: required for kind = shift")
+    if values["kind"] == "linear" and "matrix_path" not in items:
+        raise ConfigError("matrix_path: required for kind = linear")
     if "samples_path" in items:
         if "num_samples" in items or "origin" in items:
             raise ConfigError(
                 "samples_path: give either samples_path or origin/num_samples, not both"
             )
-        samples_path = items["samples_path"]
-        if not os.path.isabs(samples_path):
-            samples_path = os.path.join(base_dir, samples_path)
-        if not os.path.isfile(samples_path):
-            raise ConfigError(f"samples_path: no such file: {items['samples_path']!r}")
-    else:
-        if "num_samples" not in items:
-            raise ConfigError("num_samples: required when samples_path is not given")
-        num_samples = _get_int(items, "num_samples", minimum=2)
-
+    elif "num_samples" not in items:
+        raise ConfigError("num_samples: required when samples_path is not given")
     if "delays" not in items:
         raise ConfigError("delays: required (one integer, or a comma list)")
-    delays = _get_int_list(items, "delays", minimum=1)
-
-    ensemble = items.get("ensemble", "rademacher")
-    if ensemble not in ENSEMBLES:
-        raise ConfigError(
-            f"ensemble: must be one of {', '.join(ENSEMBLES)}; got {ensemble!r}"
-        )
-
     if ("c_user" in items) != ("manifold_dim" in items):
         raise ConfigError("c_user: c_user and manifold_dim must be given together")
-    c_user = _get_float(items, "c_user", positive=True) if "c_user" in items else None
-    manifold_dim = (
-        _get_float(items, "manifold_dim", positive=True)
-        if "manifold_dim" in items
-        else None
-    )
 
-    target_eps_grid = (
-        _get_float_list(items, "target_eps_grid")
-        if "target_eps_grid" in items
-        else list(_DEFAULT_EPS_GRID)
-    )
-    if any(not g > 0 for g in target_eps_grid):
-        raise ConfigError(f"target_eps_grid: entries must be positive, got {target_eps_grid}")
-
-    return ExperimentConfig(
-        kind=kind,
-        ambient_dim=ambient_dim,
-        matrix_path=matrix_path,
-        sampling_interval=(
-            _get_float(items, "sampling_interval", positive=True)
-            if "sampling_interval" in items
-            else 1.0
-        ),
-        origin=items.get("origin", "e1"),
-        num_samples=num_samples,
-        samples_path=samples_path,
-        delays=delays,
-        ensemble=ensemble,
-        num_draws=_get_int(items, "num_draws", minimum=1) if "num_draws" in items else 100,
-        base_seed=_get_int(items, "base_seed") if "base_seed" in items else 0,
-        outputs=items.get("outputs", "results"),
-        target_eps_grid=target_eps_grid,
-        c_user=c_user,
-        manifold_dim=manifold_dim,
-        num_bins=_get_int(items, "num_bins", minimum=2) if "num_bins" in items else 16,
-        raw_items=items,
-    )
+    base_dir = os.path.dirname(os.path.abspath(path))
+    for key in ("matrix_path", "samples_path"):
+        if key in items:
+            # an absolute path is kept as given
+            values[key] = os.path.join(base_dir, items[key])
+            if not os.path.isfile(values[key]):
+                raise ConfigError(f"{key}: no such file: {items[key]!r}")
+    return ExperimentConfig(**values, raw_items=items)
 
 
 def _load_csv(path: str, key: str) -> np.ndarray:

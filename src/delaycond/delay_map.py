@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, Orbit, _check_state, permutation_powers
+from .dynamics import FlowSpec, Orbit, _check_seed, _check_state, permutation_powers
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
@@ -73,8 +73,10 @@ def derive_seed(base_seed: int, index: int) -> int:
     """Child seed for draw ``index`` of a stream rooted at ``base_seed``.
 
     Keying on (base_seed, index) makes every draw reproducible independently
-    of evaluation order.
+    of evaluation order. Both must be >= 0.
     """
+    _check_seed(base_seed, "base_seed")
+    _check_seed(index, "draw index")
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
 
 
@@ -94,6 +96,7 @@ def draw_coeffs(ensemble: str, n: int, seed: int) -> MeasurementCoeffs:
     _check_ensemble(ensemble)
     if n < 1:
         raise InvalidArgumentError(f"coefficient dimension must be >= 1, got {n}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     if ensemble == "rademacher":
         alpha = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0

@@ -30,7 +30,8 @@ class FlowSpec:
 
     ``kind`` is "shift" for the cyclic shift (ones on the superdiagonal and
     in the bottom-left corner) and "linear" otherwise. ``sampling_interval``
-    is metadata carried into reports; the dynamics are already discretized.
+    is metadata carried into reports, positive and finite; the dynamics are
+    already discretized.
 
     ``permutation`` is set at construction when ``inverse`` is an exact 0/1
     permutation matrix P, else None: then P x == x[permutation] for every x,
@@ -46,6 +47,10 @@ class FlowSpec:
     )
 
     def __post_init__(self):
+        if not 0 < self.sampling_interval < math.inf:
+            raise InvalidArgumentError(
+                f"sampling interval must be positive and finite, got {self.sampling_interval}"
+            )
         object.__setattr__(self, "permutation", _permutation_of(self.inverse))
 
     @property
@@ -172,6 +177,12 @@ def make_linear_flow(matrix: np.ndarray, sampling_interval: float = 1.0) -> Flow
     )
 
 
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed, which numpy's seeding takes as a raw ValueError."""
+    if seed < 0:
+        raise InvalidArgumentError(f"{name} must be >= 0, got {seed}")
+
+
 def _check_state(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (flow.ambient_dim,):
@@ -241,6 +252,7 @@ def lyapunov_exponent_inverse_flow(
         raise InvalidArgumentError(f"perturbation must be positive, got {perturbation}")
     if num_probes < 1:
         raise InvalidArgumentError(f"num_probes must be >= 1, got {num_probes}")
+    _check_seed(seed)
     _check_state(flow, x0)
     burn_in = max(10, num_steps // 10)
 

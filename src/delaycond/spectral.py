@@ -246,7 +246,10 @@ class PairTable:
             raise NonFiniteTrajectoryError(
                 f"samples {i} and {j}: their squared trajectory distance overflows"
             )
-        norms = np.linalg.norm(samples, axis=1)
+        # each norm scaled by its row's largest entry, so that its sum of
+        # squares cannot overflow while the pair's distances are finite
+        peaks = np.max(np.abs(samples), axis=1, keepdims=True)
+        norms = peaks[:, 0] * np.linalg.norm(samples / np.where(peaks > 0, peaks, 1.0), axis=1)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
         # bit for bit pdist(samples), which takes the square root of the same sums
         bad = np.flatnonzero(np.sqrt(self.state_dist_sq) <= COINCIDENCE_THRESHOLD * scales)

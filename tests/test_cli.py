@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from scipy.spatial.distance import pdist
 
 from delaycond import runner, spectral
 from delaycond.cli import main
-from delaycond.config import _KNOWN_KEYS, build_flow, build_samples, load_config, parse_origin
+from delaycond.config import (
+    _KNOWN_KEYS,
+    ExperimentConfig,
+    build_flow,
+    build_samples,
+    load_config,
+    parse_origin,
+)
 from delaycond.delay_map import DelayParams
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
@@ -23,6 +31,7 @@ from test_embedding_analysis import large_shift_orbit
 
 
 SCHEMA_DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "report_schema.md")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def write_config(path, text):
@@ -153,6 +162,36 @@ class TestLoadConfig:
         path = write_config(tmp_path / "c.cfg", "kind =\n")
         with pytest.raises(ConfigError, match="empty"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"kind": "linear", "ambient_dim": "1", "matrix_path": "m.csv"}, "ambient_dim: "),
+            ({"matrix_path": "missing.csv"}, "matrix_path: no such file"),
+        ],
+        ids=["ambient_dim-under-linear", "matrix_path-under-shift"],
+    )
+    def test_keys_of_the_other_kind_are_validated(self, tmp_path, overrides, message):
+        np.savetxt(tmp_path / "m.csv", np.eye(8), delimiter=",")
+        with pytest.raises(ConfigError, match=message):
+            load_config(minimal_shift_config(tmp_path, **overrides))
+
+    def test_readme_minimal_example_loads(self, tmp_path):
+        with open(README, encoding="utf-8") as handle:
+            cli_section = handle.read().split("\n## CLI\n")[1].split("\n## ")[0]
+        block = re.search(r"```\n(# minimal example\n.*?)```", cli_section, flags=re.S)[1]
+        config = load_config(write_config(tmp_path / "minimal.cfg", block))
+        given = dict(re.findall(r"^(\w+) = (.+)$", block, flags=re.MULTILINE))
+        assert config.raw_items == given
+        for key, text in given.items():
+            value = getattr(config, key)
+            if isinstance(value, list):
+                assert value == [int(token) for token in text.split(",")]
+            else:
+                assert value == type(value)(text)
+        defaults = ExperimentConfig()
+        for key in _KNOWN_KEYS - set(given):
+            assert getattr(config, key) == getattr(defaults, key)
 
 
 class TestParseOrigin:
@@ -703,6 +742,21 @@ class TestSchemaReference:
         documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
         assert documented == _KNOWN_KEYS
 
+    def test_config_table_defaults_are_the_field_defaults(self):
+        with open(SCHEMA_DOC, encoding="utf-8") as handle:
+            section = handle.read().split("## Config file")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+        documented = {
+            key: match[1].replace("`", "")
+            for key, meaning in rows
+            if (match := re.search(r"\(default ([^;)]+)", meaning))
+        }
+        specs = {spec.name: spec for spec in fields(ExperimentConfig)}
+        defaults = vars(ExperimentConfig())
+        assert set(documented) == {key for key in _KNOWN_KEYS if defaults[key] is not None}
+        for key, text in documented.items():
+            assert specs[key].metadata["parse"](text) == defaults[key], key
+
     def test_result_records_hold_the_documented_fields(self, tmp_path):
         # each record is its result dataclass's fields; a field added there
         # must be documented and added here before it can enter a data file
@@ -794,6 +848,26 @@ class TestCliMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, argv, key",
+        [
+            ({"base_seed": "-1"}, [], "base_seed"),
+            ({}, ["--seed", "-1"], "base_seed"),
+            ({"sampling_interval": "inf"}, [], "sampling_interval"),
+            ({"target_eps_grid": "0.5, inf"}, [], "target_eps_grid"),
+            ({"c_user": "1e400", "manifold_dim": "1.0"}, [], "c_user"),
+        ],
+        ids=["base_seed", "--seed", "sampling_interval", "target_eps_grid", "c_user"],
+    )
+    def test_out_of_bound_key_exit_one(self, tmp_path, capsys, overrides, argv, key):
+        config_path = minimal_shift_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out), *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key}: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_sample_exit_one(self, tmp_path, capsys, bad):
         # an infinite entry is named like a NaN, not taken for a coincident pair
@@ -877,6 +951,8 @@ class TestCliMain:
         with open(os.path.join(out_b, "embedding_report.json")) as fb:
             payload_b = json.load(fb)
         assert payload_a["base_seed"] == 1 and payload_b["base_seed"] == 2
+        with open(os.path.join(out_a, "run_manifest.json")) as fm:
+            assert json.load(fm)["config"]["base_seed"] == "1"
         seeds_a = [d["alpha_seed"] for d in payload_a["per_draw"]]
         seeds_b = [d["alpha_seed"] for d in payload_b["per_draw"]]
         assert set(seeds_a).isdisjoint(seeds_b)

@@ -14,6 +14,7 @@ from delaycond import (
     draw_coeffs,
     generate_orbit,
     infimum_soft_rank,
+    lyapunov_exponent_inverse_flow,
     make_linear_flow,
     make_shift_flow,
     monte_carlo,
@@ -85,6 +86,23 @@ class TestDrawCoeffs:
         backward = [derive_seed(7, k) for k in reversed(range(5))]
         assert forward == backward[::-1]
         assert len(set(forward)) == 5
+
+    @pytest.mark.parametrize(
+        "seeded",
+        [
+            lambda seed: derive_seed(seed, 0),
+            lambda seed: derive_seed(0, seed),
+            lambda seed: draw_coeffs("rademacher", 4, seed),
+            lambda seed: lyapunov_exponent_inverse_flow(
+                make_shift_flow(4), np.eye(4)[0], 10, 1e-6, seed=seed
+            ),
+        ],
+        ids=["derive_seed-base", "derive_seed-index", "draw_coeffs", "lyapunov"],
+    )
+    def test_negative_seeds_are_typed_errors(self, seeded):
+        seeded(0)
+        with pytest.raises(InvalidArgumentError, match="must be >= 0, got -1"):
+            seeded(-1)
 
 
 class TestTimeSeries:

@@ -171,6 +171,16 @@ class TestMakeLinearFlow:
     def test_sampling_interval_is_carried(self):
         assert make_linear_flow(np.eye(2), sampling_interval=0.25).sampling_interval == 0.25
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda t: make_shift_flow(4, t), lambda t: make_linear_flow(np.eye(2), t)],
+        ids=["shift", "linear"],
+    )
+    def test_sampling_interval_must_be_positive_and_finite(self, make, interval):
+        with pytest.raises(InvalidArgumentError, match="sampling interval"):
+            make(interval)
+
 
 class TestStep:
     def test_shift_sends_second_axis_to_first(self):

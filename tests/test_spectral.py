@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestInfimumSoftRank:
         samples[2, 1] = bad
         with pytest.raises(NonFiniteTrajectoryError, match="sample 2: "):
             infimum_soft_rank(make_shift_flow(6), samples, DelayParams(2))
+
+    def test_huge_states_at_a_finite_distance_do_not_coincide(self):
+        # ||x||^2 overflows, but ||x~ - y~||^2 = 2e300 is finite and the
+        # relative distance 1e-10 is above the coincidence threshold
+        x = 1e160 * np.eye(8)[0]
+        y = x + 1e150 * np.eye(8)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = infimum_soft_rank(make_shift_flow(8), [x, y], DelayParams(2))
+        assert scan.infimum == 2.0
 
     def test_needs_two_samples(self):
         flow = make_shift_flow(6)
