@@ -191,11 +191,17 @@ def _load_csv(path: str, key: str) -> np.ndarray:
 
 
 def build_flow(config: ExperimentConfig) -> FlowSpec:
-    """Instantiate the configured flow."""
+    """Instantiate the configured flow; a given ``ambient_dim`` must be its dimension."""
     if config.kind == "shift":
         return make_shift_flow(config.ambient_dim, config.sampling_interval)
     matrix = _load_csv(config.matrix_path, "matrix_path")
-    return make_linear_flow(matrix, config.sampling_interval)
+    flow = make_linear_flow(matrix, config.sampling_interval)
+    if config.ambient_dim not in (None, flow.ambient_dim):
+        raise ConfigError(
+            f"ambient_dim: {config.ambient_dim} does not match the "
+            f"{flow.ambient_dim} x {flow.ambient_dim} matrix of matrix_path"
+        )
+    return flow
 
 
 def parse_origin(origin_text: str, ambient_dim: int) -> np.ndarray:

@@ -220,9 +220,10 @@ def monte_carlo(
     in the report is determined by the configuration alone; ``threads``
     splits only the soft-rank scan. The draws run in order on the pair table
     of that scan. ``keep_per_pair`` retains that table, every pair's dense
-    soft rank and the full (draws, pairs) ratio matrix for per-pair
-    reporting. ``draws``, when given, holds the coefficients of those draws,
-    already made; ``scaling_study`` makes them once for every M.
+    soft rank (as ``infimum_soft_rank`` keeps it) and the full (draws,
+    pairs) ratio matrix for per-pair reporting. ``draws``, when given,
+    holds the coefficients of those draws, already made; ``scaling_study``
+    makes them once for every M.
     """
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")

@@ -174,13 +174,16 @@ def _basis_index(state: np.ndarray) -> int:
 
 
 def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
-    """Exhaustive soft-rank bound check for the shift system.
+    """Soft-rank bound check of every sample pair of the shift system.
 
     Writes one CSV per delay count (every pair's dense soft rank, the
     analytic oracle value, the m/2 bound, and whether it held) plus a
-    summary JSON. Returns the summary; ``passed`` is False when any pair
-    broke the bound or the dense value disagreed with the oracle beyond
-    1e-10.
+    summary JSON. On basis states in orbit order, a pair off the scan's
+    band holds the dense value of its class representative (0, j - i),
+    its own up to rounding (``infimum_soft_rank``); other samples take
+    the dense SVD of every pair. Returns the summary; ``passed`` is False
+    when any pair broke the bound or the dense value disagreed with the
+    oracle beyond 1e-10.
     """
     if config.kind != "shift":
         raise InvalidArgumentError(

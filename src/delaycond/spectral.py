@@ -40,6 +40,8 @@ not grow with M N. There are two screens:
   so pair (i, j) has the exact singular values of pair (0, j - i). The
   screen is the dense soft rank of the n - 1 representatives (0, d), and a
   kept separation class sends all its pairs to the certification pass.
+  When per-pair values are kept, every pair of a class off the band takes
+  its representative's dense value, which equals its own up to rounding.
 - Otherwise each pair is screened from its smaller Gram matrix (D D^T, or
   D^T D when M > N): its trace is ||D||_F^2 and its top eigenvalue
   ||D||_2^2.
@@ -103,11 +105,14 @@ class PairScanResult:
     ``argmin_pair`` is lexicographically smallest among ties.
     ``num_certified`` counts the pairs whose dense SVD the minimum was taken
     over: the screen's rounding band, or every pair when the scan keeps
-    per-pair values. ``num_chunks`` counts the chunks of pair differences
-    the scan formed, over all its passes. ``soft_ranks`` holds every pair's
-    dense soft rank in ``pair_indices`` order when the scan is asked to keep
-    per-pair values, else None. ``table`` is the pair table the scan ran
-    on, for callers that go on to use the same pairs.
+    per-pair values of samples that are not one permutation-flow orbit.
+    ``num_chunks`` counts the chunks of pair differences the scan formed,
+    over all its passes. ``soft_ranks`` holds every pair's dense soft rank
+    in ``pair_indices`` order when the scan is asked to keep per-pair
+    values, else None; on an orbit, a pair off the band holds the dense
+    value of its class representative (0, j - i), its own up to rounding.
+    ``table`` is the pair table the scan ran on, for callers that go on to
+    use the same pairs.
     """
 
     infimum: float
@@ -409,11 +414,15 @@ def infimum_soft_rank(
     Coincident samples are a hard error, never skipped. ``infimum`` and
     ``argmin_pair`` are dense-SVD values, identical to a sequential scan of
     every pair, whichever ``threads`` (0 picks the CPU count) evaluate the
-    chunks. With ``keep_per_pair`` every pair gets the dense SVD and the
-    result keeps the values as ``soft_ranks``. Without it only the pairs in
-    the rounding band of a screen get it: the separation classes of an
-    exact permutation-flow orbit (``dynamics.is_permutation_orbit``), screened
-    by their representatives (0, d), or else the pairs by the Gram screen.
+    chunks. Only the pairs in the rounding band of a screen get the dense
+    SVD: the separation classes of an exact permutation-flow orbit
+    (``dynamics.is_permutation_orbit``), screened by their representatives
+    (0, d), or else the pairs by the Gram screen. ``keep_per_pair`` keeps
+    every pair's value as ``soft_ranks``. On an orbit that costs nothing
+    more: a certified pair keeps its own dense value, and every other pair
+    takes that of its representative, the same singular values up to
+    rounding, and above the band, so ``min(soft_ranks) == infimum``. Other
+    samples then take the dense SVD of every pair.
     """
     workers = resolve_threads(threads)
     table = PairTable(flow, samples, params)
@@ -431,20 +440,22 @@ def infimum_soft_rank(
             ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
         )
 
-    if keep_per_pair:
+    orbit = is_permutation_orbit(flow, table.samples)
+    if keep_per_pair and not orbit:
         candidates = np.arange(num_pairs)
-        values = scan_pass(_dense_soft_ranks, num_pairs)
+        values = soft_ranks = scan_pass(_dense_soft_ranks, num_pairs)
     else:
-        if is_permutation_orbit(flow, table.samples):
+        if orbit:
             # pair (i, j) has the exact singular values of the pair (0, j - i),
             # and the pairs (0, d) lead the pair order
+            classes = table.j_idx - table.i_idx - 1
             representatives = scan_pass(_dense_soft_ranks, table.shape[0] - 1)
             # a representative and every member's dense value are each within
             # rtol of the class's exact value, so the representative screens
             # each member within (1 + rtol) / (1 - rtol), and the band is
             # ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol
             cutoff = np.min(representatives) * (1.0 + 5.0 * rtol)
-            in_band = ~(representatives > cutoff)[table.j_idx - table.i_idx - 1]
+            in_band = ~(representatives > cutoff)[classes]
         else:
             screened = scan_pass(_screened_soft_ranks, num_pairs)
             # if every screened value is within rtol of its dense value, each
@@ -454,6 +465,12 @@ def infimum_soft_rank(
         # NaN fails every comparison, so a NaN screen value sends its pairs to the SVD
         candidates = np.flatnonzero(in_band)
         values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])
+        soft_ranks = None
+        if keep_per_pair:
+            # every pair off the band takes its representative's dense value,
+            # above the cutoff, so the minimum stays that of the certified pairs
+            soft_ranks = representatives[classes]
+            soft_ranks[candidates] = values
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
     return PairScanResult(
@@ -463,7 +480,7 @@ def infimum_soft_rank(
         num_certified=int(candidates.size),
         num_chunks=num_chunks,
         table=table,
-        soft_ranks=values if keep_per_pair else None,
+        soft_ranks=soft_ranks,
     )
 
 

@@ -314,14 +314,17 @@ class TestRunLemmaCheck:
             with open(os.path.join(out, name), "rb") as data:
                 assert hashlib.sha256(data.read()).hexdigest() == digest
 
-    def test_lemma_check_certifies_every_pair(self, tmp_path):
+    def test_lemma_check_certifies_the_minimal_classes(self, tmp_path):
+        # on the 8-state orbit, the scan takes the 7 representatives (0, d) and
+        # certifies the circularly adjacent classes d = 1 and 7, 7 + 1 pairs:
+        # one chunk each, 15 dense SVDs in place of 28
         config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
         run_lemma_check(config, str(tmp_path / "out"))
         with open(tmp_path / "out" / "run_manifest.json", encoding="utf-8") as handle:
             counts = json.load(handle)["counts"]
         assert counts == {
             "per_m": [
-                {"num_delays": m, "pairs": 28, "pairs_certified": 28, "chunks": 1, "draws": 0}
+                {"num_delays": m, "pairs": 28, "pairs_certified": 8, "chunks": 2, "draws": 0}
                 for m in (2, 4)
             ]
         }
@@ -865,6 +868,21 @@ class TestCliMain:
         assert main(["report", "--config", config_path, "--out", str(out), *argv]) == 1
         captured = capsys.readouterr()
         assert f"error: {key}: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scaling", "report"])
+    def test_ambient_dim_must_match_the_flow_matrix(self, tmp_path, capsys, command):
+        matrix_file = tmp_path / "flow.csv"
+        np.savetxt(matrix_file, np.diag([2.0, 0.5, 1.0, 1.5]), delimiter=",")
+        config_path = minimal_shift_config(
+            tmp_path, kind="linear", ambient_dim="9", matrix_path=str(matrix_file),
+            delays="2,3,4" if command == "scaling" else "2",
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: ambient_dim: 9 does not match the 4 x 4 matrix" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

@@ -32,6 +32,7 @@ from delaycond.dynamics import generate_orbit
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
+from test_spectral import one_pair_soft_ranks
 
 PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
 
@@ -125,9 +126,14 @@ class TestOnePairViews:
         ratios = PairTable(flow, samples, params).ratios(alpha.alpha)
         soft_ranks = infimum_soft_rank(flow, samples, params, keep_per_pair=True).soft_ranks
         stack = trajectory_matrices(flow, samples, params)
+        # a pair takes its own dense value, except a pair off the band of an
+        # exact permutation-flow orbit, which takes that of (0, j - i)
+        _, own = one_pair_soft_ranks(flow, samples, params)
         for k, (i, j) in enumerate(zip(*pair_indices(samples.shape[0]))):
             x, y = samples[i], samples[j]
             assert isometry_ratio(flow, x, y, alpha, params).ratio == ratios[k]
+            if not own[k]:
+                x, y = samples[0], samples[j - i]
             assert pair_soft_rank(flow, x, y, params).value == soft_ranks[k]
         for i, x in enumerate(samples):
             assert np.array_equal(delay_vector(flow, x, alpha, params), stack[i] @ alpha.alpha)

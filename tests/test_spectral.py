@@ -46,6 +46,35 @@ from test_dynamics import (
 ADJACENT_SHIFT8_M4 = 8.0 / (2.0 + 2.0 * math.cos(math.pi / 5.0))
 
 
+def one_pair_soft_ranks(flow, samples, params):
+    """The per-pair values a scan keeps, from ``pair_soft_rank`` alone, and its band.
+
+    Every pair has its own dense value, except on an exact permutation-flow
+    orbit: there a pair whose class representative (0, j - i) lies above
+    the orbit screen's cutoff takes that representative's value. Returns
+    the values and the mask of the pairs with their own value.
+    """
+    samples = np.asarray(samples, dtype=float)
+    i_idx, j_idx = pair_indices(samples.shape[0])
+    own = np.array(
+        [pair_soft_rank(flow, samples[i], samples[j], params).value for i, j in zip(i_idx, j_idx)]
+    )
+    if not is_permutation_orbit(flow, samples):
+        return own, np.ones(own.size, dtype=bool)
+    classes = j_idx - i_idx - 1
+    representatives = own[: samples.shape[0] - 1]  # the pairs (0, d) lead the pair order
+    rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
+    in_band = ~(representatives > np.min(representatives) * (1.0 + 5.0 * rtol))[classes]
+    return np.where(in_band, own, representatives[classes]), in_band
+
+
+def exhaustive_soft_ranks(flow, samples, params):
+    """The dense soft rank of every pair's difference, from one trajectory stack."""
+    stack = trajectory_matrices(flow, samples, params)
+    i_idx, j_idx = pair_indices(stack.shape[0])
+    return spectral._dense_soft_ranks(stack[i_idx] - stack[j_idx])
+
+
 class TestSoftRank:
     def test_identity_has_full_soft_rank(self):
         assert soft_rank(np.eye(2)).value == 2.0
@@ -177,12 +206,21 @@ class TestInfimumSoftRank:
         assert scan.argmin_pair == (0, 1)
 
     def test_matches_sequential_pair_scan(self):
+        # on the orbit, a pair in the band has its own dense value bit for bit
+        # and any other pair that of (0, j - i); off an orbit every pair has its own
         flow = make_shift_flow(8)
         eye = np.eye(8)
         params = DelayParams(3)
-        scan = infimum_soft_rank(flow, eye, params, keep_per_pair=True)
-        for i, j, value in zip(*pair_indices(8), scan.soft_ranks):
-            assert value == pair_soft_rank(flow, eye[i], eye[j], params).value
+        # the orbit's band is the circularly adjacent classes d = 1 and 7, 7 + 1 pairs
+        for samples, band in ((eye, 8), (eye[[1, 0, *range(2, 8)]], 28)):
+            scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
+            _, in_band = one_pair_soft_ranks(flow, samples, params)
+            assert scan.num_certified == np.count_nonzero(in_band) == band
+            for i, j, value, own in zip(*pair_indices(8), scan.soft_ranks, in_band):
+                if own:
+                    assert value == pair_soft_rank(flow, samples[i], samples[j], params).value
+                else:
+                    assert value == pair_soft_rank(flow, samples[0], samples[j - i], params).value
 
     @pytest.mark.parametrize("n", [6, 13, 24])
     def test_shift_bound_holds_for_all_delays(self, n):
@@ -293,11 +331,11 @@ class TestScreenedScan:
 
     @staticmethod
     def exhaustive(flow, samples, params):
-        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
-        values = scan.soft_ranks.tolist()
-        first = values.index(min(values))
+        """Every pair's dense value, their minimum, and its lexicographically first pair."""
+        values = exhaustive_soft_ranks(flow, samples, params)
+        first = int(np.argmin(values))
         i_idx, j_idx = pair_indices(samples.shape[0])
-        return scan, min(values), (int(i_idx[first]), int(j_idx[first]))
+        return values, float(values[first]), (int(i_idx[first]), int(j_idx[first]))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -328,15 +366,24 @@ class TestScreenedScan:
                 flow, samples, params, "rademacher", num_draws, 3,
                 threads=threads, keep_per_pair=True,
             )
-        for scan in (screened, dense, reference):
+        for scan in (screened, dense):
             assert scan.infimum == infimum
             assert scan.argmin_pair == argmin
-            assert scan.num_pairs == reference.soft_ranks.size
-        assert 1 <= screened.num_certified <= screened.num_pairs == dense.num_certified
+            assert scan.num_pairs == reference.size
+        assert 1 <= screened.num_certified <= screened.num_pairs
         assert screened.num_certified == default_screened.num_certified
         assert screened.soft_ranks is None
-        assert np.array_equal(dense.soft_ranks, reference.soft_ranks)
-        assert math.ceil(dense.num_pairs / chunk) <= dense.num_chunks <= dense.num_pairs
+        expected, in_band = one_pair_soft_ranks(flow, samples, params)
+        assert dense.soft_ranks.tobytes() == expected.tobytes()
+        assert dense.soft_ranks[in_band].tobytes() == reference[in_band].tobytes()
+        if gated:  # the orbit screen and its band, kept or not
+            assert dense.num_certified == screened.num_certified == np.count_nonzero(in_band)
+            scanned = samples.shape[0] - 1 + dense.num_certified
+        else:  # the exhaustive pass
+            assert dense.num_certified == dense.num_pairs
+            assert dense.soft_ranks.tobytes() == reference.tobytes()
+            scanned = dense.num_pairs
+        assert math.ceil(scanned / chunk) <= dense.num_chunks <= scanned
         assert _per_pair_csv(report) == _per_pair_csv(default_report)
 
     @settings(max_examples=60, deadline=None)
@@ -370,6 +417,33 @@ class TestScreenedScan:
             if samples.shape[0] >= 4:  # three states of a 3-cycle are an orbit in any order
                 with pytest.raises(AssertionError, match="the Gram screen ran"):
                     infimum_soft_rank(flow, samples[[1, 0, *range(2, len(samples))]], params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=permutation_orbit_cases(), threads=st.sampled_from([1, 2]))
+    def test_orbit_per_pair_values_match_the_exhaustive_scan(self, case, threads):
+        flow, samples, params = case
+        rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
+        for orbit in (samples, samples[::-1]):  # both directions
+            values, infimum, argmin = self.exhaustive(flow, orbit, params)
+            scan = infimum_soft_rank(flow, orbit, params, keep_per_pair=True, threads=threads)
+            _, in_band = one_pair_soft_ranks(flow, orbit, params)
+            assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
+            assert scan.num_certified == np.count_nonzero(in_band)
+            assert scan.soft_ranks[in_band].tobytes() == values[in_band].tobytes()
+            assert np.min(scan.soft_ranks) == infimum
+            # each within the rounding of two dense values of one exact value
+            ratio = scan.soft_ranks / values
+            assert np.all(ratio <= (1.0 + rtol) / (1.0 - rtol))
+            assert np.all(1.0 / ratio <= (1.0 + rtol) / (1.0 - rtol))
+        # the same states out of orbit order: the exhaustive values bit for bit
+        shuffled = samples[[1, 0, *range(2, samples.shape[0])]]
+        if not is_permutation_orbit(flow, shuffled):
+            scan = infimum_soft_rank(flow, shuffled, params, keep_per_pair=True, threads=threads)
+            values, infimum, argmin = self.exhaustive(flow, shuffled, params)
+            assert scan.soft_ranks.tobytes() == values.tobytes()
+            assert (scan.infimum, scan.argmin_pair, scan.num_certified) == (
+                infimum, argmin, scan.num_pairs
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(case=scan_cases(), k=st.integers(-20, 20), alpha_seed=st.integers(0, 2**32 - 1))
@@ -438,7 +512,9 @@ class TestScreenedScan:
 
     @pytest.mark.parametrize("keep_per_pair", [False, True])
     def test_chunks_stay_within_the_byte_budget(self, monkeypatch, keep_per_pair):
-        # the largest step of the lemma check on the 128-state shift orbit
+        # the largest step of the lemma check on the 128-state shift orbit;
+        # kept per-pair values add no pass to the orbit screen and its band,
+        # while the same states out of orbit order take one exhaustive pass
         m, n = 32, 128
         passes = []
 
@@ -447,18 +523,26 @@ class TestScreenedScan:
             return [func(item) for item in items]
 
         monkeypatch.setattr(spectral, "ordered_map", recording_map)
-        scan = infimum_soft_rank(
-            make_shift_flow(n), np.eye(n), DelayParams(m), keep_per_pair=keep_per_pair,
-            threads=2,
-        )
-        assert len(passes) == scan.num_chunks
-        scanned = scan.num_pairs if keep_per_pair else n - 1 + scan.num_certified
-        assert sum(passes) == scanned
-        assert all(
-            pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes
-        )
-        if keep_per_pair:  # a large pass fills its chunks
-            assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
+        orders = [(np.arange(n), True)]
+        if keep_per_pair:
+            orders.append((np.random.default_rng(5).permutation(n), False))
+        for order, orbit in orders:
+            passes.clear()
+            scan = infimum_soft_rank(
+                make_shift_flow(n), np.eye(n)[order], DelayParams(m),
+                keep_per_pair=keep_per_pair, threads=2,
+            )
+            assert len(passes) == scan.num_chunks
+            scanned = n - 1 + scan.num_certified if orbit else scan.num_pairs
+            assert sum(passes) == scanned
+            assert all(
+                pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes
+            )
+            if orbit:  # the two circularly adjacent classes, 127 + 1 pairs
+                assert scan.num_certified == n
+            else:  # a large pass fills its chunks
+                assert scan.num_certified == scan.num_pairs
+                assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
 
     def test_zero_threads_resolve_to_the_cpu_count(self):
         assert _parallel.resolve_threads(0) == (os.cpu_count() or 1)
