@@ -53,6 +53,17 @@ def _comma_list(parse):
     return lambda text: [parse(token) for token in text.split(",")]
 
 
+def _distinct(parse):
+    """Parser of a list that ``parse`` accepts, with no entry given twice."""
+    def parse_distinct(text: str) -> list:
+        values = parse(text)
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ValueError(f"{value} is given twice")
+        return values
+    return parse_distinct
+
+
 def _choice(*options: str):
     """Parser of one of ``options``."""
     def parse(text: str) -> str:
@@ -89,7 +100,7 @@ class ExperimentConfig:
     origin: str = _key(str, "e1")
     num_samples: int | None = _key(_integer(minimum=2))
     samples_path: str | None = _key(str)
-    delays: list[int] = _key(_comma_list(_integer(minimum=1)))
+    delays: list[int] = _key(_distinct(_comma_list(_integer(minimum=1))))
     ensemble: str = _key(_choice(*ENSEMBLES), "rademacher")
     num_draws: int = _key(_integer(minimum=1), 100)
     base_seed: int = _key(_integer(minimum=0), 0)

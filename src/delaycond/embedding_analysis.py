@@ -219,9 +219,9 @@ def monte_carlo(
     Draw k uses the child seed derived from (base_seed, k), so every number
     in the report is determined by the configuration alone; ``threads``
     splits only the soft-rank scan. The draws run in order on the pair table
-    of that scan. ``keep_per_pair`` retains that table, every pair's dense
-    soft rank (as ``infimum_soft_rank`` keeps it) and the full (draws,
-    pairs) ratio matrix for per-pair reporting. ``draws``, when given,
+    of that scan. ``keep_per_pair`` retains that table, the scan's per-pair
+    soft ranks and the full (draws, pairs) ratio matrix for per-pair
+    reporting. ``draws``, when given,
     holds the coefficients of those draws, already made; ``scaling_study``
     makes them once for every M.
     """
@@ -231,9 +231,7 @@ def monte_carlo(
         draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
     elif len(draws) != num_draws:
         raise InvalidArgumentError(f"got {len(draws)} draws for num_draws = {num_draws}")
-    scan = infimum_soft_rank(
-        flow, samples, params, keep_per_pair=keep_per_pair, threads=threads
-    )
+    scan = infimum_soft_rank(flow, samples, params, threads=threads)
     table = scan.table
     per_draw = []
     ratios = np.empty((num_draws, table.num_pairs)) if keep_per_pair else None
@@ -264,7 +262,7 @@ def monte_carlo(
         num_certified=scan.num_certified,
         num_chunks=scan.num_chunks,
         table=table if keep_per_pair else None,
-        soft_ranks=scan.soft_ranks,
+        soft_ranks=scan.soft_ranks if keep_per_pair else None,
         ratios=ratios,
     )
 

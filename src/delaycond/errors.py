@@ -24,7 +24,9 @@ class DegeneratePairError(DelaycondError, ValueError):
 class NonFiniteTrajectoryError(DelaycondError, ValueError):
     """A backward iterate, or a distance or ratio formed from them, overflowed or is NaN.
 
-    No pair diagnostic is defined then.
+    Also raised when a squared trajectory distance underflows below the
+    smallest normal double, where the scan's rounding bounds fail. No pair
+    diagnostic is defined then.
     """
 
 

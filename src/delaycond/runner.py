@@ -176,14 +176,12 @@ def _basis_index(state: np.ndarray) -> int:
 def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Soft-rank bound check of every sample pair of the shift system.
 
-    Writes one CSV per delay count (every pair's dense soft rank, the
-    analytic oracle value, the m/2 bound, and whether it held) plus a
-    summary JSON. On basis states in orbit order, a pair off the scan's
-    band holds the dense value of its class representative (0, j - i),
-    its own up to rounding (``infimum_soft_rank``); other samples take
-    the dense SVD of every pair. Returns the summary; ``passed`` is False
-    when any pair broke the bound or the dense value disagreed with the
-    oracle beyond 1e-10.
+    Writes one CSV per delay count (every pair's soft rank, the analytic
+    oracle value, the m/2 bound, and whether it held) plus a summary JSON.
+    A pair in the scan's band holds its own dense value, and any other pair
+    its screen value, its own up to rounding (``infimum_soft_rank``).
+    Returns the summary; ``passed`` is False when any pair broke the bound
+    or its soft rank disagreed with the oracle beyond 1e-10.
     """
     if config.kind != "shift":
         raise InvalidArgumentError(
@@ -205,7 +203,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     passed = True
     for m in config.delays:
         params = DelayParams(m)
-        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True, threads=threads)
+        scan = infimum_soft_rank(flow, samples, params, threads=threads)
         table = scan.table
         bound = m / 2.0
         seps = (basis[table.j_idx] - basis[table.i_idx]) % n

@@ -24,11 +24,12 @@ same bits. The bounds are in ``PairTable`` and ``PairTable.ratios``; any
 other input takes the (n, M, N) stack, built once per table (in exact mode,
 on first use).
 
-The scan runs in two passes over chunks of pair differences: a screen, then
-a certification pass that takes the dense SVD of every pair the screen
-places within a rounding band of its minimum. The reported minimum and
-argmin come from those dense values, so they equal an exhaustive dense
-scan's bit for bit, exact analytic ties included. Chunks of either pass are
+The scan runs in two passes over chunks of pair differences: a screen that
+gives every pair a value, then a certification pass that replaces the value
+of every pair within a rounding band of the screen's minimum by its dense
+SVD value. The reported minimum and argmin come from those dense values, so
+they equal an exhaustive dense scan's bit for bit, exact analytic ties
+included. Chunks of either pass are
 spread over the ``threads`` workers, and a pass of at least ``threads``
 pairs has at least one chunk per worker. A chunk is sized in bytes, at most
 ``_CHUNK_BYTES`` of differences or one pair, so a worker's working set does
@@ -38,10 +39,8 @@ not grow with M N. There are two screens:
   shift's orbits, checked by ``dynamics.is_permutation_orbit``), the
   trajectory matrix of state i is that of state 0 with its columns permuted,
   so pair (i, j) has the exact singular values of pair (0, j - i). The
-  screen is the dense soft rank of the n - 1 representatives (0, d), and a
-  kept separation class sends all its pairs to the certification pass.
-  When per-pair values are kept, every pair of a class off the band takes
-  its representative's dense value, which equals its own up to rounding.
+  screen value of every pair of a class is the dense soft rank of its
+  representative (0, d), n - 1 SVDs in all.
 - Otherwise each pair is screened from its smaller Gram matrix (D D^T, or
   D^T D when M > N): its trace is ||D||_F^2 and its top eigenvalue
   ||D||_2^2.
@@ -103,16 +102,14 @@ class PairScanResult:
     """Minimum soft rank over all sample pairs (an upper bound estimate).
 
     ``argmin_pair`` is lexicographically smallest among ties.
-    ``num_certified`` counts the pairs whose dense SVD the minimum was taken
-    over: the screen's rounding band, or every pair when the scan keeps
-    per-pair values of samples that are not one permutation-flow orbit.
-    ``num_chunks`` counts the chunks of pair differences the scan formed,
-    over all its passes. ``soft_ranks`` holds every pair's dense soft rank
-    in ``pair_indices`` order when the scan is asked to keep per-pair
-    values, else None; on an orbit, a pair off the band holds the dense
-    value of its class representative (0, j - i), its own up to rounding.
-    ``table`` is the pair table the scan ran on, for callers that go on to
-    use the same pairs.
+    ``num_certified`` counts the pairs in the screen's rounding band, whose
+    dense SVD the minimum was taken over. ``num_chunks`` counts the chunks
+    of pair differences the scan formed, over both its passes.
+    ``soft_ranks`` holds every pair's soft rank in ``pair_indices`` order: a
+    certified pair's own dense value, any other pair's screen value (on an
+    orbit, the dense value of its class representative (0, j - i)), its own
+    up to rounding. ``table`` is the pair table the scan ran on, for callers
+    that go on to use the same pairs.
     """
 
     infimum: float
@@ -121,7 +118,7 @@ class PairScanResult:
     num_certified: int
     num_chunks: int
     table: PairTable = field(repr=False)
-    soft_ranks: np.ndarray | None = field(default=None, repr=False)
+    soft_ranks: np.ndarray = field(repr=False)
 
 
 def soft_rank(g: np.ndarray) -> SoftRankResult:
@@ -192,7 +189,8 @@ class PairTable:
     Construction checks that there are at least 2 samples, decides exact
     mode, builds the trajectory stack outside it (which checks that every
     sample and backward iterate is finite), then checks that no squared
-    trajectory distance overflows and that no two samples coincide. This
+    trajectory distance overflows, that no two samples coincide and that no
+    squared trajectory distance underflows to a subnormal number. This
     is the library's one coincidence rule; a coincident pair is an error,
     never skipped. ``samples`` is a copy of the samples and
     ``shape`` is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
@@ -245,25 +243,27 @@ class PairTable:
             self.traj_dist_sq = _stack_traj_dist_sq(self._stack)
         # before the coincidence test, which would take the overflowing norms
         # of such samples for a coincidence (inf <= 1e-12 * inf)
-        overflow = np.flatnonzero(~np.isfinite(self.traj_dist_sq))
-        if overflow.size:
-            i, j = self.pair(int(overflow[0]))
-            raise NonFiniteTrajectoryError(
-                f"samples {i} and {j}: their squared trajectory distance overflows"
-            )
+        self._reject(~np.isfinite(self.traj_dist_sq), NonFiniteTrajectoryError,
+                     ": their squared trajectory distance overflows")
         # each norm scaled by its row's largest entry, so that its sum of
         # squares cannot overflow while the pair's distances are finite
         peaks = np.max(np.abs(samples), axis=1, keepdims=True)
         norms = peaks[:, 0] * np.linalg.norm(samples / np.where(peaks > 0, peaks, 1.0), axis=1)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
         # bit for bit pdist(samples), which takes the square root of the same sums
-        bad = np.flatnonzero(np.sqrt(self.state_dist_sq) <= COINCIDENCE_THRESHOLD * scales)
-        if bad.size:
-            i, j = self.pair(int(bad[0]))
-            raise DegeneratePairError(
-                f"samples {i} and {j} coincide; "
-                "their isometry ratio and soft rank are undefined"
-            )
+        self._reject(np.sqrt(self.state_dist_sq) <= COINCIDENCE_THRESHOLD * scales,
+                     DegeneratePairError,
+                     " coincide; their isometry ratio and soft rank are undefined")
+        # subnormal squares carry too few bits for the scan's rounding band
+        self._reject(self.traj_dist_sq < np.finfo(float).tiny, NonFiniteTrajectoryError,
+                     ": their squared trajectory distance underflows")
+
+    def _reject(self, bad: np.ndarray, error: type, what: str) -> None:
+        """Raise ``error`` naming the first pair where ``bad`` holds, then ``what``."""
+        first = np.flatnonzero(bad)
+        if first.size:
+            i, j = self.pair(int(first[0]))
+            raise error(f"samples {i} and {j}{what}")
 
     @property
     def stack(self) -> np.ndarray:
@@ -406,23 +406,20 @@ def infimum_soft_rank(
     flow: FlowSpec,
     samples: np.ndarray,
     params: DelayParams,
-    keep_per_pair: bool = False,
     threads: int = 1,
 ) -> PairScanResult:
     """Exact minimum of the pair soft rank over all C(n, 2) sample pairs.
 
-    Coincident samples are a hard error, never skipped. ``infimum`` and
-    ``argmin_pair`` are dense-SVD values, identical to a sequential scan of
-    every pair, whichever ``threads`` (0 picks the CPU count) evaluate the
-    chunks. Only the pairs in the rounding band of a screen get the dense
-    SVD: the separation classes of an exact permutation-flow orbit
-    (``dynamics.is_permutation_orbit``), screened by their representatives
-    (0, d), or else the pairs by the Gram screen. ``keep_per_pair`` keeps
-    every pair's value as ``soft_ranks``. On an orbit that costs nothing
-    more: a certified pair keeps its own dense value, and every other pair
-    takes that of its representative, the same singular values up to
-    rounding, and above the band, so ``min(soft_ranks) == infimum``. Other
-    samples then take the dense SVD of every pair.
+    Coincident samples are a hard error, never skipped. Every pair gets a
+    screen value: on an exact permutation-flow orbit
+    (``dynamics.is_permutation_orbit``) the dense value of its class
+    representative (0, j - i), else its Gram-screened value. Every pair in
+    the screen's rounding band gets its own dense SVD, which replaces its
+    screen value in ``soft_ranks``. ``infimum`` and ``argmin_pair`` are
+    those dense values, identical to a sequential dense scan of every pair,
+    whichever ``threads`` (0 picks the CPU count) evaluate the chunks. A
+    pair off the band keeps a screen value above the band, within rounding
+    of its own dense value, so ``min(soft_ranks) == infimum``.
     """
     workers = resolve_threads(threads)
     table = PairTable(flow, samples, params)
@@ -440,37 +437,29 @@ def infimum_soft_rank(
             ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
         )
 
-    orbit = is_permutation_orbit(flow, table.samples)
-    if keep_per_pair and not orbit:
-        candidates = np.arange(num_pairs)
-        values = soft_ranks = scan_pass(_dense_soft_ranks, num_pairs)
+    if is_permutation_orbit(flow, table.samples):
+        # pair (i, j) has the exact singular values of the pair (0, j - i),
+        # and the pairs (0, d) lead the pair order
+        representatives = scan_pass(_dense_soft_ranks, table.shape[0] - 1)
+        screened = representatives[table.j_idx - table.i_idx - 1]
+        # a representative and every member's dense value are each within
+        # rtol of the class's exact value, so the representative screens
+        # each member within (1 + rtol) / (1 - rtol), and the band is
+        # ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol
+        band = 1.0 + 5.0 * rtol
     else:
-        if orbit:
-            # pair (i, j) has the exact singular values of the pair (0, j - i),
-            # and the pairs (0, d) lead the pair order
-            classes = table.j_idx - table.i_idx - 1
-            representatives = scan_pass(_dense_soft_ranks, table.shape[0] - 1)
-            # a representative and every member's dense value are each within
-            # rtol of the class's exact value, so the representative screens
-            # each member within (1 + rtol) / (1 - rtol), and the band is
-            # ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol
-            cutoff = np.min(representatives) * (1.0 + 5.0 * rtol)
-            in_band = ~(representatives > cutoff)[classes]
-        else:
-            screened = scan_pass(_screened_soft_ranks, num_pairs)
-            # if every screened value is within rtol of its dense value, each
-            # pair at or below the dense minimum screens within (1 + rtol) /
-            # (1 - rtol) <= 1 + 3 rtol of the screened minimum
-            in_band = ~(screened > np.min(screened) * (1.0 + 3.0 * rtol))
-        # NaN fails every comparison, so a NaN screen value sends its pairs to the SVD
-        candidates = np.flatnonzero(in_band)
-        values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])
-        soft_ranks = None
-        if keep_per_pair:
-            # every pair off the band takes its representative's dense value,
-            # above the cutoff, so the minimum stays that of the certified pairs
-            soft_ranks = representatives[classes]
-            soft_ranks[candidates] = values
+        screened = scan_pass(_screened_soft_ranks, num_pairs)
+        # if every screened value is within rtol of its dense value, each
+        # pair at or below the dense minimum screens within (1 + rtol) /
+        # (1 - rtol) <= 1 + 3 rtol of the screened minimum
+        band = 1.0 + 3.0 * rtol
+    # NaN fails every comparison, so a NaN screen value sends its pair to the SVD
+    candidates = np.flatnonzero(~(screened > np.min(screened) * band))
+    values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])
+    # every pair off the band keeps its screen value, above the cutoff and so
+    # above the minimum, which stays that of the certified pairs
+    soft_ranks = screened
+    soft_ranks[candidates] = values
 
     best = int(np.argmin(values))  # first occurrence = lexicographic tie-break
     return PairScanResult(

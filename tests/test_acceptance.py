@@ -57,7 +57,7 @@ def test_criterion_1_shift_bound_reproduction():
     violations = 0
     infima = {}
     for m in (2, 4, 8, 16, 32):
-        scan = infimum_soft_rank(flow, samples, DelayParams(m), keep_per_pair=True)
+        scan = infimum_soft_rank(flow, samples, DelayParams(m))
         assert scan.num_pairs == 32 * 31 // 2
         violations += int(np.sum(scan.soft_ranks < m / 2.0 - EXACT_BOUND_SLACK))
         infima[m] = scan.infimum

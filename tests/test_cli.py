@@ -871,6 +871,40 @@ class TestCliMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, delays", [("lemma-check", "2, 4, 2"), ("scaling", "2, 4, 4")]
+    )
+    def test_repeated_delay_count_exit_one(self, tmp_path, capsys, command, delays):
+        config_path = minimal_shift_config(tmp_path, delays=delays)
+        out = tmp_path / "o"
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: delays: {delays[-1]} is given twice" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_underflowing_trajectory_distance_exit_one(self, tmp_path, capsys):
+        # six Gaussian states at 1e-160 under an orthogonal flow: every
+        # squared trajectory distance is subnormal
+        rng = np.random.default_rng(0)
+        np.savetxt(tmp_path / "flow.csv", np.linalg.qr(rng.standard_normal((4, 4)))[0],
+                   delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "samples.csv", 1e-160 * rng.standard_normal((6, 4)),
+                   delimiter=",", fmt="%.17g")
+        config_path = minimal_shift_config(
+            tmp_path, kind="linear", ambient_dim=None, matrix_path=str(tmp_path / "flow.csv"),
+            samples_path=str(tmp_path / "samples.csv"), num_samples=None, delays="3",
+        )
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (
+            "error: samples 0 and 1: their squared trajectory distance underflows"
+            in captured.err
+        )
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["scaling", "report"])
     def test_ambient_dim_must_match_the_flow_matrix(self, tmp_path, capsys, command):
         matrix_file = tmp_path / "flow.csv"

@@ -46,26 +46,40 @@ from test_dynamics import (
 ADJACENT_SHIFT8_M4 = 8.0 / (2.0 + 2.0 * math.cos(math.pi / 5.0))
 
 
-def one_pair_soft_ranks(flow, samples, params):
-    """The per-pair values a scan keeps, from ``pair_soft_rank`` alone, and its band.
+def assert_kept_soft_ranks(flow, samples, params, soft_ranks):
+    """A scan's per-pair values against ``pair_soft_rank`` alone; returns the scan's band.
 
-    Every pair has its own dense value, except on an exact permutation-flow
-    orbit: there a pair whose class representative (0, j - i) lies above
-    the orbit screen's cutoff takes that representative's value. Returns
-    the values and the mask of the pairs with their own value.
+    On an exact permutation-flow orbit the screen value of pair (i, j) is
+    the own dense value of its class representative (0, j - i), and the band
+    1 + 5 rtol; otherwise it is the pair's Gram-screened value, and the band
+    1 + 3 rtol. A pair within the band of the smallest screen value has its
+    own dense value bit for bit. A pair off the band of an orbit has its
+    representative's, bit for bit; any other pair off the band lies within
+    (1 + rtol) / (1 - rtol) of its own.
     """
     samples = np.asarray(samples, dtype=float)
     i_idx, j_idx = pair_indices(samples.shape[0])
     own = np.array(
         [pair_soft_rank(flow, samples[i], samples[j], params).value for i, j in zip(i_idx, j_idx)]
     )
-    if not is_permutation_orbit(flow, samples):
-        return own, np.ones(own.size, dtype=bool)
-    classes = j_idx - i_idx - 1
-    representatives = own[: samples.shape[0] - 1]  # the pairs (0, d) lead the pair order
     rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
-    in_band = ~(representatives > np.min(representatives) * (1.0 + 5.0 * rtol))[classes]
-    return np.where(in_band, own, representatives[classes]), in_band
+    orbit = is_permutation_orbit(flow, samples)
+    if orbit:
+        # the pairs (0, d) lead the pair order
+        screen = own[: samples.shape[0] - 1][j_idx - i_idx - 1]
+        band = 1.0 + 5.0 * rtol
+    else:
+        table = PairTable(flow, samples, params)
+        screen = spectral._screened_soft_ranks(table.differences(slice(0, table.num_pairs)))
+        band = 1.0 + 3.0 * rtol
+    in_band = ~(screen > np.min(screen) * band)
+    assert soft_ranks[in_band].tobytes() == own[in_band].tobytes()
+    if orbit:
+        assert soft_ranks.tobytes() == np.where(in_band, own, screen).tobytes()
+    ratio = soft_ranks / own
+    assert np.all(ratio <= (1.0 + rtol) / (1.0 - rtol))
+    assert np.all(1.0 / ratio <= (1.0 + rtol) / (1.0 - rtol))
+    return in_band
 
 
 def exhaustive_soft_ranks(flow, samples, params):
@@ -184,7 +198,7 @@ class TestPairSoftRank:
 class TestInfimumSoftRank:
     def test_shift8_basis_scan(self):
         flow = make_shift_flow(8)
-        scan = infimum_soft_rank(flow, np.eye(8), DelayParams(4), keep_per_pair=True)
+        scan = infimum_soft_rank(flow, np.eye(8), DelayParams(4))
         assert abs(scan.infimum - ADJACENT_SHIFT8_M4) <= 1e-10
         assert scan.infimum >= 4.0 / 2.0
         # the minimum sits on a circularly adjacent pair (all tie analytically,
@@ -201,26 +215,23 @@ class TestInfimumSoftRank:
     def test_argmin_tie_break_is_lexicographic(self):
         # exact float ties resolve to the first pair in (i, j) order
         flow = make_shift_flow(16)
-        scan = infimum_soft_rank(flow, np.eye(16), DelayParams(1), keep_per_pair=True)
+        scan = infimum_soft_rank(flow, np.eye(16), DelayParams(1))
         assert np.all(scan.soft_ranks == 1.0)  # single-row differences are rank one
         assert scan.argmin_pair == (0, 1)
 
     def test_matches_sequential_pair_scan(self):
-        # on the orbit, a pair in the band has its own dense value bit for bit
-        # and any other pair that of (0, j - i); off an orbit every pair has its own
+        # a pair in the band has its own dense value bit for bit; off the band,
+        # a pair of the orbit has that of (0, j - i), and a pair of the
+        # shuffled states its Gram-screened value, within rounding of its own
         flow = make_shift_flow(8)
         eye = np.eye(8)
         params = DelayParams(3)
-        # the orbit's band is the circularly adjacent classes d = 1 and 7, 7 + 1 pairs
-        for samples, band in ((eye, 8), (eye[[1, 0, *range(2, 8)]], 28)):
-            scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
-            _, in_band = one_pair_soft_ranks(flow, samples, params)
-            assert scan.num_certified == np.count_nonzero(in_band) == band
-            for i, j, value, own in zip(*pair_indices(8), scan.soft_ranks, in_band):
-                if own:
-                    assert value == pair_soft_rank(flow, samples[i], samples[j], params).value
-                else:
-                    assert value == pair_soft_rank(flow, samples[0], samples[j - i], params).value
+        # either band is the circularly adjacent basis pairs, 7 + 1
+        for samples in (eye, eye[[1, 0, *range(2, 8)]]):
+            scan = infimum_soft_rank(flow, samples, params)
+            in_band = assert_kept_soft_ranks(flow, samples, params, scan.soft_ranks)
+            assert scan.num_certified == np.count_nonzero(in_band) == 8
+            assert np.min(scan.soft_ranks) == scan.infimum
 
     @pytest.mark.parametrize("n", [6, 13, 24])
     def test_shift_bound_holds_for_all_delays(self, n):
@@ -258,6 +269,28 @@ class TestInfimumSoftRank:
             warnings.simplefilter("error")
             scan = infimum_soft_rank(make_shift_flow(8), [x, y], DelayParams(2))
         assert scan.infimum == 2.0
+
+    def test_underflowing_trajectory_distance_is_a_typed_error(self):
+        # soft ranks do not depend on the scale of the samples, but subnormal
+        # squared distances (at 1e-160; 1e-150 keeps them normal) carry too
+        # few bits for the rounding band
+        rng = np.random.default_rng(0)
+        flow = make_linear_flow(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+        samples = rng.standard_normal((6, 4))
+        params = DelayParams(3)
+        base = infimum_soft_rank(flow, samples, params)
+        small = infimum_soft_rank(flow, 1e-150 * samples, params)
+        np.testing.assert_allclose(small.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
+        message = "samples 0 and 1: their squared trajectory distance underflows"
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            infimum_soft_rank(flow, 1e-160 * samples, params)
+        # a distinct pair at 1e-10 relative, named after the coincidence test
+        x = 1e-150 * np.eye(4)[0]
+        tiny = np.vstack([np.eye(4)[3], x, x + 1e-160 * np.eye(4)[1]])
+        with pytest.raises(NonFiniteTrajectoryError, match="samples 1 and 2: .* underflows"):
+            infimum_soft_rank(flow, tiny, params)
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            pair_soft_rank(flow, tiny[1], tiny[2], params)
 
     def test_needs_two_samples(self):
         flow = make_shift_flow(6)
@@ -347,7 +380,7 @@ class TestScreenedScan:
     def test_matches_exhaustive_dense_scan(self, case, threads, chunk, num_draws):
         flow, samples, params, gated = case
         reference, infimum, argmin = self.exhaustive(flow, samples, params)
-        default_screened = infimum_soft_rank(flow, samples, params, threads=threads)
+        default_scan = infimum_soft_rank(flow, samples, params, threads=threads)
         default_report = monte_carlo(
             flow, samples, params, "rademacher", num_draws, 3, keep_per_pair=True
         )
@@ -358,32 +391,26 @@ class TestScreenedScan:
             mp.setattr(spectral, "_CHUNK_BYTES", budget)
             if gated:
                 mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
-            screened = infimum_soft_rank(flow, samples, params, threads=threads)
-            dense = infimum_soft_rank(
-                flow, samples, params, keep_per_pair=True, threads=threads
-            )
+            scan = infimum_soft_rank(flow, samples, params, threads=threads)
             report = monte_carlo(
                 flow, samples, params, "rademacher", num_draws, 3,
                 threads=threads, keep_per_pair=True,
             )
-        for scan in (screened, dense):
-            assert scan.infimum == infimum
-            assert scan.argmin_pair == argmin
-            assert scan.num_pairs == reference.size
-        assert 1 <= screened.num_certified <= screened.num_pairs
-        assert screened.num_certified == default_screened.num_certified
-        assert screened.soft_ranks is None
-        expected, in_band = one_pair_soft_ranks(flow, samples, params)
-        assert dense.soft_ranks.tobytes() == expected.tobytes()
-        assert dense.soft_ranks[in_band].tobytes() == reference[in_band].tobytes()
-        if gated:  # the orbit screen and its band, kept or not
-            assert dense.num_certified == screened.num_certified == np.count_nonzero(in_band)
-            scanned = samples.shape[0] - 1 + dense.num_certified
-        else:  # the exhaustive pass
-            assert dense.num_certified == dense.num_pairs
-            assert dense.soft_ranks.tobytes() == reference.tobytes()
-            scanned = dense.num_pairs
-        assert math.ceil(scanned / chunk) <= dense.num_chunks <= scanned
+        assert scan.infimum == infimum
+        assert scan.argmin_pair == argmin
+        assert scan.num_pairs == reference.size
+        assert 1 <= scan.num_certified <= scan.num_pairs
+        # every pair's value, whatever the chunks
+        assert scan.soft_ranks.shape == default_scan.soft_ranks.shape == reference.shape
+        assert scan.soft_ranks.tobytes() == default_scan.soft_ranks.tobytes()
+        assert scan.num_certified == default_scan.num_certified
+        in_band = assert_kept_soft_ranks(flow, samples, params, scan.soft_ranks)
+        assert scan.num_certified == np.count_nonzero(in_band)
+        assert scan.soft_ranks[in_band].tobytes() == reference[in_band].tobytes()
+        assert np.min(scan.soft_ranks) == infimum
+        # the screen over the representatives (an orbit) or every pair, then the band
+        scanned = (samples.shape[0] - 1 if gated else scan.num_pairs) + scan.num_certified
+        assert math.ceil(scanned / chunk) <= scan.num_chunks <= scanned
         assert _per_pair_csv(report) == _per_pair_csv(default_report)
 
     @settings(max_examples=60, deadline=None)
@@ -392,8 +419,8 @@ class TestScreenedScan:
         flow, samples, params, _ = case
         num = samples.shape[0]
         perm = np.random.default_rng(perm_seed).permutation(num)
-        scan = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
-        permuted = infimum_soft_rank(flow, samples[perm], params, keep_per_pair=True)
+        scan = infimum_soft_rank(flow, samples, params)
+        permuted = infimum_soft_rank(flow, samples[perm], params)
         # permuted pair (a, b) is pair {perm[a], perm[b]} of the original samples
         index = np.zeros((num, num), dtype=int)
         index[scan.table.i_idx, scan.table.j_idx] = np.arange(scan.num_pairs)
@@ -419,30 +446,33 @@ class TestScreenedScan:
                     infimum_soft_rank(flow, samples[[1, 0, *range(2, len(samples))]], params)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=permutation_orbit_cases(), threads=st.sampled_from([1, 2]))
-    def test_orbit_per_pair_values_match_the_exhaustive_scan(self, case, threads):
+    @given(case=permutation_orbit_cases(), other=scan_cases())
+    def test_orbit_per_pair_values_match_the_exhaustive_scan(self, case, other):
         flow, samples, params = case
-        rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
-        for orbit in (samples, samples[::-1]):  # both directions
-            values, infimum, argmin = self.exhaustive(flow, orbit, params)
-            scan = infimum_soft_rank(flow, orbit, params, keep_per_pair=True, threads=threads)
-            _, in_band = one_pair_soft_ranks(flow, orbit, params)
+        # both directions of the orbit, the same states out of orbit order,
+        # and one more input unless it is an orbit
+        inputs = [(flow, orbit, params) for orbit in (samples, samples[::-1])]
+        inputs.append((flow, samples[[1, 0, *range(2, samples.shape[0])]], params))
+        if not other[3]:
+            inputs.append(other[:3])
+        for flow, samples, params in inputs:
+            values, infimum, argmin = self.exhaustive(flow, samples, params)
+            scan, two_threads = (
+                infimum_soft_rank(flow, samples, params, threads=threads) for threads in (1, 2)
+            )
             assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
+            in_band = assert_kept_soft_ranks(flow, samples, params, scan.soft_ranks)
             assert scan.num_certified == np.count_nonzero(in_band)
             assert scan.soft_ranks[in_band].tobytes() == values[in_band].tobytes()
             assert np.min(scan.soft_ranks) == infimum
-            # each within the rounding of two dense values of one exact value
+            # each within the rounding of two values of one exact value
+            rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
             ratio = scan.soft_ranks / values
             assert np.all(ratio <= (1.0 + rtol) / (1.0 - rtol))
             assert np.all(1.0 / ratio <= (1.0 + rtol) / (1.0 - rtol))
-        # the same states out of orbit order: the exhaustive values bit for bit
-        shuffled = samples[[1, 0, *range(2, samples.shape[0])]]
-        if not is_permutation_orbit(flow, shuffled):
-            scan = infimum_soft_rank(flow, shuffled, params, keep_per_pair=True, threads=threads)
-            values, infimum, argmin = self.exhaustive(flow, shuffled, params)
-            assert scan.soft_ranks.tobytes() == values.tobytes()
-            assert (scan.infimum, scan.argmin_pair, scan.num_certified) == (
-                infimum, argmin, scan.num_pairs
+            assert two_threads.soft_ranks.tobytes() == scan.soft_ranks.tobytes()
+            assert (two_threads.infimum, two_threads.argmin_pair, two_threads.num_certified) == (
+                scan.infimum, scan.argmin_pair, scan.num_certified
             )
 
     @settings(max_examples=60, deadline=None)
@@ -450,29 +480,26 @@ class TestScreenedScan:
     def test_scaling_the_samples_leaves_soft_ranks_and_ratios(self, case, k, alpha_seed):
         flow, samples, params, gated = case
         alpha = np.random.default_rng(alpha_seed).standard_normal(flow.ambient_dim)
-        base = infimum_soft_rank(flow, samples, params, keep_per_pair=True)
-        screened = infimum_soft_rank(flow, samples, params)
+        base = infimum_soft_rank(flow, samples, params)
         ratios = base.table.ratios(alpha)
         with pytest.MonkeyPatch.context() as mp:
             if gated:  # a scaled orbit is still an orbit
                 mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
             # 2^k scales every entry exactly, so nothing may move
-            scaled = infimum_soft_rank(flow, 2.0**k * samples, params, keep_per_pair=True)
-            scaled_screened = infimum_soft_rank(flow, 2.0**k * samples, params)
+            scaled = infimum_soft_rank(flow, 2.0**k * samples, params)
             assert np.array_equal(scaled.soft_ranks, base.soft_ranks)
             assert np.array_equal(scaled.table.ratios(alpha), ratios)
-            assert (scaled_screened.infimum, scaled_screened.argmin_pair) == (
-                screened.infimum, screened.argmin_pair
+            assert (scaled.infimum, scaled.argmin_pair, scaled.num_certified) == (
+                base.infimum, base.argmin_pair, base.num_certified
             )
             # 3 x rounds the samples: a rounding change, held to 1e-12 relative;
             # a ratio is at most ||alpha||^2, which scales its rounding
-            tripled = infimum_soft_rank(flow, 3.0 * samples, params, keep_per_pair=True)
-            tripled_screened = infimum_soft_rank(flow, 3.0 * samples, params)
+            tripled = infimum_soft_rank(flow, 3.0 * samples, params)
         np.testing.assert_allclose(tripled.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             tripled.table.ratios(alpha), ratios, rtol=0, atol=1e-12 * (alpha @ alpha)
         )
-        assert abs(tripled_screened.infimum - screened.infimum) <= 1e-12 * screened.infimum
+        assert abs(tripled.infimum - base.infimum) <= 1e-12 * base.infimum
 
     def test_analytic_ties_resolve_like_the_dense_scan(self):
         # all circularly adjacent pairs tie analytically; the Gram screen's
@@ -510,11 +537,11 @@ class TestScreenedScan:
             assert len(parts) == min(workers, num)
             assert set(sizes) <= {-(-num // workers), num // workers}
 
-    @pytest.mark.parametrize("keep_per_pair", [False, True])
-    def test_chunks_stay_within_the_byte_budget(self, monkeypatch, keep_per_pair):
-        # the largest step of the lemma check on the 128-state shift orbit;
-        # kept per-pair values add no pass to the orbit screen and its band,
-        # while the same states out of orbit order take one exhaustive pass
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_chunks_stay_within_the_byte_budget(self, monkeypatch, shuffled):
+        # the largest step of the lemma check on the 128-state shift orbit,
+        # and the same states out of orbit order, whose full-size pass is
+        # the Gram screen
         m, n = 32, 128
         passes = []
 
@@ -523,26 +550,15 @@ class TestScreenedScan:
             return [func(item) for item in items]
 
         monkeypatch.setattr(spectral, "ordered_map", recording_map)
-        orders = [(np.arange(n), True)]
-        if keep_per_pair:
-            orders.append((np.random.default_rng(5).permutation(n), False))
-        for order, orbit in orders:
-            passes.clear()
-            scan = infimum_soft_rank(
-                make_shift_flow(n), np.eye(n)[order], DelayParams(m),
-                keep_per_pair=keep_per_pair, threads=2,
-            )
-            assert len(passes) == scan.num_chunks
-            scanned = n - 1 + scan.num_certified if orbit else scan.num_pairs
-            assert sum(passes) == scanned
-            assert all(
-                pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes
-            )
-            if orbit:  # the two circularly adjacent classes, 127 + 1 pairs
-                assert scan.num_certified == n
-            else:  # a large pass fills its chunks
-                assert scan.num_certified == scan.num_pairs
-                assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
+        order = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
+        scan = infimum_soft_rank(make_shift_flow(n), np.eye(n)[order], DelayParams(m), threads=2)
+        assert len(passes) == scan.num_chunks
+        assert sum(passes) == (scan.num_pairs if shuffled else n - 1) + scan.num_certified
+        assert all(pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes)
+        # either band is the circularly adjacent basis pairs, 127 + 1
+        assert scan.num_certified == n
+        if shuffled:  # a large pass fills its chunks
+            assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
 
     def test_zero_threads_resolve_to_the_cpu_count(self):
         assert _parallel.resolve_threads(0) == (os.cpu_count() or 1)
