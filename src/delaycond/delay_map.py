@@ -182,7 +182,12 @@ def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> n
                     out[i, k] = cur
                     if k + 1 < m:
                         cur = flow.inverse @ cur
-    finite = np.isfinite(out).all(axis=2)
+    _check_finite_rows(np.isfinite(out).all(axis=2), m, named)
+    return out
+
+
+def _check_finite_rows(finite: np.ndarray, m: int, named: bool) -> None:
+    """Raise at the first False of ``finite[i, k]``: iterate k (of m) of state i is not finite."""
     if not finite.all():
         i = int(np.argmin(finite.all(axis=1)))
         k = int(np.argmin(finite[i]))
@@ -191,7 +196,6 @@ def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> n
             f"{where}backward iterate at delay index {k} of {m} is not finite; "
             "the inverse flow overflows or the state is not finite"
         )
-    return out
 
 
 def trajectory_matrix(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryMatrix:
@@ -213,13 +217,17 @@ def trajectory_matrices(
     of which other samples are in the stack.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    _check_sample_dim(flow, samples)
+    _warn_excess_delays(flow, params)
+    return _backward_rows(flow, samples, params.num_delays, named=True)
+
+
+def _check_sample_dim(flow: FlowSpec, samples: np.ndarray) -> None:
     if samples.shape[1] != flow.ambient_dim:
         raise DimensionMismatchError(
             f"samples have dimension {samples.shape[1]}, "
             f"flow ambient dimension is {flow.ambient_dim}"
         )
-    _warn_excess_delays(flow, params)
-    return _backward_rows(flow, samples, params.num_delays, named=True)
 
 
 def trajectory_vector(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryVector:

@@ -151,9 +151,11 @@ def isometry_ratio(
     """Per-pair diagnostics: ratio ||D alpha||^2 / ||D||_F^2 with D = G_x - G_y.
 
     D and the ratio are read from the two-sample ``PairTable`` of (x, y), so
-    the ratio is bit for bit the one ``conditioning`` and ``monte_carlo``
-    report for that pair; its denominator is the squared trajectory-vector
-    distance ||x~ - y~||^2.
+    the ratio is the one ``conditioning`` and ``monte_carlo`` report for that
+    pair; its denominator is the squared trajectory-vector distance
+    ||x~ - y~||^2. It is bit for bit that ratio, except that on a
+    permutation flow with inexact sums it may round differently (see
+    ``PairTable.ratios``).
     """
     a = _check_coeffs(flow, alpha)
     table = _pair_table(flow, x, y, params)

@@ -39,7 +39,7 @@ from .embedding_analysis import (
     scaling_study,
     theorem_condition_check,
 )
-from .errors import ConfigError, InvalidArgumentError, ZeroVarianceError
+from .errors import ConfigError, InvalidArgumentError, NoEstimateError, ZeroVarianceError
 from .geometry import (
     REACH_BIAS_NOTE,
     VOLUME_BIAS_NOTE,
@@ -319,19 +319,22 @@ def _geometry_payload(
     else:
         points = table.stack.reshape(table.shape[0], -1)
         closed = period is not None and period == samples.shape[0]
-        volume = curve_volume(points, closed=closed)
-        reach = reach_estimate(points, finite_difference_tangents(points))
-        payload["trajectory_manifold"] = {
-            "volume": volume,
-            "volume_bias": VOLUME_BIAS_NOTE,
-            "reach": reach.value,
-            "reach_bias": REACH_BIAS_NOTE,
-            "reach_excluded_pairs": reach.num_excluded,
-            "reach_num_pairs": reach.num_pairs,
-            "dim": config.manifold_dim if config.manifold_dim is not None else 1.0,
-            "num_points": int(points.shape[0]),
-            "closed_curve": closed,
-        }
+        try:
+            reach = reach_estimate(points, finite_difference_tangents(points))
+        except NoEstimateError as err:  # the orbit lies on a line
+            payload["trajectory_manifold"] = {"note": f"reach needs a curved orbit: {err}"}
+        else:
+            payload["trajectory_manifold"] = {
+                "volume": curve_volume(points, closed=closed),
+                "volume_bias": VOLUME_BIAS_NOTE,
+                "reach": reach.value,
+                "reach_bias": REACH_BIAS_NOTE,
+                "reach_excluded_pairs": reach.num_excluded,
+                "reach_num_pairs": reach.num_pairs,
+                "dim": config.manifold_dim if config.manifold_dim is not None else 1.0,
+                "num_points": int(points.shape[0]),
+                "closed_curve": closed,
+            }
 
     lyap = lyapunov_exponent_inverse_flow(
         flow, samples[0], num_steps=200, perturbation=1e-8, seed=config.base_seed
@@ -458,6 +461,8 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
 
     if config.c_user is not None:
         manifold = geometry_payload["trajectory_manifold"]
+        if "reach" not in manifold:
+            raise ConfigError(f"c_user: the theorem check needs a reach; {manifold['note']}")
         check = theorem_condition_check(
             infimum_soft_rank=report.infimum_soft_rank,
             epsilon=report.quantiles[0.5],

@@ -11,18 +11,16 @@ Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples and forms the pair differences and isometry
 ratios; the one-pair functions read the two-sample table of their pair.
 
-For a permutation flow on integer-valued samples of bounded size (the shift
-on basis states), the table runs in exact mode and builds no trajectory
-stack: each trajectory matrix is one (M, N) gather of its sample, so a pair
-difference is a gather of the sample difference, and the trajectory
-distances are M times the state distances. With coefficients of bounded
-size too (Rademacher draws), the delay vectors are ``samples @ O_alpha.T``
-with O_alpha one (M, N) gather of alpha, instead of ``stack @ alpha``.
-Every product and partial sum on either path is then an integer of at most
-2^53, exact in double precision in any order of summation, so both give the
-same bits. The bounds are in ``PairTable`` and ``PairTable.ratios``; any
-other input takes the (n, M, N) stack, built once per table (in exact mode,
-on first use).
+For a permutation flow (``flow.permutation`` set, as for the cyclic shift)
+the table builds no trajectory stack: every row of a trajectory matrix is
+a permutation of its sample, so a pair difference is a gather of the sample
+difference, the trajectory distances are M times the state distances, and
+the delay vectors are ``samples @ O_alpha.T`` with O_alpha one (M, N)
+gather of alpha, instead of ``stack @ alpha``. Where every sum of both
+forms is an exact integer (small integer samples and coefficients, as the
+shift on basis states with Rademacher draws) they give the same bits;
+otherwise they agree to rounding. Every other flow takes the (n, M, N)
+stack, built once per table.
 
 The scan runs in two passes over chunks of pair differences: a screen that
 gives every pair a value, then a certification pass that replaces the value
@@ -48,14 +46,20 @@ not grow with M N. There are two screens:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._parallel import ordered_map, resolve_threads
-from .delay_map import DelayParams, _gathered_rows, _warn_excess_delays, trajectory_matrices
+from .delay_map import (
+    DelayParams,
+    _check_finite_rows,
+    _check_sample_dim,
+    _gathered_rows,
+    _warn_excess_delays,
+    trajectory_matrices,
+)
 from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
 from .errors import (
     DegeneratePairError,
@@ -186,26 +190,22 @@ def _band_rtol(m: int, n: int) -> float:
 class PairTable:
     """The C(n, 2) sample pairs of one (flow, samples, M), in ``pair_indices`` order.
 
-    Construction checks that there are at least 2 samples, decides exact
-    mode, builds the trajectory stack outside it (which checks that every
-    sample and backward iterate is finite), then checks that no squared
-    trajectory distance overflows, that no two samples coincide and that no
-    squared trajectory distance underflows to a subnormal number. This
-    is the library's one coincidence rule; a coincident pair is an error,
-    never skipped. ``samples`` is a copy of the samples and
-    ``shape`` is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
+    Construction checks that there are at least 2 samples of the flow's
+    dimension, each finite with finite backward iterates, then that no
+    squared trajectory distance overflows, that no two samples coincide and
+    that no squared trajectory distance underflows to a subnormal number.
+    This is the library's one coincidence rule; a coincident pair is an
+    error, never skipped. ``samples`` is a copy of the samples and ``shape``
+    is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
     state-space distance of pair k, and ``traj_dist_sq[k]`` its squared
     trajectory-vector distance, the denominator of its isometry ratio.
 
-    The table is in exact mode when the flow is a permutation flow
-    (``flow.permutation`` set), every sample is integer-valued and
-    M N (2 max|x|)^2 <= 2^53; such samples are finite. Each row of a
-    trajectory matrix is then a permutation of its sample, so ||x~ - y~||^2
-    = M ||x - y||^2, and every square and partial sum of either side is an
-    integer of at most 2^53, an exact double in any order of summation.
-    ``traj_dist_sq`` is then ``M * state_dist_sq``, bit for bit the ``pdist``
-    of the flattened stack, and ``differences`` gathers each pair from its
-    sample difference; ``stack`` is gathered from the samples only when read.
+    On a permutation flow (``flow.permutation`` set) each row of a
+    trajectory matrix is a permutation of its sample, so ||x~ - y~||^2 =
+    M ||x - y||^2: ``traj_dist_sq`` is ``M * state_dist_sq``, the ``pdist``
+    of the flattened stack to rounding (bit for bit where every sum is an
+    exact integer), and ``stack`` is gathered only when read. Every other
+    flow builds the stack at construction.
     """
 
     def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
@@ -216,28 +216,23 @@ class PairTable:
         m, n_amb = params.num_delays, flow.ambient_dim
         self.samples = samples
         self.shape = (n, m, n_amb)
-        self._max_abs = float(np.max(np.abs(samples), initial=0.0))
-        # exact mode, decided before anything is built: its samples are finite
-        exact = (
-            flow.permutation is not None
-            and samples.shape[1] == n_amb
-            and _is_integral(samples)
-            and _sums_exactly(m * n_amb, 2.0, self._max_abs)
-        )
         self.i_idx, self.j_idx = pair_indices(n)
         self.state_dist_sq = pdist(samples, "sqeuclidean")  # condensed, in pair_indices order
-        if exact:
+        # the stack's typed errors come before the distance tests below, which
+        # would take a non-finite sample for a coincident pair (inf <= 1e-12 * inf)
+        if flow.permutation is not None:
+            _check_sample_dim(flow, samples)
+            # each backward iterate is a permutation of its sample
+            _check_finite_rows(np.isfinite(samples).all(axis=1, keepdims=True), m, named=True)
             _warn_excess_delays(flow, params)
             self._stack = None
             # the (M, N) index arrays of P^m and P^-m: gathering by powers
             # forms the backward iterates, and alpha[inverse_powers] is O_alpha
             self._powers = permutation_powers(flow.permutation, m)
             self._inverse_powers = permutation_powers(np.argsort(flow.permutation), m)
-            self.traj_dist_sq = m * self.state_dist_sq
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                self.traj_dist_sq = m * self.state_dist_sq
         else:
-            # built before the distance test below: it names a non-finite
-            # sample, which that test would take for a coincident pair
-            # (inf <= 1e-12 * inf)
             self._stack = trajectory_matrices(flow, samples, params)  # all finite
             self._powers = self._inverse_powers = None
             self.traj_dist_sq = _stack_traj_dist_sq(self._stack)
@@ -245,14 +240,14 @@ class PairTable:
         # of such samples for a coincidence (inf <= 1e-12 * inf)
         self._reject(~np.isfinite(self.traj_dist_sq), NonFiniteTrajectoryError,
                      ": their squared trajectory distance overflows")
-        # each norm scaled by its row's largest entry, so that its sum of
-        # squares cannot overflow while the pair's distances are finite
-        peaks = np.max(np.abs(samples), axis=1, keepdims=True)
-        norms = peaks[:, 0] * np.linalg.norm(samples / np.where(peaks > 0, peaks, 1.0), axis=1)
+        norms = _scaled_norms(samples)
         scales = np.maximum(norms[self.i_idx], norms[self.j_idx])
-        # bit for bit pdist(samples), which takes the square root of the same sums
-        self._reject(np.sqrt(self.state_dist_sq) <= COINCIDENCE_THRESHOLD * scales,
-                     DegeneratePairError,
+        # bit for bit pdist(samples); below about 1e-162 the squares underflow
+        # to 0, so each pair this flags has its distance formed again, scaled
+        dists = np.sqrt(self.state_dist_sq)
+        close = np.flatnonzero(dists <= COINCIDENCE_THRESHOLD * scales)
+        dists[close] = _scaled_norms(samples[self.i_idx[close]] - samples[self.j_idx[close]])
+        self._reject(dists <= COINCIDENCE_THRESHOLD * scales, DegeneratePairError,
                      " coincide; their isometry ratio and soft rank are undefined")
         # subnormal squares carry too few bits for the scan's rounding band
         self._reject(self.traj_dist_sq < np.finfo(float).tiny, NonFiniteTrajectoryError,
@@ -267,7 +262,7 @@ class PairTable:
 
     @property
     def stack(self) -> np.ndarray:
-        """The (n, M, N) trajectory stack; in exact mode, gathered on first use."""
+        """The (n, M, N) trajectory stack; on a permutation flow, gathered on first read."""
         if self._stack is None:
             self._stack = _gathered_rows(self.samples, self._powers)
         return self._stack
@@ -282,11 +277,12 @@ class PairTable:
     def differences(self, pairs: slice | np.ndarray) -> np.ndarray:
         """stack[i] - stack[j] of the pairs at a slice or an index array of the pair order.
 
-        In exact mode each is gathered from its sample difference, with
-        ``+ 0.0`` on rows m >= 1 as the stack has (``_gathered_rows``): the
-        same bits, signed zeros included. Otherwise a slice takes, for each
-        i in it, one subtraction from a slice of the stack (the partners j
-        of one i are consecutive), with no gathered copies.
+        On a permutation flow each is gathered from its sample difference,
+        with ``+ 0.0`` on rows m >= 1 as the stack has (``_gathered_rows``):
+        the stack's bits, signed zeros included, since a gather commutes
+        with the subtraction. Otherwise a slice takes, for each i in it, one
+        subtraction from a slice of the stack (the partners j of one i are
+        consecutive), with no gathered copies.
         """
         if self._powers is not None:
             sample_diffs = self.samples[self.i_idx[pairs]] - self.samples[self.j_idx[pairs]]
@@ -308,25 +304,16 @@ class PairTable:
         """Isometry ratio ||D alpha||^2 / ||D||_F^2 of every pair.
 
         The numerator is the ``pdist`` of the delay vectors F_alpha(x) = G_x
-        alpha. In exact mode with an integer-valued alpha and M (2 N max|x|
-        max|alpha|)^2 <= 2^53, they are formed as ``samples @ O_alpha.T``:
-        row m of O_alpha is alpha permuted by P^m, one (M, N) gather. Every
-        product and partial sum of that product and of the ``pdist`` is then
-        an integer of at most 2^53, so the delay vectors and the numerator are
-        bit for bit those of ``stack @ alpha``, whatever the order of
-        summation. Other alpha take ``stack @ alpha``.
+        alpha. On a permutation flow they are ``samples @ O_alpha.T``, with
+        row m of O_alpha alpha permuted by P^m: ``stack @ alpha`` to
+        rounding, bit for bit where every sum is an exact integer. That one
+        product may round a sample's row differently for another number of
+        samples; any other flow takes each sample's own ``G_x @ alpha``.
         """
-        powers = self._inverse_powers
-        if (
-            powers is not None
-            and _is_integral(alpha)
-            and _sums_exactly(
-                powers.shape[0], 2.0 * powers.shape[1], self._max_abs, np.max(np.abs(alpha))
-            )
-        ):
-            measured = _gathered_delay_vectors(self.samples, powers, alpha)
+        if self._inverse_powers is not None:
+            measured = _gathered_delay_vectors(self.samples, self._inverse_powers, alpha)
         else:
-            measured = _stack_delay_vectors(self.stack, alpha)
+            measured = _stack_delay_vectors(self._stack, alpha)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
 
 
@@ -337,20 +324,10 @@ def _pair_table(
     return PairTable(flow, np.stack([_check_state(flow, x), _check_state(flow, y)]), params)
 
 
-def _is_integral(values: np.ndarray) -> bool:
-    """Whether every entry is an integer (NaN is not; an infinity passes)."""
-    return bool(np.all(values == np.rint(values)))
-
-
-def _sums_exactly(terms: int, *factors: float) -> bool:
-    """Whether ``terms`` squares of integers up to prod(factors) in size sum to at most 2^53.
-
-    The factors are integer-valued; the bound is taken in exact integer
-    arithmetic, and an infinite factor fails it.
-    """
-    if not all(math.isfinite(factor) for factor in factors):
-        return False
-    return terms * math.prod(int(factor) for factor in factors) ** 2 <= 2**53
+def _scaled_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, whose sum of squares is scaled to [1, N] by the row's peak."""
+    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
+    return peaks[:, 0] * np.linalg.norm(rows / np.where(peaks > 0, peaks, 1.0), axis=1)
 
 
 # The two ways of forming the pair denominators and the delay vectors; tests

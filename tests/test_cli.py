@@ -648,6 +648,33 @@ class TestSingleOutputPath:
         assert "error: c_user: " in err and "at least 3" in err
         assert not out.exists()
 
+    @staticmethod
+    def straight_line_config(tmp_path, **overrides):
+        """A report on the orbit of e1 under diag(1.1, 0.9, 1.05, 0.95): a ray."""
+        np.savetxt(tmp_path / "flow.csv", np.diag([1.1, 0.9, 1.05, 0.95]), delimiter=",")
+        return minimal_shift_config(
+            tmp_path, kind="linear", ambient_dim=None, matrix_path=str(tmp_path / "flow.csv"),
+            delays="3", num_draws="5", **overrides,
+        )
+
+    def test_straight_line_orbit_notes_the_manifold(self, tmp_path):
+        config_path, out = self.straight_line_config(tmp_path), tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+        geometry = json.loads((out / "geometry.json").read_text(encoding="utf-8"))
+        manifold = geometry["trajectory_manifold"]
+        assert list(manifold) == ["note"]
+        assert "curved orbit" in manifold["note"] and "line" in manifold["note"]
+        assert (out / "per_pair.csv").exists() and (out / "embedding_report.json").exists()
+
+    def test_straight_line_orbit_cannot_feed_the_theorem_check(self, tmp_path, capsys):
+        config_path = self.straight_line_config(tmp_path, c_user="1.0", manifold_dim="1.0")
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: c_user: " in captured.err and "reach" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("geometry", ["samples_path", "two_samples"])
     def test_theorem_check_without_geometry_fails_before_the_draws(
         self, tmp_path, monkeypatch, capsys, geometry
@@ -819,6 +846,7 @@ class TestCliMain:
             ("report", 1e160, True, "squared trajectory distance overflows"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:num_delays=:RuntimeWarning")
     def test_overflowing_flow_exit_one_without_traceback(
         self, tmp_path, capsys, subcommand, scale, from_file, message
     ):
@@ -902,6 +930,34 @@ class TestCliMain:
             "error: samples 0 and 1: their squared trajectory distance underflows"
             in captured.err
         )
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200])
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_states_below_1e_162_exit_one_by_their_real_cause(
+        self, tmp_path, capsys, scale, equal
+    ):
+        # the squared state distances underflow to 0: distinct states must
+        # not be reported as coincident, equal ones still are
+        samples = scale * np.random.default_rng(0).standard_normal((6, 4))
+        if equal:
+            samples[3] = samples[1]
+        np.savetxt(tmp_path / "samples.csv", samples, delimiter=",", fmt="%.17g")
+        config_path = minimal_shift_config(
+            tmp_path, ambient_dim="4", samples_path=str(tmp_path / "samples.csv"),
+            num_samples=None, delays="3",
+        )
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        if equal:
+            assert "error: samples 1 and 3 coincide" in captured.err
+        else:
+            assert (
+                "error: samples 0 and 1: their squared trajectory distance underflows"
+                in captured.err
+            )
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

@@ -39,8 +39,11 @@ PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
 def pair_family(family: str, seed: int):
     """(flow, samples, alpha) of one input family, with at least 2 distinct samples.
 
-    "permutation integer" puts the pair table in exact mode: a permutation
-    flow with small integer samples and coefficients.
+    "permutation integer" is a permutation flow with small integer samples
+    and coefficients; its pair table gathers from the samples, and every sum
+    is an exact integer. On "shift basis" each delay-vector entry is one
+    coefficient, exact too, so the one-pair views of every family are the
+    n-sample table's values bit for bit.
     """
     rng = np.random.default_rng(seed)
     if family == "shift basis":
@@ -210,6 +213,7 @@ class TestMonteCarlo:
         ],
         ids=["inverse-flow", "distance-5e153", "norm-1e160", "ratio-3e153"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:num_delays=:RuntimeWarning")
     def test_overflowing_flow_is_a_typed_error(self, flow, samples, m, ensemble, message):
         # an overflow must surface neither as eps = nan or inf nor as a raw
         # LinAlgError from the SVD; draw 2 is one that overflows at 3e153

@@ -292,6 +292,25 @@ class TestInfimumSoftRank:
         with pytest.raises(NonFiniteTrajectoryError, match=message):
             pair_soft_rank(flow, tiny[1], tiny[2], params)
 
+    @pytest.mark.parametrize("kind", ["orthogonal", "shift"])
+    @pytest.mark.parametrize("scale", [1e-155, 1e-165, 1e-170, 1e-200])
+    def test_states_below_1e_162_are_not_coincident(self, kind, scale):
+        # below about 1e-162 the squared state distances underflow to 0, which
+        # the coincidence test alone takes for coincident states
+        rng = np.random.default_rng(0)
+        orthogonal = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        flow = make_linear_flow(orthogonal) if kind == "orthogonal" else make_shift_flow(4)
+        samples = scale * rng.standard_normal((6, 4))
+        params = DelayParams(3)
+        message = "samples 0 and 1: their squared trajectory distance underflows"
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            infimum_soft_rank(flow, samples, params)
+        with pytest.raises(NonFiniteTrajectoryError, match=message):
+            pair_soft_rank(flow, samples[0], samples[1], params)
+        samples[3] = samples[1]
+        with pytest.raises(DegeneratePairError, match="samples 1 and 3 coincide"):
+            infimum_soft_rank(flow, samples, params)
+
     def test_needs_two_samples(self):
         flow = make_shift_flow(6)
         with pytest.raises(InvalidArgumentError):
@@ -585,7 +604,8 @@ def integer_cases(draw):
 
     Samples are signed basis states (-e_k carries -0.0) or small integers
     with -0.0 among them; alpha is Rademacher, in {-1, 0, 1}, or small user
-    integers with -0.0 among them.
+    integers with -0.0 among them. Every sum of either path is an exact
+    integer, so the gathered path gives the stack path's bits.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n_amb = draw(st.integers(2, 12))
@@ -609,75 +629,112 @@ def integer_cases(draw):
     return flow, samples, DelayParams(draw(st.integers(1, n_amb + 3))), alpha
 
 
+@st.composite
+def float_cases(draw):
+    """A permutation flow, distinct Gaussian samples at one scale, M up to N + 3, a Gaussian alpha.
+
+    The scale is 10^k for k in -100..100; about a fifth of the sample
+    entries are -0.0. The gathered path rounds differently from the stack
+    path here.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_amb = draw(st.integers(2, 12))
+    flow = permutation_flow(draw(st.sampled_from(PERMUTATION_KINDS)), seed, n_amb)
+    rng = np.random.default_rng(seed)
+    samples = 10.0 ** draw(st.integers(-100, 100)) * rng.standard_normal(
+        (draw(st.integers(2, 10)), n_amb)
+    )
+    samples[rng.random(samples.shape) < 0.2] = -0.0
+    assume(np.unique(samples, axis=0).shape[0] == samples.shape[0])
+    alpha = draw_coeffs("gaussian", n_amb, seed).alpha
+    return flow, samples, DelayParams(draw(st.integers(1, n_amb + 3))), alpha
+
+
 def _path_taken(*args):
-    raise AssertionError("a path that the gate rules out ran")
+    raise AssertionError("a path that this input does not take ran")
 
 
-class TestExactMode:
-    """Exact-integer denominators and delay vectors against the stack path."""
+def _basis_with_entry(entry: float) -> np.ndarray:
+    samples = np.eye(6)[:4].copy()
+    samples[1, 2] = entry
+    return samples
+
+
+class TestPermutationTables:
+    """Gathered denominators and delay vectors of permutation flows against the stack path."""
 
     @staticmethod
-    def check(flow, samples, params, alpha, exact_table, exact_alpha):
-        """Bit-equal traj_dist_sq and ratios, with the ruled-out paths made to raise."""
+    def check(flow, samples, params, alpha, bitwise, gathered=True):
+        """traj_dist_sq and ratios against the stack's, with the path not taken made to raise.
+
+        Bit for bit when ``bitwise``; else traj_dist_sq within 1e-12
+        relative and each ratio within 1e-12 max(1, |ratio|), since a ratio
+        near zero is formed with cancellation.
+        """
         stack = trajectory_matrices(flow, samples, params)
         traj_dist_sq = pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
         ratios = pdist(stack @ alpha, "sqeuclidean") / traj_dist_sq
+        untaken = (
+            ["trajectory_matrices", "_stack_traj_dist_sq", "_stack_delay_vectors"]
+            if gathered
+            else ["permutation_powers", "_gathered_delay_vectors"]
+        )
         with pytest.MonkeyPatch.context() as mp:
-            if exact_table:
-                mp.setattr(spectral, "_stack_traj_dist_sq", _path_taken)
-            else:  # the table never builds O_alpha's index array
-                mp.setattr(spectral, "permutation_powers", _path_taken)
-            if exact_alpha:
-                mp.setattr(spectral, "_stack_delay_vectors", _path_taken)
-            else:
-                mp.setattr(spectral, "_gathered_delay_vectors", _path_taken)
+            for name in untaken:
+                mp.setattr(spectral, name, _path_taken)
             table = PairTable(flow, samples, params)
             table_ratios = table.ratios(alpha)
-        assert table.traj_dist_sq.tobytes() == traj_dist_sq.tobytes()
-        assert table_ratios.tobytes() == ratios.tobytes()
         assert table.state_dist_sq.tobytes() == pdist(samples, "sqeuclidean").tobytes()
+        if bitwise:
+            assert table.traj_dist_sq.tobytes() == traj_dist_sq.tobytes()
+            assert table_ratios.tobytes() == ratios.tobytes()
+        else:
+            assert np.all(np.abs(table.traj_dist_sq - traj_dist_sq) <= 1e-12 * traj_dist_sq)
+            bound = 1e-12 * np.maximum(1.0, np.abs(ratios))
+            assert np.all(np.abs(table_ratios - ratios) <= bound)
 
     @settings(max_examples=150, deadline=None)
     @given(case=integer_cases())
-    def test_exact_mode_is_bit_equal_to_the_stack(self, case):
-        self.check(*case, exact_table=True, exact_alpha=True)
+    def test_integer_inputs_are_bit_equal_to_the_stack(self, case):
+        self.check(*case, bitwise=True)
 
-    @pytest.mark.parametrize("entry", [0.5, 2.0**40, -(2.0**40)])
-    def test_samples_off_the_gate_take_the_stack(self, entry):
-        samples = np.eye(6)[:4].copy()
-        samples[1, 2] = entry
-        alpha = draw_coeffs("rademacher", 6, 3).alpha
-        self.check(make_shift_flow(6), samples, DelayParams(4), alpha, False, False)
+    @settings(max_examples=150, deadline=None)
+    @given(case=float_cases())
+    def test_float_inputs_agree_with_the_stack(self, case):
+        self.check(*case, bitwise=False)
+
+    @pytest.mark.parametrize(
+        "samples, m",
+        [
+            (_basis_with_entry(0.5), 4),
+            (_basis_with_entry(2.0**40), 4),
+            (_basis_with_entry(-(2.0**40)), 4),
+            # N = 2, M = 1: M N (2 max|x|)^2 just past 2^53
+            (np.array([[2.0**25 + 1, 3.0], [-1.0, -(2.0**25 + 1)]]), 1),
+        ],
+        ids=["half", "2^40", "-2^40", "2^25+1"],
+    )
+    def test_non_integer_or_large_samples_take_the_gathered_path(self, samples, m):
+        n_amb = samples.shape[1]
+        alpha = draw_coeffs("rademacher", n_amb, 3).alpha
+        # every sum of these integers is exact, however large
+        integers = bool(np.all(samples == np.rint(samples)))
+        self.check(make_shift_flow(n_amb), samples, DelayParams(m), alpha, bitwise=integers)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0**40])
-    def test_non_integer_or_large_alpha_takes_the_stack_numerator(self, scale):
+    def test_non_integer_or_large_alpha_takes_the_gathered_path(self, scale):
         flow = relabelled_shift_flow(5, 7)
         samples = exact_orbit(flow, np.eye(7)[2], 7, backward=False)
         alpha = scale * draw_coeffs("gaussian", 7, 11).alpha
         if scale == 2.0**40:
             alpha = np.rint(alpha)
-        self.check(flow, samples, DelayParams(5), alpha, True, False)
+        # on basis states each delay-vector entry is one coefficient, exact
+        self.check(flow, samples, DelayParams(5), alpha, bitwise=True)
 
     def test_non_permutation_flows_take_the_stack(self):
         flow = well_conditioned_flow(2, 5)
         alpha = draw_coeffs("rademacher", 5, 2).alpha
-        self.check(flow, np.eye(5), DelayParams(3), alpha, False, False)
-
-    @pytest.mark.parametrize(
-        "m, max_abs, exact_table, exact_alpha",
-        [
-            # N = 2, unit alpha: M N (2 max|x|)^2 and M (2 N max|x|)^2 reach
-            # 2^53 exactly at M = 1, max|x| = 2^25 and M = 2, max|x| = 2^24
-            (2, 2**24, True, True),
-            (2, 2**24 + 1, True, False),
-            (1, 2**25, True, False),
-            (1, 2**25 + 1, False, False),
-        ],
-    )
-    def test_the_bounds_include_2_to_the_53(self, m, max_abs, exact_table, exact_alpha):
-        samples = np.array([[max_abs, 3.0], [-1.0, -max_abs]])
-        alpha = np.array([1.0, -1.0])
-        self.check(make_shift_flow(2), samples, DelayParams(m), alpha, exact_table, exact_alpha)
+        self.check(flow, np.eye(5), DelayParams(3), alpha, bitwise=True, gathered=False)
 
     def test_state_distances_are_the_square_of_pdist(self):
         # the coincidence check takes sqrt(state_dist_sq) for pdist(samples),
@@ -690,11 +747,11 @@ class TestExactMode:
                 assert np.sqrt(pdist(samples, "sqeuclidean")).tobytes() == dists.tobytes()
 
 
-class TestStackFreeExactMode:
-    """Exact-mode tables gather each pair difference from the samples and build no stack."""
+class TestStackFreePermutationTables:
+    """Permutation-flow tables gather each pair difference from the samples and build no stack."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=integer_cases(), data=st.data())
+    @given(case=st.one_of(integer_cases(), float_cases()), data=st.data())
     def test_differences_are_bit_equal_to_the_stack(self, case, data):
         flow, samples, params, _alpha = case
         stack = trajectory_matrices(flow, samples, params)
@@ -724,7 +781,7 @@ class TestStackFreeExactMode:
         assert table.stack.tobytes() == stack.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(case=integer_cases(), pick=st.data())
+    @given(case=st.one_of(integer_cases(), float_cases()), pick=st.data())
     def test_two_sample_tables_are_bit_equal_to_the_stack(self, case, pick):
         flow, samples, params, _alpha = case
         i, j = pick.draw(
@@ -738,47 +795,42 @@ class TestStackFreeExactMode:
         assert result.singular_values.tobytes() == expected.singular_values.tobytes()
         assert result.value == expected.value
 
+    @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
     @pytest.mark.parametrize("keep_per_pair", [False, True])
     @pytest.mark.parametrize("order", ["orbit", "shuffled"])
-    def test_exact_scan_and_integer_draws_build_no_stack(self, monkeypatch, keep_per_pair, order):
+    def test_scans_and_draws_build_no_stack(self, monkeypatch, ensemble, keep_per_pair, order):
         flow = make_shift_flow(24)
         samples = np.eye(24)
         if order == "shuffled":  # not an orbit order, so the Gram screen runs
             samples = samples[np.random.default_rng(3).permutation(24)]
         expected = monte_carlo(
-            flow, samples, DelayParams(6), "rademacher", 20, base_seed=4,
+            flow, samples, DelayParams(6), ensemble, 20, base_seed=4,
             keep_per_pair=keep_per_pair,
         )
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
         report = monte_carlo(
-            flow, samples, DelayParams(6), "rademacher", 20, base_seed=4,
+            flow, samples, DelayParams(6), ensemble, 20, base_seed=4,
             threads=2, keep_per_pair=keep_per_pair,
         )
         assert report.infimum_soft_rank == expected.infimum_soft_rank
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
         assert report.num_certified == expected.num_certified
         if keep_per_pair:
+            assert report.table._stack is None  # not gathered either
             assert report.soft_ranks.tobytes() == expected.soft_ranks.tobytes()
             assert report.ratios.tobytes() == expected.ratios.tobytes()
 
-    def test_non_integer_alpha_gathers_the_stack_once(self, monkeypatch):
-        gathered = []
-
-        def counting(states, powers):
-            gathered.append(states.shape)
-            return _gathered_rows(states, powers)
-
+    def test_gaussian_alpha_gathers_no_stack(self, monkeypatch):
         flow, params = make_shift_flow(8), DelayParams(3)
         table = infimum_soft_rank(flow, np.eye(8), params).table
-        monkeypatch.setattr(spectral, "_gathered_rows", counting)
+        monkeypatch.setattr(spectral, "_gathered_rows", _path_taken)
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
-        table.ratios(draw_coeffs("rademacher", 8, 0).alpha)
-        assert gathered == []
         alpha = draw_coeffs("gaussian", 8, 0).alpha
         first, second = table.ratios(alpha), table.ratios(alpha)
-        assert gathered == [(8, 8)]
+        assert table._stack is None
+        # on basis states each delay-vector entry is one coefficient, exact
         stack = trajectory_matrices(flow, np.eye(8), params)
-        expected = pdist(stack @ alpha, "sqeuclidean") / table.traj_dist_sq
+        expected = pdist(stack @ alpha, "sqeuclidean") / pdist(stack.reshape(8, -1), "sqeuclidean")
         assert first.tobytes() == second.tobytes() == expected.tobytes()
 
 
