@@ -22,11 +22,11 @@ RUNS = [
 ]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-root", default="results")
     parser.add_argument("--threads", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for command, config_name, out_name in RUNS:
         config_path = os.path.join(CONFIG_DIR, config_name)

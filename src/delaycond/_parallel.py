@@ -11,11 +11,20 @@ from .errors import InvalidArgumentError
 T = TypeVar("T")
 R = TypeVar("R")
 
+# The most workers ``threads`` may ask for, well above the core counts these
+# passes gain from. A pass is cut into at least one chunk per worker, and each
+# busy worker is an OS thread, so an unbounded count would start one thread
+# per pair (8 128 on a 128-sample table) and list ``threads + 1`` chunk bounds.
+MAX_THREADS = 256
+
 
 def resolve_threads(threads: int) -> int:
-    """The number of workers ``threads`` asks for: itself, or the CPU count for 0."""
-    if threads < 0:
-        raise InvalidArgumentError(f"threads must be >= 0, got {threads}")
+    """The number of workers ``threads`` asks for: itself, or the CPU count for 0.
+
+    ``threads`` outside ``[0, MAX_THREADS]`` is an ``InvalidArgumentError``.
+    """
+    if not 0 <= threads <= MAX_THREADS:
+        raise InvalidArgumentError(f"threads: must be in [0, {MAX_THREADS}], got {threads}")
     return threads or os.cpu_count() or 1
 
 

@@ -11,7 +11,7 @@ import pytest
 import scipy
 from scipy.spatial.distance import pdist
 
-from delaycond import runner, spectral
+from delaycond import _parallel, runner, spectral
 from delaycond.cli import main
 from delaycond.config import (
     _KNOWN_KEYS,
@@ -384,26 +384,6 @@ class TestRunScalingStudy:
 
 
 class TestRunFullReport:
-    def test_report_files_and_determinism(self, tmp_path):
-        config = load_config(
-            minimal_shift_config(
-                tmp_path, ambient_dim="16", num_samples="16", delays="4",
-                num_draws="20",
-            )
-        )
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        run_full_report(config, out_a)
-        run_full_report(config, out_b, threads=4)
-        names = ["embedding_report.json", "per_pair.csv", "geometry.json"]
-        for name in names:
-            with open(os.path.join(out_a, name), "rb") as fa:
-                digest_a = hashlib.sha256(fa.read()).hexdigest()
-            with open(os.path.join(out_b, name), "rb") as fb:
-                digest_b = hashlib.sha256(fb.read()).hexdigest()
-            assert digest_a == digest_b, f"{name} differs between reruns"
-        assert not os.path.exists(os.path.join(out_a, "theorem_check.json"))
-
     def test_report_content(self, tmp_path):
         config = load_config(
             minimal_shift_config(
@@ -431,6 +411,8 @@ class TestRunFullReport:
         assert manifold["volume"] > 0.0
         assert manifold["reach"] > 0.0
         assert geometry["inverse_flow_lyapunov"]["exponent"] == pytest.approx(0.0, abs=1e-10)
+        # no c_user and manifold_dim, so no sufficient-condition check
+        assert not os.path.exists(os.path.join(out, "theorem_check.json"))
 
     def test_per_pair_ratio_columns_are_per_pair_reductions(self, tmp_path, monkeypatch):
         matrix_file = tmp_path / "m.csv"
@@ -896,6 +878,25 @@ class TestCliMain:
         assert main(["report", "--config", config_path, "--out", str(out), *argv]) == 1
         captured = capsys.readouterr()
         assert f"error: {key}: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["lemma-check", "scaling", "report"])
+    def test_threads_above_the_bound_exit_one_before_any_pool(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+        config_path = minimal_shift_config(
+            tmp_path, delays="2, 3, 4" if command == "scaling" else "4"
+        )
+        out = tmp_path / "o"
+        argv = ["--config", config_path, "--out", str(out), "--threads", str(10**9)]
+        assert main([command, *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"error: threads: must be in [0, {_parallel.MAX_THREADS}]" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

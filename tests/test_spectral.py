@@ -529,9 +529,24 @@ class TestScreenedScan:
         scan = infimum_soft_rank(flow, np.eye(32), params)
         assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
 
-    def test_negative_threads_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="threads"):
-            infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=-1)
+    @pytest.mark.parametrize("threads", [-1, _parallel.MAX_THREADS + 1, 10**9])
+    def test_threads_out_of_range_rejected_before_any_pool(self, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pass was cut or a thread pool started")
+
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spectral, "_chunks", no_pool)
+        with pytest.raises(InvalidArgumentError, match="threads: "):
+            infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=threads)
+        with pytest.raises(InvalidArgumentError, match="threads: "):
+            _parallel.ordered_map(abs, [1, 2], threads)
+
+    def test_the_thread_bound_itself_is_accepted(self):
+        # one pair, so one chunk and no worker thread beyond the caller's
+        scan = infimum_soft_rank(
+            make_shift_flow(2), np.eye(2), DelayParams(1), threads=_parallel.MAX_THREADS
+        )
+        assert (scan.num_pairs, scan.num_chunks) == (1, 2)
 
     @pytest.mark.parametrize("num", [0, 1, 4, 5, 255, 1000])
     @pytest.mark.parametrize("threads", [0, 1, 2, 3])
@@ -709,12 +724,12 @@ class TestPermutationTables:
             (_basis_with_entry(0.5), 4),
             (_basis_with_entry(2.0**40), 4),
             (_basis_with_entry(-(2.0**40)), 4),
-            # N = 2, M = 1: M N (2 max|x|)^2 just past 2^53
+            # N = 2, M = 1: a squared distance of 52 significant bits, still exact
             (np.array([[2.0**25 + 1, 3.0], [-1.0, -(2.0**25 + 1)]]), 1),
         ],
         ids=["half", "2^40", "-2^40", "2^25+1"],
     )
-    def test_non_integer_or_large_samples_take_the_gathered_path(self, samples, m):
+    def test_integer_samples_are_bit_equal_else_within_1e_12(self, samples, m):
         n_amb = samples.shape[1]
         alpha = draw_coeffs("rademacher", n_amb, 3).alpha
         # every sum of these integers is exact, however large
@@ -722,7 +737,7 @@ class TestPermutationTables:
         self.check(make_shift_flow(n_amb), samples, DelayParams(m), alpha, bitwise=integers)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0**40])
-    def test_non_integer_or_large_alpha_takes_the_gathered_path(self, scale):
+    def test_fractional_or_large_alpha_is_bit_equal_on_basis_states(self, scale):
         flow = relabelled_shift_flow(5, 7)
         samples = exact_orbit(flow, np.eye(7)[2], 7, backward=False)
         alpha = scale * draw_coeffs("gaussian", 7, 11).alpha
@@ -731,7 +746,7 @@ class TestPermutationTables:
         # on basis states each delay-vector entry is one coefficient, exact
         self.check(flow, samples, DelayParams(5), alpha, bitwise=True)
 
-    def test_non_permutation_flows_take_the_stack(self):
+    def test_non_permutation_flows_are_bit_equal_to_the_stack(self):
         flow = well_conditioned_flow(2, 5)
         alpha = draw_coeffs("rademacher", 5, 2).alpha
         self.check(flow, np.eye(5), DelayParams(3), alpha, bitwise=True, gathered=False)
