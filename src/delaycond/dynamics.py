@@ -248,8 +248,8 @@ def lyapunov_exponent_inverse_flow(
     """
     if num_steps < 10:
         raise InvalidArgumentError(f"num_steps must be >= 10, got {num_steps}")
-    if not perturbation > 0:
-        raise InvalidArgumentError(f"perturbation must be positive, got {perturbation}")
+    if not (perturbation > 0 and math.isfinite(perturbation)):
+        raise InvalidArgumentError(f"perturbation must be positive and finite, got {perturbation}")
     if num_probes < 1:
         raise InvalidArgumentError(f"num_probes must be >= 1, got {num_probes}")
     _check_seed(seed)

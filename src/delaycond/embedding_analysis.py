@@ -225,7 +225,8 @@ def monte_carlo(
     soft ranks and the full (draws, pairs) ratio matrix for per-pair
     reporting. ``draws``, when given,
     holds the coefficients of those draws, already made; ``scaling_study``
-    makes them once for every M.
+    makes them once for every M. Each must have the flow's dimension, which
+    is checked before the scan.
     """
     if num_draws < 1:
         raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
@@ -233,6 +234,9 @@ def monte_carlo(
         draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
     elif len(draws) != num_draws:
         raise InvalidArgumentError(f"got {len(draws)} draws for num_draws = {num_draws}")
+    else:
+        for coeffs in draws:
+            _check_coeffs(flow, coeffs)
     scan = infimum_soft_rank(flow, samples, params, threads=threads)
     table = scan.table
     per_draw = []
@@ -331,6 +335,21 @@ def scaling_study(
     return ScalingStudyResult(rows=rows, slope=slope, slope_stderr=stderr, reports=reports)
 
 
+def _finite_term(name: str, evaluate) -> float:
+    """``evaluate()``, which must be finite; an overflow is an error naming the term.
+
+    Python's float power raises ``OverflowError`` and its products go to
+    inf; either way the condition cannot be evaluated in double precision.
+    """
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"theorem check: the term {name} overflows")
+    return value
+
+
 def theorem_condition_check(
     infimum_soft_rank: float,
     epsilon: float,
@@ -342,7 +361,9 @@ def theorem_condition_check(
     """Evaluate the sufficient condition with an explicitly supplied constant.
 
     All inputs must be positive; the constant hidden in the asymptotic
-    statement is supplied by the caller and never invented here.
+    statement is supplied by the caller and never invented here. A term of
+    the condition that overflows a double is an ``InvalidArgumentError``
+    naming it.
     """
     values = {
         "infimum_soft_rank": infimum_soft_rank,
@@ -360,15 +381,23 @@ def theorem_condition_check(
         float(value) for value in values.values()
     )
 
-    log_arg = math.sqrt(infimum_soft_rank) * volume ** (1.0 / manifold_dim) / reach
+    log_arg = _finite_term(
+        "sqrt(infimum_soft_rank) * volume^(1/manifold_dim) / reach",
+        lambda: math.sqrt(infimum_soft_rank) * volume ** (1.0 / manifold_dim) / reach,
+    )
     degenerate = log_arg <= 1.0
     if degenerate:
         required = 0.0
         satisfied = False
     else:
-        required = c_user * epsilon**-2 * manifold_dim * math.log(log_arg)
-        volume_ok = volume >= c_user * reach**manifold_dim
-        satisfied = bool(infimum_soft_rank >= required and volume_ok)
+        required = _finite_term(
+            "required_soft_rank = c_user * epsilon^-2 * manifold_dim * log(...)",
+            lambda: c_user * epsilon**-2 * manifold_dim * math.log(log_arg),
+        )
+        volume_floor = _finite_term(
+            "c_user * reach^manifold_dim", lambda: c_user * reach**manifold_dim
+        )
+        satisfied = bool(infimum_soft_rank >= required and volume >= volume_floor)
     return TheoremCheck(
         infimum_soft_rank=infimum_soft_rank,
         epsilon=epsilon,

@@ -31,17 +31,14 @@ included. Chunks of either pass are
 spread over the ``threads`` workers, and a pass of at least ``threads``
 pairs has at least one chunk per worker. A chunk is sized in bytes, at most
 ``_CHUNK_BYTES`` of differences or one pair, so a worker's working set does
-not grow with M N. There are two screens:
-
-- When the samples are one exact orbit of a permutation flow (the cyclic
-  shift's orbits, checked by ``dynamics.is_permutation_orbit``), the
-  trajectory matrix of state i is that of state 0 with its columns permuted,
-  so pair (i, j) has the exact singular values of pair (0, j - i). The
-  screen value of every pair of a class is the dense soft rank of its
-  representative (0, d), n - 1 SVDs in all.
-- Otherwise each pair is screened from its smaller Gram matrix (D D^T, or
-  D^T D when M > N): its trace is ||D||_F^2 and its top eigenvalue
-  ||D||_2^2.
+not grow with M N. The screen value of a pair comes from the smaller Gram
+matrix of its difference (D D^T, or D^T D when M > N): its trace is
+||D||_F^2 and its top eigenvalue ||D||_2^2. When the samples are one exact
+orbit of a permutation flow (the cyclic shift's orbits, checked by
+``dynamics.is_permutation_orbit``), the trajectory matrix of state i is that
+of state 0 with its columns permuted, so pair (i, j) has the exact singular
+values of pair (0, j - i); the screen then runs over those n - 1 class
+representatives alone and gives every pair the value of its class.
 """
 
 from __future__ import annotations
@@ -110,9 +107,9 @@ class PairScanResult:
     dense SVD the minimum was taken over. ``num_chunks`` counts the chunks
     of pair differences the scan formed, over both its passes.
     ``soft_ranks`` holds every pair's soft rank in ``pair_indices`` order: a
-    certified pair's own dense value, any other pair's screen value (on an
-    orbit, the dense value of its class representative (0, j - i)), its own
-    up to rounding. ``table`` is the pair table the scan ran on, for callers
+    certified pair's own dense value, any other pair's Gram-screened value
+    (on an orbit, that of its class representative (0, j - i)), its own up
+    to rounding. ``table`` is the pair table the scan ran on, for callers
     that go on to use the same pairs.
     """
 
@@ -169,20 +166,24 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _band_rtol(m: int, n: int) -> float:
     """Bound rtol on the relative rounding error of a computed soft rank of an m x n D.
 
-    It bounds both the gap between a Gram-screened and a dense soft rank and
-    the gap between a dense soft rank and the exact value. With unit
-    roundoff u and p = min(m, n): each Gram entry is an inner product of
-    length max(m, n), so the Gram is off by at most max(m, n) u ||D||_F^2
-    <= m n u ||D||_2^2 in norm, which moves its top eigenvalue by as much,
-    and its trace, ||D||_F^2, by at most (m + n) u relative; eigvalsh and
-    the SVD are backward stable, adding c p u and c m n u with LAPACK's
-    modest constant c. The factor 16 covers these terms with room: at
-    m = 32, n = 256 the bound is 3e-11, while measured gaps stay below
-    4e-15, and 5.7e-14 between the dense values of one orbit separation
-    class. The Gram screen's band is (1 + rtol) / (1 - rtol) <= 1 + 3 rtol;
-    the orbit screen's is its square, ((1 + rtol) / (1 - rtol))^2 <= 1 + 5
-    rtol, since both its screen value and the screened dense value are
-    off the class's exact value. Both inequalities hold for rtol <= 0.1.
+    A Gram-screened and a dense soft rank are each within rtol of the exact
+    value. With unit roundoff u and p = min(m, n): each Gram entry is an
+    inner product of length max(m, n), so the Gram is off by at most
+    max(m, n) u ||D||_F^2 <= m n u ||D||_2^2 in norm, which moves its top
+    eigenvalue by as much, and its trace, ||D||_F^2, by at most (m + n) u
+    relative; eigvalsh and the SVD are backward stable, adding c p u and
+    c m n u with LAPACK's modest constant c. The factor 16 covers these
+    terms with room: at m = 32, n = 256 the bound is 3e-11, while measured
+    gaps stay below 4e-15, and 5.7e-14 between the dense values of one orbit
+    separation class.
+
+    The scan's band is 1 + 5 rtol. A screen value and the dense value it
+    stands for (on an orbit, a class representative's Gram value and a
+    member's dense value, both off the class's exact value) are each within
+    rtol of one exact value, so they differ by at most a factor (1 + rtol) /
+    (1 - rtol). A pair at the dense minimum therefore screens within
+    ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol of the smallest screen value;
+    the inequality holds for rtol <= 0.1.
     """
     return 16.0 * float(np.finfo(float).eps) * (m * n + m + n)
 
@@ -388,20 +389,20 @@ def infimum_soft_rank(
     """Exact minimum of the pair soft rank over all C(n, 2) sample pairs.
 
     Coincident samples are a hard error, never skipped. Every pair gets a
-    screen value: on an exact permutation-flow orbit
-    (``dynamics.is_permutation_orbit``) the dense value of its class
-    representative (0, j - i), else its Gram-screened value. Every pair in
-    the screen's rounding band gets its own dense SVD, which replaces its
-    screen value in ``soft_ranks``. ``infimum`` and ``argmin_pair`` are
-    those dense values, identical to a sequential dense scan of every pair,
-    whichever ``threads`` (0 picks the CPU count) evaluate the chunks. A
-    pair off the band keeps a screen value above the band, within rounding
-    of its own dense value, so ``min(soft_ranks) == infimum``.
+    Gram-screened value: on an exact permutation-flow orbit
+    (``dynamics.is_permutation_orbit``) that of its class representative
+    (0, j - i), else its own. Every pair in the screen's rounding band gets
+    its own dense SVD, which replaces its screen value in ``soft_ranks``.
+    ``infimum`` and ``argmin_pair`` are those dense values, identical to a
+    sequential dense scan of every pair, whichever ``threads`` (0 picks the
+    CPU count) evaluate the chunks. A pair off the band keeps a screen value
+    above the band, within rounding of its own dense value, so
+    ``min(soft_ranks) == infimum``.
     """
     workers = resolve_threads(threads)
     table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
-    rtol = _band_rtol(*table.shape[1:])
+    band = 1.0 + 5.0 * _band_rtol(*table.shape[1:])
     pair_floats = table.shape[1] * table.shape[2]
     num_chunks = 0
 
@@ -414,22 +415,12 @@ def infimum_soft_rank(
             ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
         )
 
-    if is_permutation_orbit(flow, table.samples):
+    orbit = is_permutation_orbit(flow, table.samples)
+    screened = scan_pass(_screened_soft_ranks, table.shape[0] - 1 if orbit else num_pairs)
+    if orbit:
         # pair (i, j) has the exact singular values of the pair (0, j - i),
         # and the pairs (0, d) lead the pair order
-        representatives = scan_pass(_dense_soft_ranks, table.shape[0] - 1)
-        screened = representatives[table.j_idx - table.i_idx - 1]
-        # a representative and every member's dense value are each within
-        # rtol of the class's exact value, so the representative screens
-        # each member within (1 + rtol) / (1 - rtol), and the band is
-        # ((1 + rtol) / (1 - rtol))^2 <= 1 + 5 rtol
-        band = 1.0 + 5.0 * rtol
-    else:
-        screened = scan_pass(_screened_soft_ranks, num_pairs)
-        # if every screened value is within rtol of its dense value, each
-        # pair at or below the dense minimum screens within (1 + rtol) /
-        # (1 - rtol) <= 1 + 3 rtol of the screened minimum
-        band = 1.0 + 3.0 * rtol
+        screened = screened[table.j_idx - table.i_idx - 1]
     # NaN fails every comparison, so a NaN screen value sends its pair to the SVD
     candidates = np.flatnonzero(~(screened > np.min(screened) * band))
     values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])

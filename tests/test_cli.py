@@ -315,9 +315,9 @@ class TestRunLemmaCheck:
                 assert hashlib.sha256(data.read()).hexdigest() == digest
 
     def test_lemma_check_certifies_the_minimal_classes(self, tmp_path):
-        # on the 8-state orbit, the scan takes the 7 representatives (0, d) and
-        # certifies the circularly adjacent classes d = 1 and 7, 7 + 1 pairs:
-        # one chunk each, 15 dense SVDs in place of 28
+        # on the 8-state orbit, the scan screens the 7 representatives (0, d)
+        # by Gram and certifies the circularly adjacent classes d = 1 and 7,
+        # 7 + 1 pairs: one chunk each, 8 dense SVDs in place of 28
         config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
         run_lemma_check(config, str(tmp_path / "out"))
         with open(tmp_path / "out" / "run_manifest.json", encoding="utf-8") as handle:
@@ -361,7 +361,7 @@ class TestRunScalingStudy:
             )
         )
         run_scaling_study(config, str(tmp_path / "orbit"))
-        # the same run with the orbit screen switched off takes the Gram screen
+        # the same run with the orbit gate switched off screens every pair
         monkeypatch.setattr(spectral, "is_permutation_orbit", lambda flow, states: False)
         run_scaling_study(config, str(tmp_path / "gram"))
         manifests = {}
@@ -878,6 +878,17 @@ class TestCliMain:
         assert main(["report", "--config", config_path, "--out", str(out), *argv]) == 1
         captured = capsys.readouterr()
         assert f"error: {key}: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_overflowing_theorem_term_exit_one(self, tmp_path, capsys):
+        # every draw runs; then the orbit's volume to the power 1 / 0.001 overflows
+        config_path = minimal_shift_config(tmp_path, c_user="1.0", manifold_dim="0.001")
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: theorem check: the term " in captured.err
+        assert "volume^(1/manifold_dim)" in captured.err and "overflows" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

@@ -334,5 +334,8 @@ class TestLyapunovExponent:
         flow = make_shift_flow(4)
         with pytest.raises(InvalidArgumentError):
             lyapunov_exponent_inverse_flow(flow, np.eye(4)[0], num_steps=5, perturbation=1e-8)
-        with pytest.raises(InvalidArgumentError):
-            lyapunov_exponent_inverse_flow(flow, np.eye(4)[0], num_steps=100, perturbation=0.0)
+        for perturbation in (0.0, -1e-8, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError, match="perturbation must be positive"):
+                lyapunov_exponent_inverse_flow(
+                    flow, np.eye(4)[0], num_steps=100, perturbation=perturbation
+                )

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from delaycond import (
     trajectory_matrices,
     user_coeffs,
 )
+from delaycond import embedding_analysis
 from delaycond.delay_map import (
     delay_vector,
     derive_seed,
@@ -34,6 +38,10 @@ from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_
 from test_spectral import assert_kept_soft_ranks
 
 PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the scan ran")
 
 
 def pair_family(family: str, seed: int):
@@ -129,8 +137,8 @@ class TestOnePairViews:
         soft_ranks = infimum_soft_rank(flow, samples, params).soft_ranks
         stack = trajectory_matrices(flow, samples, params)
         # a pair in the band takes its own dense value; a pair off the band
-        # of an exact permutation-flow orbit takes that of (0, j - i), and
-        # any other its screen value, within rounding of its own
+        # takes its Gram-screened value (on an exact permutation-flow orbit,
+        # that of (0, j - i)), within rounding of its own
         assert_kept_soft_ranks(flow, samples, params, soft_ranks)
         for k, (i, j) in enumerate(zip(*pair_indices(samples.shape[0]))):
             x, y = samples[i], samples[j]
@@ -233,6 +241,17 @@ class TestMonteCarlo:
                     flow, np.eye(8), DelayParams(2), "rademacher", num_draws, 0,
                     keep_per_pair=keep, draws=draws,
                 )
+
+    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("kind", ["shift", "linear"])
+    def test_given_draws_of_the_wrong_length_are_a_typed_error(self, monkeypatch, kind, n):
+        # a permutation flow gathers alpha, any other flow multiplies by it;
+        # both would fail inside numpy, so the draws are checked before the scan
+        flow = make_shift_flow(8) if kind == "shift" else well_conditioned_flow(3, 8)
+        draws = [draw_coeffs("rademacher", 8, 0), draw_coeffs("rademacher", n, 1)]
+        monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
+        with pytest.raises(DimensionMismatchError, match=f"length {n}, flow ambient dimension is 8"):
+            monte_carlo(flow, np.eye(8), DelayParams(2), "rademacher", 2, 0, draws=draws)
 
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)
@@ -460,3 +479,25 @@ class TestTheoremConditionCheck:
         # numpy scalars are real numbers too
         numpy_typed = dict(good, infimum_soft_rank=np.int64(10), reach=np.float32(1.0))
         assert theorem_condition_check(**numpy_typed) == theorem_condition_check(**good)
+
+    @pytest.mark.parametrize(
+        "overrides, term",
+        [
+            ({"manifold_dim": 0.001}, "volume^(1/manifold_dim)"),  # float power raises
+            ({"reach": 5e-324}, "volume^(1/manifold_dim) / reach"),  # a quotient goes to inf
+            ({"epsilon": 1e-200}, "epsilon^-2"),
+            ({"c_user": 1e300, "epsilon": 1e-10}, "required_soft_rank"),
+            ({"manifold_dim": 2000.0, "reach": 2.0}, "c_user * reach^manifold_dim"),
+        ],
+        ids=["volume", "reach", "epsilon", "product", "volume-floor"],
+    )
+    def test_overflowing_term_is_a_typed_error(self, overrides, term):
+        good = dict(
+            infimum_soft_rank=1000.0, epsilon=0.5, manifold_dim=1.0, volume=10.0, reach=1.0,
+            c_user=1.0,
+        )
+        with pytest.raises(InvalidArgumentError, match=re.escape(term) + ".* overflows"):
+            theorem_condition_check(**dict(good, **overrides))
+        # where nothing overflows, the formula's own bits
+        required = 1.0 * 0.5**-2 * 1.0 * math.log(math.sqrt(1000.0) * 10.0 ** (1.0 / 1.0) / 1.0)
+        assert theorem_condition_check(**good).required_soft_rank == required

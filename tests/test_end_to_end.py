@@ -9,9 +9,12 @@ Four cases, each run in-process at ``--threads 1`` and ``2``:
 - ``float_origin``: a ``scaling`` run on the 64-state shift from a seeded
   Gaussian origin, where a permutation flow's sums round;
 - ``shuffled_lemma``: a ``lemma-check`` on the 64-state basis out of orbit
-  order, where pairs off the band keep their Gram-screened soft ranks.
+  order, whose screen takes every pair, not the orbit's class
+  representatives.
 
-The shuffled run must also match the orbit-ordered run pair by pair.
+The shuffled run must also match the orbit-ordered run pair by pair, and
+each benchmark workload's run at seed 0 must pass the benchmark's own output
+check against its stored reference in ``perfbench/reference/``.
 """
 
 import csv
@@ -40,8 +43,9 @@ def load_module(relative):
 
 
 run_shift_experiment = load_module("scripts/run_shift_experiment.py")
-# the benchmark's input generator, read only
+# the benchmark's input generator and output check, read only
 workloads = load_module("perfbench/workloads.py")
+checks = load_module("perfbench/checks.py")
 
 
 def write_lines(path, *lines):
@@ -163,7 +167,7 @@ def soft_ranks(path):
 
 
 def test_shuffled_basis_lemma_check_matches_the_orbit_order(runs):
-    # pairs off the band take their Gram-screened value shuffled and their
+    # pairs off the band take their own Gram-screened value shuffled and their
     # class representative's in orbit order; both are within rounding of the
     # pair's dense value
     (shuffled,) = runs("shuffled_lemma")[1]
@@ -183,3 +187,16 @@ def test_shuffled_basis_lemma_check_matches_the_orbit_order(runs):
             assert abs(value - want[pair]) <= 1e-12 * max(abs(value), abs(want[pair])), (
                 f"M = {m}: basis pair {pair}"
             )
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_benchmark_workload_matches_its_stored_reference(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    reference = REPO / "perfbench" / "reference" / name
+    reference /= "seed-0" if workload.seed_dependent else "any-seed"
+    assert reference.is_dir()  # check_outputs skips the comparison without one
+    config = workload.write_inputs(str(tmp_path), 0)
+    out = run_cli(
+        workload.subcommand, config, tmp_path / "out", "--seed", "0", "--threads", "2"
+    )
+    assert checks.check_outputs(workload, str(out), str(reference)) == []

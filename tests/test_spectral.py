@@ -49,12 +49,11 @@ ADJACENT_SHIFT8_M4 = 8.0 / (2.0 + 2.0 * math.cos(math.pi / 5.0))
 def assert_kept_soft_ranks(flow, samples, params, soft_ranks):
     """A scan's per-pair values against ``pair_soft_rank`` alone; returns the scan's band.
 
-    On an exact permutation-flow orbit the screen value of pair (i, j) is
-    the own dense value of its class representative (0, j - i), and the band
-    1 + 5 rtol; otherwise it is the pair's Gram-screened value, and the band
-    1 + 3 rtol. A pair within the band of the smallest screen value has its
-    own dense value bit for bit. A pair off the band of an orbit has its
-    representative's, bit for bit; any other pair off the band lies within
+    The screen value of pair (i, j) is its Gram-screened value; on an exact
+    permutation-flow orbit it is that of its class representative
+    (0, j - i). The band is 1 + 5 rtol. A pair within the band of the
+    smallest screen value has its own dense value bit for bit, and a pair
+    off the band its screen value bit for bit, which lies within
     (1 + rtol) / (1 - rtol) of its own.
     """
     samples = np.asarray(samples, dtype=float)
@@ -63,19 +62,15 @@ def assert_kept_soft_ranks(flow, samples, params, soft_ranks):
         [pair_soft_rank(flow, samples[i], samples[j], params).value for i, j in zip(i_idx, j_idx)]
     )
     rtol = spectral._band_rtol(params.num_delays, flow.ambient_dim)
-    orbit = is_permutation_orbit(flow, samples)
-    if orbit:
+    table = PairTable(flow, samples, params)
+    if is_permutation_orbit(flow, samples):
         # the pairs (0, d) lead the pair order
-        screen = own[: samples.shape[0] - 1][j_idx - i_idx - 1]
-        band = 1.0 + 5.0 * rtol
+        representatives = table.differences(slice(0, samples.shape[0] - 1))
+        screen = spectral._screened_soft_ranks(representatives)[j_idx - i_idx - 1]
     else:
-        table = PairTable(flow, samples, params)
         screen = spectral._screened_soft_ranks(table.differences(slice(0, table.num_pairs)))
-        band = 1.0 + 3.0 * rtol
-    in_band = ~(screen > np.min(screen) * band)
-    assert soft_ranks[in_band].tobytes() == own[in_band].tobytes()
-    if orbit:
-        assert soft_ranks.tobytes() == np.where(in_band, own, screen).tobytes()
+    in_band = ~(screen > np.min(screen) * (1.0 + 5.0 * rtol))
+    assert soft_ranks.tobytes() == np.where(in_band, own, screen).tobytes()
     ratio = soft_ranks / own
     assert np.all(ratio <= (1.0 + rtol) / (1.0 - rtol))
     assert np.all(1.0 / ratio <= (1.0 + rtol) / (1.0 - rtol))
@@ -221,8 +216,8 @@ class TestInfimumSoftRank:
 
     def test_matches_sequential_pair_scan(self):
         # a pair in the band has its own dense value bit for bit; off the band,
-        # a pair of the orbit has that of (0, j - i), and a pair of the
-        # shuffled states its Gram-screened value, within rounding of its own
+        # a pair of the orbit has the Gram-screened value of (0, j - i), and a
+        # pair of the shuffled states its own, within rounding of its dense value
         flow = make_shift_flow(8)
         eye = np.eye(8)
         params = DelayParams(3)
@@ -365,8 +360,15 @@ def scan_cases(draw):
     return flow, samples, params, gated
 
 
-def _no_gram_screen(diffs):
-    raise AssertionError("the Gram screen ran")
+def counting_screen(rows):
+    """The Gram screen, appending to ``rows`` the number of differences each call receives."""
+    screen = spectral._screened_soft_ranks
+
+    def counted(diffs):
+        rows.append(diffs.shape[0])
+        return screen(diffs)
+
+    return counted
 
 
 def _per_pair_csv(report) -> bytes:
@@ -379,7 +381,7 @@ def _per_pair_csv(report) -> bytes:
 
 
 class TestScreenedScan:
-    """Both screens plus dense certification against the exhaustive dense scan."""
+    """The Gram screen plus dense certification against the exhaustive dense scan."""
 
     @staticmethod
     def exhaustive(flow, samples, params):
@@ -406,15 +408,19 @@ class TestScreenedScan:
         # ``chunk`` pairs per scan chunk; the one-byte budget puts every pass,
         # the report's per-pair reductions included, in one-pair chunks
         budget = 1 if chunk == 1 else chunk * 8 * params.num_delays * flow.ambient_dim
+        # the screen takes the representatives (0, d) of an orbit, else every pair
+        screened = samples.shape[0] - 1 if gated else reference.size
+        rows = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_CHUNK_BYTES", budget)
-            if gated:
-                mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
+            mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
             scan = infimum_soft_rank(flow, samples, params, threads=threads)
+            assert sum(rows) == screened
             report = monte_carlo(
                 flow, samples, params, "rademacher", num_draws, 3,
                 threads=threads, keep_per_pair=True,
             )
+            assert sum(rows) == 2 * screened
         assert scan.infimum == infimum
         assert scan.argmin_pair == argmin
         assert scan.num_pairs == reference.size
@@ -427,8 +433,8 @@ class TestScreenedScan:
         assert scan.num_certified == np.count_nonzero(in_band)
         assert scan.soft_ranks[in_band].tobytes() == reference[in_band].tobytes()
         assert np.min(scan.soft_ranks) == infimum
-        # the screen over the representatives (an orbit) or every pair, then the band
-        scanned = (samples.shape[0] - 1 if gated else scan.num_pairs) + scan.num_certified
+        # the screen, then the band
+        scanned = screened + scan.num_certified
         assert math.ceil(scanned / chunk) <= scan.num_chunks <= scanned
         assert _per_pair_csv(report) == _per_pair_csv(default_report)
 
@@ -454,15 +460,21 @@ class TestScreenedScan:
 
     @settings(max_examples=40, deadline=None)
     @given(case=permutation_orbit_cases())
-    def test_only_an_orbit_order_skips_the_gram_screen(self, case):
+    def test_only_an_orbit_order_screens_its_representatives_alone(self, case):
         flow, samples, params = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
-            infimum_soft_rank(flow, samples, params)
-            infimum_soft_rank(flow, samples[::-1], params)  # the other direction
-            if samples.shape[0] >= 4:  # three states of a 3-cycle are an orbit in any order
-                with pytest.raises(AssertionError, match="the Gram screen ran"):
-                    infimum_soft_rank(flow, samples[[1, 0, *range(2, len(samples))]], params)
+        num = samples.shape[0]
+
+        def screened_rows(samples):
+            rows = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
+                infimum_soft_rank(flow, samples, params)
+            return sum(rows)
+
+        assert screened_rows(samples) == num - 1
+        assert screened_rows(samples[::-1]) == num - 1  # the other direction
+        if num >= 4:  # three states of a 3-cycle are an orbit in any order
+            assert screened_rows(samples[[1, 0, *range(2, num)]]) == num * (num - 1) // 2
 
     @settings(max_examples=60, deadline=None)
     @given(case=permutation_orbit_cases(), other=scan_cases())
@@ -501,11 +513,14 @@ class TestScreenedScan:
         alpha = np.random.default_rng(alpha_seed).standard_normal(flow.ambient_dim)
         base = infimum_soft_rank(flow, samples, params)
         ratios = base.table.ratios(alpha)
+        # a scaled orbit is still an orbit, so the screen takes its representatives
+        screened = samples.shape[0] - 1 if gated else base.num_pairs
+        rows = []
         with pytest.MonkeyPatch.context() as mp:
-            if gated:  # a scaled orbit is still an orbit
-                mp.setattr(spectral, "_screened_soft_ranks", _no_gram_screen)
+            mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
             # 2^k scales every entry exactly, so nothing may move
             scaled = infimum_soft_rank(flow, 2.0**k * samples, params)
+            assert sum(rows) == screened
             assert np.array_equal(scaled.soft_ranks, base.soft_ranks)
             assert np.array_equal(scaled.table.ratios(alpha), ratios)
             assert (scaled.infimum, scaled.argmin_pair, scaled.num_certified) == (
@@ -514,6 +529,7 @@ class TestScreenedScan:
             # 3 x rounds the samples: a rounding change, held to 1e-12 relative;
             # a ratio is at most ||alpha||^2, which scales its rounding
             tripled = infimum_soft_rank(flow, 3.0 * samples, params)
+            assert sum(rows) == 2 * screened
         np.testing.assert_allclose(tripled.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             tripled.table.ratios(alpha), ratios, rtol=0, atol=1e-12 * (alpha @ alpha)
@@ -574,8 +590,8 @@ class TestScreenedScan:
     @pytest.mark.parametrize("shuffled", [False, True])
     def test_chunks_stay_within_the_byte_budget(self, monkeypatch, shuffled):
         # the largest step of the lemma check on the 128-state shift orbit,
-        # and the same states out of orbit order, whose full-size pass is
-        # the Gram screen
+        # and the same states out of orbit order, whose screen takes every
+        # pair
         m, n = 32, 128
         passes = []
 
@@ -816,7 +832,7 @@ class TestStackFreePermutationTables:
     def test_scans_and_draws_build_no_stack(self, monkeypatch, ensemble, keep_per_pair, order):
         flow = make_shift_flow(24)
         samples = np.eye(24)
-        if order == "shuffled":  # not an orbit order, so the Gram screen runs
+        if order == "shuffled":  # not an orbit order, so every pair is screened
             samples = samples[np.random.default_rng(3).permutation(24)]
         expected = monte_carlo(
             flow, samples, DelayParams(6), ensemble, 20, base_seed=4,
