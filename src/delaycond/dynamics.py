@@ -259,9 +259,14 @@ def lyapunov_exponent_inverse_flow(
     probe_means = []
     for probe in range(num_probes):
         rng = np.random.default_rng([seed, probe])
-        offset = perturbation * rng.standard_normal(flow.ambient_dim)
-
-        scale = float(np.linalg.norm(offset))
+        direction = rng.standard_normal(flow.ambient_dim)
+        with np.errstate(over="ignore"):
+            offset = perturbation * direction
+            scale = float(np.linalg.norm(offset))
+        if not 0.0 < scale < math.inf:
+            # the norm of the displacement overflows or underflows; only its
+            # direction is propagated, so take it from the unscaled draw
+            offset, scale = direction, float(np.linalg.norm(direction))
         delta = offset / scale
         log_gains = np.empty(num_steps)
         for m in range(burn_in + num_steps):

@@ -1,11 +1,12 @@
 """Experiment drivers writing machine-readable reports.
 
-Data files are CSV (RFC 4180, header row, floats in shortest round-trip
-form); metadata and summaries are JSON with sorted keys. Every number is a
-pure function of (config, package version), so reruns produce byte-identical
-data files; the run manifest, written last, records a SHA-256 checksum per
-data file plus the fields that may differ between reruns: the timestamp, the
-chunk counts and the environment (versions, threads, CPU count).
+Data files are CSV (header row, ``,`` between cells, CRLF line ends, no
+quoting, floats in shortest round-trip form); metadata and summaries are
+JSON with sorted keys. Every number is a pure function of (config, package
+version), so reruns produce byte-identical data files; the run manifest,
+written last, records a SHA-256 checksum per data file plus the fields that
+may differ between reruns: the timestamp, the chunk counts and the
+environment (versions, threads, CPU count).
 
 Each driver computes its data files as values, then ``_write_run`` writes
 them all, so a run that fails leaves the output directory as it was.
@@ -18,7 +19,6 @@ documentation lives in docs/report_schema.md.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import hashlib
 import json
@@ -64,20 +64,41 @@ BOUND_SLACK = 1e-9
 ORACLE_TOLERANCE = 1e-10
 
 
+# Rows of a CSV formed and written at a time, so the text in flight never
+# holds a whole file.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """The cell texts of a column, each distinct value formatted once.
+
+    Floats are told apart by their bit patterns, so ``-0.0`` and ``0.0``
+    keep their own text.
+    """
+    if values.dtype == bool:
+        return np.array(["false", "true"], dtype=object)[values.view(np.uint8)].tolist()
+    keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, rows = np.unique(keys, return_inverse=True)
+    words = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    return words[rows].tolist()
+
+
 def write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     """Write the column names, then one row per entry of the 1-D arrays.
 
-    Cells are the ``tolist()`` values (floats in shortest round-trip form);
-    a bool column reads ``true``/``false``.
+    The dialect is the one ``csv.writer`` writes for these cells: ``,``
+    between cells, CRLF line ends and no quoting (no header or cell holds a
+    comma, quote or line break). Cells are the ``tolist()`` values: ``repr``
+    floats (shortest round-trip form) and ``str`` ints; a bool column reads
+    ``true``/``false``. The rows are formed and written ``_CSV_BLOCK_ROWS``
+    at a time, and each column of a block formats each distinct value once.
     """
-    cells = [
-        np.where(values, "true", "false").tolist() if values.dtype == bool else values.tolist()
-        for values in columns.values()
-    ]
+    num_rows = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        handle.write(",".join(columns) + "\r\n")
+        for start in range(0, num_rows, _CSV_BLOCK_ROWS):
+            block = [_csv_cells(values[start:start + _CSV_BLOCK_ROWS]) for values in columns.values()]
+            handle.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -209,8 +230,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         seps = (basis[table.j_idx] - basis[table.i_idx]) % n
         # the oracle depends on the pair only through its separation
         unique_seps, where = np.unique(seps, return_inverse=True)
-        oracle = np.array([shift_system_oracle(n, m, int(d)).value for d in unique_seps])
-        oracle = oracle[where]
+        oracle = shift_system_oracle(n, m, unique_seps).value[where]
         max_disagreement = float(np.max(np.abs(scan.soft_ranks - oracle)))
         satisfied = scan.soft_ranks >= bound - BOUND_SLACK
         all_satisfied = bool(np.all(satisfied))

@@ -76,11 +76,15 @@ COINCIDENCE_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class SoftRankResult:
-    """Soft rank with the norms and singular values behind it."""
+    """Soft rank with the norms and singular values behind it.
 
-    value: float
-    frobenius_sq: float
-    spectral_sq: float
+    From ``shift_system_oracle`` over an array of separations, each field
+    holds one entry per separation along a leading axis.
+    """
+
+    value: float | np.ndarray
+    frobenius_sq: float | np.ndarray
+    spectral_sq: float | np.ndarray
     singular_values: np.ndarray  # descending
 
 
@@ -441,7 +445,7 @@ def infimum_soft_rank(
     )
 
 
-def shift_system_oracle(n: int, m: int, d: int) -> SoftRankResult:
+def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
     """Analytic soft rank of G_x - G_y for shift-flow basis states d apart.
 
     The rows of G_x - G_y are e_{a+k} - e_{a+d+k} (indices mod n), so the
@@ -450,39 +454,58 @@ def shift_system_oracle(n: int, m: int, d: int) -> SoftRankResult:
     for m < n it is built explicitly and solved densely. The squared
     Frobenius norm is the trace, exactly 2m.
 
+    ``d`` is one separation or a 1-D integer array of them. For an array,
+    every field gains a leading separation axis, and the Grams are solved
+    together, one batched ``eigvalsh`` per slice of at most ``_CHUNK_BYTES``
+    of Grams; each separation gets the bits its own scalar call gives.
+
     The result always satisfies value >= m/2: the Gram's largest eigenvalue
     is at most 4 because each backward iterate appears in at most two rows.
     """
+    seps = np.asarray(d)
     if n < 2:
         raise InvalidArgumentError(f"ambient dimension must be >= 2, got {n}")
-    if not 1 <= d <= n - 1:
+    if seps.ndim > 1 or seps.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"separation d must be an integer or 1-D integer array; got {d!r}")
+    if not np.all((seps >= 1) & (seps <= n - 1)):
         raise InvalidArgumentError(f"separation d={d} out of range [1, {n - 1}]")
     if not 1 <= m <= n:
         raise InvalidArgumentError(f"num_delays m={m} out of range [1, {n}]")
 
+    batch = np.atleast_1d(seps)[:, None]
     if m == n:
         j = np.arange(n)
-        eigs = 4.0 * np.sin(np.pi * j * d / n) ** 2
+        eigs = 4.0 * np.sin(np.pi * j * batch / n) ** 2
     else:
-        rows = np.arange(m)[:, None]
-        cols = np.arange(m)[None, :]
-        gram = 2.0 * np.eye(m)
-        gram -= ((rows - cols) % n == d).astype(float)
-        gram -= ((cols - rows) % n == d).astype(float)
-        eigs = np.linalg.eigvalsh(gram)
+        offsets = (np.arange(m)[:, None] - np.arange(m)[None, :]) % n
+        eigs = np.empty((batch.shape[0], m))
+        for part in _chunks(batch.shape[0], 1, m * m):
+            gram = np.broadcast_to(2.0 * np.eye(m), (part.stop - part.start, m, m)).copy()
+            gram -= offsets == batch[part, :, None]
+            gram -= offsets.T == batch[part, :, None]
+            eigs[part] = np.linalg.eigvalsh(gram)
 
-    eigs = np.sort(np.clip(eigs, 0.0, None))[::-1]
+    eigs = np.sort(np.clip(eigs, 0.0, None))[:, ::-1]
     frobenius_sq = 2.0 * m  # exact trace of the Gram
-    spectral_sq = float(eigs[0])
+    spectral_sq = eigs[:, 0]
     value = frobenius_sq / spectral_sq
-    if not value >= m / 2 - 1e-9:
+    below = np.flatnonzero(~(value >= m / 2 - 1e-9))
+    if below.size:
+        k = below[0]
         raise AssertionError(
-            f"shift oracle produced value {value} below the m/2 bound for "
-            f"(n={n}, m={m}, d={d})"
+            f"shift oracle produced value {value[k]} below the m/2 bound for "
+            f"(n={n}, m={m}, d={batch[k, 0]})"
+        )
+    if seps.ndim == 0:
+        return SoftRankResult(
+            value=float(value[0]),
+            frobenius_sq=frobenius_sq,
+            spectral_sq=float(spectral_sq[0]),
+            singular_values=np.sqrt(eigs[0]),
         )
     return SoftRankResult(
         value=value,
-        frobenius_sq=frobenius_sq,
+        frobenius_sq=np.full(value.shape, frobenius_sq),
         spectral_sq=spectral_sq,
         singular_values=np.sqrt(eigs),
     )

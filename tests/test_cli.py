@@ -1,14 +1,19 @@
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import platform
 import re
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from delaycond import _parallel, runner, spectral
@@ -53,6 +58,57 @@ def minimal_shift_config(tmp_path, **overrides):
     spec.update(overrides)
     lines = [f"{k} = {v}" for k, v in spec.items() if v is not None]
     return write_config(tmp_path / "exp.cfg", "\n".join(lines) + "\n")
+
+
+def csv_writer_bytes(columns: dict[str, np.ndarray]) -> bytes:
+    """The bytes ``csv.writer`` writes for ``columns``: the header, then the
+    ``tolist()`` cells row by row, a bool column as ``true``/``false``.
+
+    This is the CSV writer ``runner.write_csv`` replaced, kept as its reference.
+    """
+    cells = [
+        np.where(values, "true", "false").tolist() if values.dtype == bool else values.tolist()
+        for values in columns.values()
+    ]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    return text.getvalue().encode("utf-8")
+
+
+# float64 cells where formatting or bit-pattern identity is delicate
+DELICATE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16, 1e-5, 1 / 3,
+]
+
+
+@st.composite
+def csv_columns(draw) -> dict[str, np.ndarray]:
+    """Float64, int64 and bool columns of a few distinct values each (all equal
+    when the pool has one), over row counts around ``_CSV_BLOCK_ROWS``."""
+    block = runner._CSV_BLOCK_ROWS
+    num_rows = draw(st.sampled_from([1, 2, 7, block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "int", "bool"]))
+        if kind == "bool":
+            columns[f"{kind}{k}"] = rng.random(num_rows) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+            continue
+        if kind == "float":
+            value = st.sampled_from(DELICATE_FLOATS) | st.floats(width=64)
+            dtype = np.float64
+        else:
+            value = st.integers(-(2**63), 2**63 - 1)
+            dtype = np.int64
+        pool = draw(st.lists(value, min_size=1, max_size=6))
+        if kind == "float" and draw(st.booleans()):
+            pool += [0.0, -0.0]  # equal values with distinct bits and text
+        pool = np.array(pool, dtype=dtype)
+        columns[f"{kind}{k}"] = pool[rng.integers(pool.size, size=num_rows)]
+    return columns
 
 
 def partition_descending_above_kth(a, kth, axis=-1):
@@ -589,6 +645,15 @@ class TestSingleOutputPath:
             b"true,3,1e+16\r\n"
             b"false,1,1.7976931348623157e+308\r\n"
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=csv_columns())
+    def test_csv_bytes_match_the_csv_writer(self, columns):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "cells.csv")
+            write_csv(path, columns)
+            with open(path, "rb") as handle:
+                assert handle.read() == csv_writer_bytes(columns)
 
     def test_failed_rerun_leaves_the_directory_as_it_was(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -302,6 +302,17 @@ class TestLyapunovExponent:
         est = lyapunov_exponent_inverse_flow(flow, np.ones(3), num_steps=5000, perturbation=1e-9)
         assert abs(est.exponent - math.log(2.0)) <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("perturbation", [1e300, 1e308, 1e-170, 5e-324])
+    def test_extreme_perturbations_keep_the_exponent(self, perturbation):
+        # the displacement's norm overflows or underflows at these scales;
+        # the estimate must still be the 1e-8 one, with no numpy warning
+        flow = make_linear_flow(np.diag([2.0, 0.5, 1.0]))
+        est = lyapunov_exponent_inverse_flow(flow, np.ones(3), num_steps=200, perturbation=perturbation)
+        reference = lyapunov_exponent_inverse_flow(flow, np.ones(3), num_steps=200, perturbation=1e-8)
+        assert abs(est.exponent - reference.exponent) <= 1e-12
+        assert abs(est.exponent - math.log(2.0)) <= 1e-6
+
     def test_non_normal_flow_tracks_the_spectral_radius(self):
         # the separation rate of a fixed linear map converges to the spectral
         # radius; it coincides with the top singular value only for normal

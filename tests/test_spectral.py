@@ -865,6 +865,26 @@ class TestStackFreePermutationTables:
         assert first.tobytes() == second.tobytes() == expected.tobytes()
 
 
+def loop_shift_oracle(n: int, m: int, d: int) -> tuple[float, float, np.ndarray]:
+    """(value, spectral_sq, singular_values) of one separation, one Gram at a time.
+
+    The per-separation form ``shift_system_oracle`` batched, kept as its reference.
+    """
+    if m == n:
+        j = np.arange(n)
+        eigs = 4.0 * np.sin(np.pi * j * d / n) ** 2
+    else:
+        rows = np.arange(m)[:, None]
+        cols = np.arange(m)[None, :]
+        gram = 2.0 * np.eye(m)
+        gram -= ((rows - cols) % n == d).astype(float)
+        gram -= ((cols - rows) % n == d).astype(float)
+        eigs = np.linalg.eigvalsh(gram)
+    eigs = np.sort(np.clip(eigs, 0.0, None))[::-1]
+    spectral_sq = float(eigs[0])
+    return 2.0 * m / spectral_sq, spectral_sq, np.sqrt(eigs)
+
+
 class TestShiftSystemOracle:
     def test_four_point_dft_eigenvalues(self):
         res = shift_system_oracle(4, 4, 1)
@@ -896,6 +916,59 @@ class TestShiftSystemOracle:
             eye = np.eye(n)
             dense = pair_soft_rank(flow, eye[0], eye[d], DelayParams(m)).value
             assert abs(shift_system_oracle(n, m, d).value - dense) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_batched_separations_match_the_loop_bit_for_bit(self, n):
+        # every m in 1..n covers the circulant branch (m == n) and the Gram one
+        seps = np.arange(1, n)
+        for m in range(1, n + 1):
+            batch = shift_system_oracle(n, m, seps)
+            assert batch.value.shape == batch.spectral_sq.shape == (n - 1,)
+            assert batch.singular_values.shape == (n - 1, m)
+            assert np.all(batch.frobenius_sq == 2.0 * m)
+            for k, d in enumerate(seps.tolist()):
+                value, spectral_sq, singular_values = loop_shift_oracle(n, m, d)
+                assert batch.value[k] == value and batch.spectral_sq[k] == spectral_sq
+                assert batch.singular_values[k].tobytes() == singular_values.tobytes()
+
+    @pytest.mark.parametrize("n, m, d", [(2, 1, 1), (9, 5, 4), (16, 16, 8), (20, 7, 13)])
+    def test_a_scalar_separation_returns_scalars(self, n, m, d):
+        res = shift_system_oracle(n, m, np.int64(d))
+        assert isinstance(res.value, float) and isinstance(res.spectral_sq, float)
+        assert res.frobenius_sq == 2.0 * m
+        value, spectral_sq, singular_values = loop_shift_oracle(n, m, d)
+        assert (res.value, res.spectral_sq) == (value, spectral_sq)
+        assert res.singular_values.tobytes() == singular_values.tobytes()
+
+    def test_batch_larger_than_a_chunk_matches_the_loop(self, monkeypatch):
+        # a Gram stack past _CHUNK_BYTES is solved in slices of separations
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 8 * 5 * 5)
+        batch = shift_system_oracle(12, 5, np.arange(1, 12))
+        for k, d in enumerate(range(1, 12)):
+            assert batch.value[k] == loop_shift_oracle(12, 5, d)[0]
+
+    def test_a_value_below_the_bound_names_its_separation(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def inflated(grams):
+            # lift the top eigenvalue of the Gram of d = 3 (index 2) far past 4
+            eigs = eigvalsh(grams)
+            eigs[2, -1] = 100.0
+            return eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", inflated)
+        with pytest.raises(AssertionError, match=r"below the m/2 bound for \(n=16, m=8, d=3\)"):
+            shift_system_oracle(16, 8, np.arange(1, 16))
+        with pytest.raises(AssertionError, match=r"\(n=16, m=8, d=5\)"):
+            shift_system_oracle(16, 8, np.array([2, 4, 5, 9]))
+
+    def test_separation_array_validation(self):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            shift_system_oracle(8, 4, np.array([1, 8]))
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            shift_system_oracle(8, 4, np.array([1.0, 2.0]))
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            shift_system_oracle(8, 4, np.array([[1, 2]]))
 
     def test_symmetric_in_d(self):
         for d in range(1, 10):
