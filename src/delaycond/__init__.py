@@ -11,8 +11,6 @@ from ._version import __version__
 from .delay_map import (
     DelayParams,
     MeasurementCoeffs,
-    TrajectoryMatrix,
-    TrajectoryVector,
     basis_delay_vector,
     delay_vector,
     derive_seed,
@@ -26,7 +24,6 @@ from .delay_map import (
 from .dynamics import (
     FlowSpec,
     LyapunovEstimate,
-    Orbit,
     generate_orbit,
     inverse_step,
     lyapunov_exponent_inverse_flow,

@@ -21,7 +21,7 @@ import numpy as np
 from .delay_map import ENSEMBLES
 from .dynamics import FlowSpec, make_linear_flow, make_shift_flow
 from .errors import ConfigError
-from .geometry import sample_attractor
+from .geometry import DEFAULT_NUM_BINS, sample_attractor
 
 
 def _integer(minimum: int):
@@ -110,7 +110,7 @@ class ExperimentConfig:
     )
     c_user: float | None = _key(_number)
     manifold_dim: float | None = _key(_number)
-    num_bins: int = _key(_integer(minimum=2), 16)
+    num_bins: int = _key(_integer(minimum=2), DEFAULT_NUM_BINS)
     raw_items: dict[str, str] = field(default_factory=dict)
 
 

@@ -1,10 +1,11 @@
-"""Measurement coefficients, time series, and backward-iterate trajectory objects.
+"""Measurement coefficients, time series, and backward-iterate trajectory arrays.
 
 The scalar time series is s_n = <alpha, x_n>. Stacking M consecutive past
 samples gives the delay vector; stacking the M backward iterates of a state
 gives the M x N trajectory matrix G (row m is Phi^{-m}(x)) and, flattened
-row by row, the trajectory vector in R^{MN}. The delay vector is computed
-as G_x @ alpha, and ``_backward_rows`` is the one place the flow is iterated.
+row by row, the trajectory vector in R^{MN}. Each is a plain read-only
+array. The delay vector is computed as G_x @ alpha, and ``_backward_rows``
+is the one place the flow is iterated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, Orbit, _check_seed, _check_state, permutation_powers
+from .dynamics import FlowSpec, _check_seed, _check_state, permutation_powers
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
@@ -51,22 +52,6 @@ class DelayParams:
             raise InvalidArgumentError(
                 f"num_delays must be >= 1, got {self.num_delays}"
             )
-
-
-@dataclass(frozen=True)
-class TrajectoryMatrix:
-    """M x N matrix whose row m is the m-th backward iterate of ``base_point``."""
-
-    g: np.ndarray
-    base_point: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrajectoryVector:
-    """Row-wise flattening of the trajectory matrix, a point in R^{MN}."""
-
-    entries: np.ndarray
-    base_point: np.ndarray
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -124,14 +109,14 @@ def _check_coeffs(flow: FlowSpec, alpha: MeasurementCoeffs) -> np.ndarray:
     return alpha.alpha
 
 
-def time_series(orbit: Orbit, alpha: MeasurementCoeffs) -> np.ndarray:
-    """Scalar observations s_n = <alpha, x_n> along an orbit."""
-    if orbit.states.shape[1] != alpha.alpha.shape[0]:
+def time_series(orbit: np.ndarray, alpha: MeasurementCoeffs) -> np.ndarray:
+    """Scalar observations s_n = <alpha, x_n> along an orbit's (length, N) states."""
+    if orbit.shape[1] != alpha.alpha.shape[0]:
         raise DimensionMismatchError(
             f"coefficient vector has length {alpha.alpha.shape[0]}, "
-            f"orbit states have dimension {orbit.states.shape[1]}"
+            f"orbit states have dimension {orbit.shape[1]}"
         )
-    return orbit.states @ alpha.alpha
+    return orbit @ alpha.alpha
 
 
 def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
@@ -198,13 +183,13 @@ def _check_finite_rows(finite: np.ndarray, m: int, named: bool) -> None:
         )
 
 
-def trajectory_matrix(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryMatrix:
-    """M x N matrix of backward iterates; row 0 is x itself."""
+def trajectory_matrix(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> np.ndarray:
+    """Read-only M x N matrix of backward iterates; row 0 is x itself."""
     x = _check_state(flow, x)
     _warn_excess_delays(flow, params)
     g = _backward_rows(flow, x[None], params.num_delays, named=False)[0]
     g.setflags(write=False)
-    return TrajectoryMatrix(g=g, base_point=x)
+    return g
 
 
 def trajectory_matrices(
@@ -213,7 +198,7 @@ def trajectory_matrices(
     """Stack of trajectory matrices, shape (len(samples), M, N).
 
     Each sample is iterated independently, so entry i equals
-    ``trajectory_matrix(flow, samples[i], params).g`` bit for bit regardless
+    ``trajectory_matrix(flow, samples[i], params)`` bit for bit regardless
     of which other samples are in the stack.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -230,15 +215,13 @@ def _check_sample_dim(flow: FlowSpec, samples: np.ndarray) -> None:
         )
 
 
-def trajectory_vector(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> TrajectoryVector:
-    """Concatenation [x, Phi^{-1}(x), ..., Phi^{-M+1}(x)] in R^{MN}.
+def trajectory_vector(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> np.ndarray:
+    """Concatenation [x, Phi^{-1}(x), ..., Phi^{-M+1}(x)] in R^{MN}, read-only.
 
-    Built as the row-wise flattening of the trajectory matrix, so reshaping
-    back to (M, N) reproduces the matrix exactly.
+    The row-wise flattening of the trajectory matrix, so reshaping back to
+    (M, N) reproduces the matrix exactly.
     """
-    tm = trajectory_matrix(flow, x, params)
-    entries = tm.g.reshape(-1)
-    return TrajectoryVector(entries=entries, base_point=tm.base_point)
+    return trajectory_matrix(flow, x, params).reshape(-1)
 
 
 def delay_vector(
@@ -246,11 +229,11 @@ def delay_vector(
 ) -> np.ndarray:
     """Length-M vector of past measurements: entry m is <alpha, Phi^{-m}(x)>.
 
-    Exactly ``trajectory_matrix(flow, x, params).g @ alpha``, the delay map
+    Exactly ``trajectory_matrix(flow, x, params) @ alpha``, the delay map
     F_alpha(x) = G_x alpha.
     """
     a = _check_coeffs(flow, alpha)
-    return trajectory_matrix(flow, x, params).g @ a
+    return trajectory_matrix(flow, x, params) @ a
 
 
 def basis_delay_vector(
@@ -265,7 +248,7 @@ def basis_delay_vector(
         raise InvalidArgumentError(
             f"basis index p={p} out of range [0, {flow.ambient_dim})"
         )
-    return trajectory_matrix(flow, x, params).g[:, p].copy()
+    return trajectory_matrix(flow, x, params)[:, p].copy()
 
 
 def row_squared_norms(mat: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,8 +1,9 @@
 """Invertible discrete-time linear flows, orbits, and inverse-flow Lyapunov estimates.
 
-States are plain 1-D numpy arrays of length ``flow.ambient_dim``. A flow
-advances the state by one sampling interval; the inverse is precomputed once
-at construction (from a rank-revealing decomposition) because backward
+States are plain 1-D numpy arrays of length ``flow.ambient_dim``, and an
+orbit is the read-only (length, N) array of its states. A flow advances the
+state by one sampling interval; the inverse is precomputed once at
+construction (from a rank-revealing decomposition) because backward
 iteration sits in the innermost loop of trajectory-matrix construction.
 """
 
@@ -28,10 +29,8 @@ SINGULARITY_THRESHOLD = 1e-12
 class FlowSpec:
     """An invertible linear map on R^N applied once per sampling interval.
 
-    ``kind`` is "shift" for the cyclic shift (ones on the superdiagonal and
-    in the bottom-left corner) and "linear" otherwise. ``sampling_interval``
-    is metadata carried into reports, positive and finite; the dynamics are
-    already discretized.
+    ``sampling_interval`` is metadata carried into reports, positive and
+    finite; the dynamics are already discretized.
 
     ``permutation`` is set at construction when ``inverse`` is an exact 0/1
     permutation matrix P, else None: then P x == x[permutation] for every x,
@@ -40,7 +39,6 @@ class FlowSpec:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    kind: str
     sampling_interval: float = 1.0
     permutation: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
@@ -59,22 +57,13 @@ class FlowSpec:
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """Forward orbit x, Phi(x), Phi^2(x), ... as rows of ``states``."""
-
-    states: np.ndarray  # (length, N)
-
-    @property
-    def origin(self) -> np.ndarray:
-        return self.states[0]
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
-    """Average exponential separation rate of nearby backward trajectories."""
+    """Average exponential separation rate of nearby backward trajectories.
+
+    The flows are linear, so the rate is that of a separation vector under
+    the inverse matrix alone: it depends on the flow and on the seed of the
+    probe directions, not on any base state or displacement size.
+    """
 
     exponent: float  # nats per step; -inf when the separation underflowed
     num_steps: int
@@ -145,7 +134,6 @@ def make_shift_flow(n: int, sampling_interval: float = 1.0) -> FlowSpec:
     return FlowSpec(
         matrix=_freeze(phi),
         inverse=_freeze(phi.T),
-        kind="shift",
         sampling_interval=float(sampling_interval),
     )
 
@@ -172,7 +160,6 @@ def make_linear_flow(matrix: np.ndarray, sampling_interval: float = 1.0) -> Flow
     return FlowSpec(
         matrix=_freeze(mat),
         inverse=_freeze(inverse),
-        kind="linear",
         sampling_interval=float(sampling_interval),
     )
 
@@ -202,8 +189,8 @@ def inverse_step(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
     return flow.inverse @ _check_state(flow, x)
 
 
-def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> Orbit:
-    """Forward orbit of exactly ``length`` states starting at x0.
+def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> np.ndarray:
+    """Read-only (length, N) array of the forward orbit x0, Phi(x0), Phi^2(x0), ...
 
     When ``flow.matrix`` is an exact 0/1 permutation matrix and x0 is
     finite, each step is the gather ``cur[forward] + 0.0`` instead of the
@@ -220,25 +207,23 @@ def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> Orbit:
         states[n] = cur
         if n + 1 < length:
             cur = flow.matrix @ cur if forward is None else cur[forward] + 0.0
-    return Orbit(states=_freeze(states))
+    return _freeze(states)
 
 
 def lyapunov_exponent_inverse_flow(
     flow: FlowSpec,
-    x0: np.ndarray,
     num_steps: int,
-    perturbation: float,
     num_probes: int = 4,
     seed: int = 0,
 ) -> LyapunovEstimate:
-    """Maximal Lyapunov exponent of the inverse flow by perturbation tracking.
+    """Maximal Lyapunov exponent of the inverse flow by separation tracking.
 
-    Each probe starts a second trajectory displaced by ``perturbation`` in a
-    random direction and measures how fast the two backward trajectories
-    separate. The flows here are linear, so the separation evolves exactly by
-    the inverse matrix and is propagated directly, renormalized after every
-    step; this keeps the estimate finite even when the base orbit itself
-    grows without bound. Per-step log gains are averaged over the last
+    The flows here are linear, so the separation of two nearby backward
+    trajectories evolves exactly by the inverse matrix, whatever the base
+    state and the size of the displacement. Each probe propagates a unit
+    separation from a seeded random direction, renormalized after every
+    step, which keeps the estimate finite even when the orbits themselves
+    grow without bound. Per-step log gains are averaged over the last
     ``num_steps`` steps after a short transient (one tenth of the run, at
     least 10 steps) so the probe direction has aligned with the dominant
     growth direction. Probe results are averaged.
@@ -248,26 +233,15 @@ def lyapunov_exponent_inverse_flow(
     """
     if num_steps < 10:
         raise InvalidArgumentError(f"num_steps must be >= 10, got {num_steps}")
-    if not (perturbation > 0 and math.isfinite(perturbation)):
-        raise InvalidArgumentError(f"perturbation must be positive and finite, got {perturbation}")
     if num_probes < 1:
         raise InvalidArgumentError(f"num_probes must be >= 1, got {num_probes}")
     _check_seed(seed)
-    _check_state(flow, x0)
     burn_in = max(10, num_steps // 10)
 
     probe_means = []
     for probe in range(num_probes):
-        rng = np.random.default_rng([seed, probe])
-        direction = rng.standard_normal(flow.ambient_dim)
-        with np.errstate(over="ignore"):
-            offset = perturbation * direction
-            scale = float(np.linalg.norm(offset))
-        if not 0.0 < scale < math.inf:
-            # the norm of the displacement overflows or underflows; only its
-            # direction is propagated, so take it from the unscaled draw
-            offset, scale = direction, float(np.linalg.norm(direction))
-        delta = offset / scale
+        direction = np.random.default_rng([seed, probe]).standard_normal(flow.ambient_dim)
+        delta = direction / np.linalg.norm(direction)
         log_gains = np.empty(num_steps)
         for m in range(burn_in + num_steps):
             delta = flow.inverse @ delta

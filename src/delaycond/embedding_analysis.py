@@ -90,6 +90,14 @@ class EmbeddingReport:
     def epsilons(self) -> np.ndarray:
         return np.array([r.epsilon for r in self.per_draw])
 
+    @property
+    def eps_max(self) -> float:
+        return float(np.max(self.epsilons))
+
+    @property
+    def eps_mean(self) -> float:
+        return float(np.mean(self.epsilons))
+
     def failure_rate(self, target_eps: float) -> float:
         """Fraction of draws whose achieved eps exceeds the target."""
         return float(np.mean(self.epsilons > target_eps))
@@ -305,7 +313,6 @@ def scaling_study(
             flow, samples, DelayParams(m), ensemble, num_draws, base_seed,
             threads=threads, draws=draws,
         )
-        eps = report.epsilons
         rows.append(
             ScalingRow(
                 num_delays=m,
@@ -313,8 +320,8 @@ def scaling_study(
                 eps_median=report.quantiles[0.5],
                 eps_q05=report.quantiles[0.05],
                 eps_q95=report.quantiles[0.95],
-                eps_max=float(np.max(eps)),
-                eps_mean=float(np.mean(eps)),
+                eps_max=report.eps_max,
+                eps_mean=report.eps_mean,
             )
         )
         reports.append(report)

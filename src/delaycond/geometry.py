@@ -1,5 +1,8 @@
 """Geometric estimators: attractor sampling, curve volume, reach, delay baselines.
 
+Point sets are plain arrays with one point per row: the trajectory manifold
+of a sample set is the (n, M N) array of its trajectory vectors.
+
 Estimator bias directions, reported alongside every value:
 
 * Chordal curve volume underestimates the true arc length (chords are
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_map import DelayParams, TrajectoryVector, trajectory_matrices
+from .delay_map import DelayParams, trajectory_matrices
 from .dynamics import FlowSpec, generate_orbit
 from .errors import (
     InvalidArgumentError,
@@ -35,10 +38,14 @@ _PERIOD_TOLERANCE = 1e-9
 # Normal components below this fraction of the chord length count as zero.
 _NORMAL_EXCLUSION = 1e-12
 
+# Histogram bins per axis of the mutual-information baseline, by default; a
+# series of any length may use this many.
+DEFAULT_NUM_BINS = 16
+
 
 @dataclass(frozen=True)
 class AttractorSample:
-    """Orbit states with periodic wrap removed.
+    """The states of an orbit, with its periodic wrap removed.
 
     ``period`` is the detected orbit period when the orbit returned to its
     starting state within the requested length, else None.
@@ -46,7 +53,6 @@ class AttractorSample:
 
     states: np.ndarray  # (num_unique, N), orbit order
     period: int | None
-    requested: int
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 samples, got n={n}")
     # one lookahead state so a period of exactly n is still detected
-    states = generate_orbit(flow, x0, n + 1).states
+    states = generate_orbit(flow, x0, n + 1)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(states[0]))
     if not math.isfinite(norm):
@@ -98,19 +104,20 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
         raise InvalidArgumentError(
             "orbit has a single unique state (fixed point); cannot form pairs"
         )
-    return AttractorSample(states=unique, period=period, requested=n)
+    return AttractorSample(states=unique, period=period)
 
 
 def trajectory_manifold_points(
     flow: FlowSpec, samples: np.ndarray, params: DelayParams
-) -> list[TrajectoryVector]:
-    """Map each sample to its trajectory vector in R^{MN}, from one trajectory stack."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+) -> np.ndarray:
+    """Read-only (n, M N) array whose row i is the trajectory vector of sample i.
+
+    One reshape of the trajectory stack, so row i is
+    ``trajectory_vector(flow, samples[i], params)`` bit for bit.
+    """
     stack = trajectory_matrices(flow, samples, params)
     stack.setflags(write=False)
-    return [
-        TrajectoryVector(entries=g.reshape(-1), base_point=x) for g, x in zip(stack, samples)
-    ]
+    return stack.reshape(stack.shape[0], -1)
 
 
 def curve_volume(points: np.ndarray, closed: bool = False) -> float:
@@ -236,7 +243,7 @@ def _histogram_mi(x: np.ndarray, y: np.ndarray, num_bins: int) -> float:
 
 
 def mutual_information_first_min(
-    series: np.ndarray, num_bins: int = 16, max_lag: int | None = None
+    series: np.ndarray, num_bins: int = DEFAULT_NUM_BINS, max_lag: int | None = None
 ) -> int | None:
     """First strict local minimum of the lagged mutual information.
 
@@ -244,12 +251,20 @@ def mutual_information_first_min(
     equal-width histogram with ``num_bins`` bins per axis. Lag 0 (the
     self-information) serves as the left neighbor of lag 1. Returns None
     when no strict local minimum occurs within max_lag (default: a quarter
-    of the series length).
+    of the series length). ``num_bins`` may not exceed the series length,
+    or ``DEFAULT_NUM_BINS`` for a shorter series: each lag's histogram holds
+    about (num_bins + 2)^2 counts, so an unbounded bin count would exhaust
+    memory, and more bins than points leave most cells empty.
     """
     if num_bins < 2:
         raise InvalidArgumentError(f"num_bins must be >= 2, got {num_bins}")
     centered = _demeaned(series)
     length = centered.size
+    if num_bins > max(length, DEFAULT_NUM_BINS):
+        raise InvalidArgumentError(
+            f"num_bins must be <= max(series length {length}, {DEFAULT_NUM_BINS}), "
+            f"got {num_bins}"
+        )
     if max_lag is None:
         max_lag = length // 4
     if max_lag < 1 or length < 4 * max_lag:
@@ -267,7 +282,7 @@ def mutual_information_first_min(
     return None
 
 
-def delay_selection(series: np.ndarray, num_bins: int = 16) -> DelaySelection:
+def delay_selection(series: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> DelaySelection:
     """Both classical delay baselines for one series."""
     return DelaySelection(
         autocorr_first_zero=autocorr_first_zero(series),

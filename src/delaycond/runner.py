@@ -356,9 +356,7 @@ def _geometry_payload(
                 "closed_curve": closed,
             }
 
-    lyap = lyapunov_exponent_inverse_flow(
-        flow, samples[0], num_steps=200, perturbation=1e-8, seed=config.base_seed
-    )
+    lyap = lyapunov_exponent_inverse_flow(flow, num_steps=200, seed=config.base_seed)
     payload["inverse_flow_lyapunov"] = vars(lyap)
 
     if orbit_ordered and samples.shape[0] >= 8:
@@ -453,7 +451,6 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         threads=threads,
         keep_per_pair=True,
     )
-    eps = report.epsilons
 
     report_payload = {
         "ensemble": report.ensemble,
@@ -462,8 +459,8 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "params": {**report.params, "samples": desc},
         "quantiles": {f"{q:.2f}": v for q, v in report.quantiles.items()},
         "eps_median": report.quantiles[0.5],
-        "eps_mean": float(np.mean(eps)),
-        "eps_max": float(np.max(eps)),
+        "eps_mean": report.eps_mean,
+        "eps_max": report.eps_max,
         "failure_rate_curve": {
             "target_eps": list(config.target_eps_grid),
             "rate": [report.failure_rate(g) for g in config.target_eps_grid],

@@ -240,7 +240,7 @@ class PairTable:
         else:
             self._stack = trajectory_matrices(flow, samples, params)  # all finite
             self._powers = self._inverse_powers = None
-            self.traj_dist_sq = _stack_traj_dist_sq(self._stack)
+            self.traj_dist_sq = pdist(self._stack.reshape(n, -1), "sqeuclidean")
         # before the coincidence test, which would take the overflowing norms
         # of such samples for a coincidence (inf <= 1e-12 * inf)
         self._reject(~np.isfinite(self.traj_dist_sq), NonFiniteTrajectoryError,
@@ -316,9 +316,9 @@ class PairTable:
         samples; any other flow takes each sample's own ``G_x @ alpha``.
         """
         if self._inverse_powers is not None:
-            measured = _gathered_delay_vectors(self.samples, self._inverse_powers, alpha)
+            measured = self.samples @ alpha[self._inverse_powers].T
         else:
-            measured = _stack_delay_vectors(self._stack, alpha)
+            measured = self._stack @ alpha  # (n, M)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
 
 
@@ -333,22 +333,6 @@ def _scaled_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, whose sum of squares is scaled to [1, N] by the row's peak."""
     peaks = np.max(np.abs(rows), axis=1, keepdims=True)
     return peaks[:, 0] * np.linalg.norm(rows / np.where(peaks > 0, peaks, 1.0), axis=1)
-
-
-# The two ways of forming the pair denominators and the delay vectors; tests
-# replace them to show which one ran.
-def _stack_traj_dist_sq(stack: np.ndarray) -> np.ndarray:
-    return pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
-
-
-def _stack_delay_vectors(stack: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return stack @ alpha  # (n, M)
-
-
-def _gathered_delay_vectors(
-    samples: np.ndarray, inverse_powers: np.ndarray, alpha: np.ndarray
-) -> np.ndarray:
-    return samples @ alpha[inverse_powers].T  # O_alpha = alpha[inverse_powers]
 
 
 def _screened_soft_ranks(diffs: np.ndarray) -> np.ndarray:

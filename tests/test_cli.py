@@ -946,6 +946,20 @@ class TestCliMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    def test_bin_count_above_the_series_length_exit_one(self, tmp_path, capsys, monkeypatch):
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("a histogram was formed")
+
+        monkeypatch.setattr(np, "histogram2d", no_histogram)
+        # the 8 orbit samples make a series of length 8
+        config_path = minimal_shift_config(tmp_path, num_bins="17")
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: num_bins must be <= max(series length 8, 16), got 17" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_overflowing_theorem_term_exit_one(self, tmp_path, capsys):
         # every draw runs; then the orbit's volume to the power 1 / 0.001 overflows
         config_path = minimal_shift_config(tmp_path, c_user="1.0", manifold_dim="0.001")

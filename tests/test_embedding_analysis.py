@@ -88,8 +88,8 @@ class TestIsometryRatio:
         x, y = rng.standard_normal(5), rng.standard_normal(5)
         params = DelayParams(3)
         diag = isometry_ratio(flow, x, y, user_coeffs(rng.standard_normal(5)), params)
-        tvx = trajectory_vector(flow, x, params).entries
-        tvy = trajectory_vector(flow, y, params).entries
+        tvx = trajectory_vector(flow, x, params)
+        tvy = trajectory_vector(flow, y, params)
         _, traj_sq = row_squared_norms((tvx - tvy).reshape(3, 5))
         assert np.isclose(float(np.sum(diag.chord_norms**2)), traj_sq, rtol=1e-13)
 
@@ -203,7 +203,7 @@ def large_shift_orbit(scale: float) -> np.ndarray:
     """Six shift-orbit states of (scale, 0, 0, 0.37 scale, 0, 0, 0, 0)."""
     origin = np.zeros(8)
     origin[[0, 3]] = scale, 0.37 * scale
-    return generate_orbit(make_shift_flow(8), origin, 6).states
+    return generate_orbit(make_shift_flow(8), origin, 6)
 
 
 class TestMonteCarlo:

@@ -14,11 +14,14 @@ Four cases, each run in-process at ``--threads 1`` and ``2``:
 
 The shuffled run must also match the orbit-ordered run pair by pair, and
 each benchmark workload's run at seed 0 must pass the benchmark's own output
-check against its stored reference in ``perfbench/reference/``.
+check against its stored reference in ``perfbench/reference/``. Every
+function the benchmark's per-layer metrics trace must exist under its name.
 """
 
 import csv
+import importlib
 import importlib.util
+import inspect
 import json
 import pathlib
 import sys
@@ -43,9 +46,10 @@ def load_module(relative):
 
 
 run_shift_experiment = load_module("scripts/run_shift_experiment.py")
-# the benchmark's input generator and output check, read only
+# the benchmark's input generator, output check and span recorder, read only
 workloads = load_module("perfbench/workloads.py")
 checks = load_module("perfbench/checks.py")
+spans = load_module("perfbench/spans.py")
 
 
 def write_lines(path, *lines):
@@ -200,3 +204,26 @@ def test_benchmark_workload_matches_its_stored_reference(tmp_path, name):
         workload.subcommand, config, tmp_path / "out", "--seed", "0", "--threads", "2"
     )
     assert checks.check_outputs(workload, str(out), str(reference)) == []
+
+
+def test_traced_functions_are_public_layer_functions():
+    """Every function a per-layer benchmark metric traces exists under its name.
+
+    The span recorder wraps the public functions defined in each layer
+    module; a metric whose function was renamed or removed would read as
+    absent.
+    """
+    traced = sorted({name for _kind, names in spans.TIMED.values() for name in names})
+    missing = []
+    for name in traced:
+        layer, _, attr = name.partition(".")
+        module = importlib.import_module(f"{spans.PACKAGE}.{layer}")
+        func = getattr(module, attr, None)
+        if not (
+            layer in spans.LAYERS
+            and not attr.startswith("_")
+            and inspect.isfunction(func)
+            and func.__module__ == module.__name__
+        ):
+            missing.append(name)
+    assert traced and not missing, f"no public layer function for {missing}"

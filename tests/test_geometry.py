@@ -17,6 +17,7 @@ from delaycond import (
     reach_estimate,
     sample_attractor,
     trajectory_manifold_points,
+    trajectory_vector,
 )
 
 
@@ -33,7 +34,6 @@ class TestSampleAttractor:
         sample = sample_attractor(flow, np.eye(8)[0], 20)
         assert sample.states.shape == (8, 8)
         assert sample.period == 8
-        assert sample.requested == 20
 
     def test_identity_flow_is_a_fixed_point(self):
         flow = make_linear_flow(np.eye(3))
@@ -68,25 +68,30 @@ class TestTrajectoryManifoldPoints:
         flow = make_shift_flow(5)
         samples = np.eye(5)[:3]
         points = trajectory_manifold_points(flow, samples, DelayParams(1))
-        for state, tv in zip(samples, points):
-            assert np.array_equal(tv.entries, state)
+        assert np.array_equal(points, samples)
+
+    def test_rows_are_the_trajectory_vectors(self):
+        flow = make_linear_flow(np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.3, 0.0, 0.7]]))
+        samples = np.random.default_rng(5).standard_normal((4, 3))
+        params = DelayParams(6)
+        points = trajectory_manifold_points(flow, samples, params)
+        assert points.shape == (4, 18)
+        assert not points.flags.writeable
+        for state, point in zip(samples, points):
+            assert point.tobytes() == trajectory_vector(flow, state, params).tobytes()
 
     def test_shift_preserves_norms_blockwise(self):
         flow = make_shift_flow(6)
         rng = np.random.default_rng(3)
         samples = rng.standard_normal((4, 6))
         points = trajectory_manifold_points(flow, samples, DelayParams(5))
-        for state, tv in zip(samples, points):
-            assert np.isclose(
-                np.dot(tv.entries, tv.entries), 5 * np.dot(state, state), rtol=1e-12
-            )
+        for state, point in zip(samples, points):
+            assert np.isclose(np.dot(point, point), 5 * np.dot(state, state), rtol=1e-12)
 
     def test_distinct_samples_stay_distinct(self):
         flow = make_shift_flow(7)
         samples = np.eye(7)
-        points = np.vstack(
-            [tv.entries for tv in trajectory_manifold_points(flow, samples, DelayParams(3))]
-        )
+        points = trajectory_manifold_points(flow, samples, DelayParams(3))
         for i in range(7):
             for j in range(i + 1, 7):
                 assert np.linalg.norm(points[i] - points[j]) > 0.0
@@ -198,6 +203,25 @@ class TestMutualInformationFirstMin:
     def test_bin_count_validated(self):
         with pytest.raises(InvalidArgumentError):
             mutual_information_first_min(np.arange(100.0), num_bins=1)
+
+    def test_bin_count_above_the_series_length_rejected(self, monkeypatch):
+        # each lag's histogram holds about (num_bins + 2)^2 counts; the bound
+        # must stop a large count before any histogram is formed
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("a histogram was formed")
+
+        rng = np.random.default_rng(2)
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "histogram2d", no_histogram)
+            for length, num_bins in [(8, 17), (40, 41)]:
+                with pytest.raises(
+                    InvalidArgumentError,
+                    match=rf"num_bins must be <= max\(series length {length}, 16\), got {num_bins}",
+                ):
+                    mutual_information_first_min(rng.standard_normal(length), num_bins=num_bins)
+        # a short series keeps the default; a long one may have a bin per point
+        for length, num_bins in [(8, 16), (40, 40)]:
+            mutual_information_first_min(rng.standard_normal(length), num_bins=num_bins)
 
     def test_agrees_with_autocorr_on_dithered_cosine(self):
         # the exact 16-phase cosine is degenerate for a histogram estimator;

@@ -705,14 +705,11 @@ class TestPermutationTables:
         stack = trajectory_matrices(flow, samples, params)
         traj_dist_sq = pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
         ratios = pdist(stack @ alpha, "sqeuclidean") / traj_dist_sq
-        untaken = (
-            ["trajectory_matrices", "_stack_traj_dist_sq", "_stack_delay_vectors"]
-            if gathered
-            else ["permutation_powers", "_gathered_delay_vectors"]
-        )
+        # each path calls its function first: the stack path trajectory_matrices,
+        # the gathered path permutation_powers
+        untaken = "trajectory_matrices" if gathered else "permutation_powers"
         with pytest.MonkeyPatch.context() as mp:
-            for name in untaken:
-                mp.setattr(spectral, name, _path_taken)
+            mp.setattr(spectral, untaken, _path_taken)
             table = PairTable(flow, samples, params)
             table_ratios = table.ratios(alpha)
         assert table.state_dist_sq.tobytes() == pdist(samples, "sqeuclidean").tobytes()
