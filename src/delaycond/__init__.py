@@ -15,6 +15,7 @@ from .delay_map import (
     delay_vector,
     derive_seed,
     draw_coeffs,
+    draw_stream,
     time_series,
     trajectory_matrices,
     trajectory_matrix,

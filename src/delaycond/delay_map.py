@@ -91,6 +91,19 @@ def draw_coeffs(ensemble: str, n: int, seed: int) -> MeasurementCoeffs:
     return MeasurementCoeffs(alpha=alpha, ensemble=ensemble, seed=int(seed))
 
 
+def draw_stream(
+    ensemble: str, n: int, num_draws: int, base_seed: int
+) -> list[MeasurementCoeffs]:
+    """Draws 0, ..., num_draws - 1 of the stream rooted at ``base_seed``.
+
+    Draw k is ``draw_coeffs(ensemble, n, derive_seed(base_seed, k))``, so
+    each draw is the same whatever the number of draws made with it.
+    """
+    if num_draws < 1:
+        raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
+    return [draw_coeffs(ensemble, n, derive_seed(base_seed, k)) for k in range(num_draws)]
+
+
 def user_coeffs(alpha: np.ndarray) -> MeasurementCoeffs:
     """Wrap an explicit coefficient vector."""
     alpha = np.ascontiguousarray(alpha, dtype=float)

@@ -10,7 +10,9 @@ every ratio equal to 1; the achieved conditioning eps is the largest
 deviation |ratio - 1| over the scanned pairs, i.e. the tightest band
 (1 - eps, 1 + eps) containing all ratios. Monte Carlo over coefficient
 draws yields eps distributions, failure-rate curves, and scaling fits
-against the number of delays M.
+against the number of delays M. The draws are the caller's: ``monte_carlo``
+and ``scaling_study`` take them as a list (``delay_map.draw_stream`` makes
+the seeded stream), and their records hold only what the draws gave.
 
 The denominators live in trajectory space. Ratios against state-space
 distances ||x - y||^2 are a separate, clearly labeled diagnostic (see the
@@ -25,14 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delay_map import (
-    DelayParams,
-    MeasurementCoeffs,
-    derive_seed,
-    draw_coeffs,
-    row_squared_norms,
-    _check_coeffs,
-)
+from .delay_map import DelayParams, MeasurementCoeffs, row_squared_norms, _check_coeffs
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError, NonFiniteTrajectoryError
 from .spectral import (
@@ -64,27 +59,32 @@ class ConditioningResult:
 class EmbeddingReport:
     """Monte Carlo conditioning summary over coefficient draws.
 
+    It holds results only; the ensemble and seeds of the draws are the
+    caller's. ``per_draw`` holds one result per draw, in the order given,
+    and ``num_draws`` is its length. ``quantiles`` maps each of
+    ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
     ``num_pairs``, ``num_certified`` and ``num_chunks`` are the scan's pair
     count, the number of pairs it took the dense SVD of, and the number of
-    chunks of pair differences it formed. ``table``, ``soft_ranks`` (per
-    pair) and ``ratios`` (draws x pairs) are kept only when ``monte_carlo``
-    is asked to keep per-pair values, else None; their pair axis is in
-    ``pair_indices`` order.
+    chunks of pair differences it formed; they are copied, so that the
+    scan's pair table is not kept alive unless asked for. ``table``,
+    ``soft_ranks`` (per pair) and ``ratios`` (draws x pairs) are kept only
+    when ``monte_carlo`` is asked to keep per-pair values, else None; their
+    pair axis is in ``pair_indices`` order.
     """
 
     per_draw: list[ConditioningResult]
-    num_draws: int
-    ensemble: str
-    base_seed: int
     quantiles: dict[float, float]
     infimum_soft_rank: float
-    params: dict
     num_pairs: int
     num_certified: int
     num_chunks: int
     table: PairTable | None = field(default=None, repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
     ratios: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def num_draws(self) -> int:
+        return len(self.per_draw)
 
     @property
     def epsilons(self) -> np.ndarray:
@@ -104,26 +104,12 @@ class EmbeddingReport:
 
 
 @dataclass(frozen=True)
-class ScalingRow:
-    """One delay count's conditioning summary within a scaling study."""
-
-    num_delays: int
-    infimum_soft_rank: float
-    eps_median: float
-    eps_q05: float
-    eps_q95: float
-    eps_max: float
-    eps_mean: float
-
-
-@dataclass(frozen=True)
 class ScalingStudyResult:
-    """Medians per M and the log-log slope of median eps against M."""
+    """One report per M, and the log-log slope of median eps against M."""
 
-    rows: list[ScalingRow]
+    reports: list[EmbeddingReport]
     slope: float
     slope_stderr: float
-    reports: list[EmbeddingReport]
 
 
 @dataclass(frozen=True)
@@ -206,49 +192,31 @@ def conditioning(
     return _conditioning(table, alpha, table.ratios(alpha.alpha))
 
 
-def _draw_all(
-    ensemble: str, n: int, num_draws: int, base_seed: int
-) -> list[MeasurementCoeffs]:
-    """Draws 0, ..., num_draws - 1 of the stream rooted at ``base_seed``."""
-    return [draw_coeffs(ensemble, n, derive_seed(base_seed, k)) for k in range(num_draws)]
-
-
 def monte_carlo(
     flow: FlowSpec,
     samples: np.ndarray,
     params: DelayParams,
-    ensemble: str,
-    num_draws: int,
-    base_seed: int,
+    draws: list[MeasurementCoeffs],
     threads: int = 1,
     keep_per_pair: bool = False,
-    draws: list[MeasurementCoeffs] | None = None,
 ) -> EmbeddingReport:
-    """Conditioning distribution over seeded coefficient draws.
+    """Conditioning distribution over the given coefficient draws.
 
-    Draw k uses the child seed derived from (base_seed, k), so every number
-    in the report is determined by the configuration alone; ``threads``
+    Each draw must have the flow's dimension, which is checked before the
+    scan; ``delay_map.draw_stream`` makes the seeded draws. ``threads``
     splits only the soft-rank scan. The draws run in order on the pair table
     of that scan. ``keep_per_pair`` retains that table, the scan's per-pair
     soft ranks and the full (draws, pairs) ratio matrix for per-pair
-    reporting. ``draws``, when given,
-    holds the coefficients of those draws, already made; ``scaling_study``
-    makes them once for every M. Each must have the flow's dimension, which
-    is checked before the scan.
+    reporting.
     """
-    if num_draws < 1:
-        raise InvalidArgumentError(f"num_draws must be >= 1, got {num_draws}")
-    if draws is None:  # draw_coeffs checks the ensemble
-        draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
-    elif len(draws) != num_draws:
-        raise InvalidArgumentError(f"got {len(draws)} draws for num_draws = {num_draws}")
-    else:
-        for coeffs in draws:
-            _check_coeffs(flow, coeffs)
+    if not draws:
+        raise InvalidArgumentError("monte_carlo needs at least one coefficient draw")
+    for coeffs in draws:
+        _check_coeffs(flow, coeffs)
     scan = infimum_soft_rank(flow, samples, params, threads=threads)
     table = scan.table
     per_draw = []
-    ratios = np.empty((num_draws, table.num_pairs)) if keep_per_pair else None
+    ratios = np.empty((len(draws), table.num_pairs)) if keep_per_pair else None
     for k, coeffs in enumerate(draws):
         draw_ratios = table.ratios(coeffs.alpha)
         per_draw.append(_conditioning(table, coeffs, draw_ratios))
@@ -261,17 +229,8 @@ def monte_carlo(
     }
     return EmbeddingReport(
         per_draw=per_draw,
-        num_draws=num_draws,
-        ensemble=ensemble,
-        base_seed=int(base_seed),
         quantiles=quantiles,
         infimum_soft_rank=scan.infimum,
-        params={
-            "ambient_dim": flow.ambient_dim,
-            "num_delays": params.num_delays,
-            "num_samples": table.shape[0],
-            "sampling_interval": flow.sampling_interval,
-        },
         num_pairs=scan.num_pairs,
         num_certified=scan.num_certified,
         num_chunks=scan.num_chunks,
@@ -285,17 +244,14 @@ def scaling_study(
     flow: FlowSpec,
     samples: np.ndarray,
     m_list: list[int],
-    ensemble: str,
-    num_draws: int,
-    base_seed: int,
+    draws: list[MeasurementCoeffs],
     threads: int = 1,
 ) -> ScalingStudyResult:
-    """Median-eps-vs-M table with a least-squares log-log slope.
+    """One ``monte_carlo`` report per M, with a least-squares log-log slope.
 
-    The same coefficient draws (keyed by base_seed and draw index, which do
-    not involve M) are made once and reused across delay counts, pairing
-    the per-M comparisons. Median eps, not the max, enters the fit; the max
-    is reported per row.
+    Every M takes the same draws, which pairs the per-M comparisons. Median
+    eps, not the max, enters the fit; a median of exactly 0 has no log and
+    is an ``InvalidArgumentError`` naming its M.
     """
     m_list = list(m_list)
     if len(m_list) < 2:
@@ -305,33 +261,22 @@ def scaling_study(
     if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise InvalidArgumentError(f"delay counts must be ascending, got {m_list}")
 
-    draws = _draw_all(ensemble, flow.ambient_dim, num_draws, base_seed)
-    rows = []
-    reports = []
-    for m in m_list:
-        report = monte_carlo(
-            flow, samples, DelayParams(m), ensemble, num_draws, base_seed,
-            threads=threads, draws=draws,
+    reports = [
+        monte_carlo(flow, samples, DelayParams(m), draws, threads=threads) for m in m_list
+    ]
+    medians = [report.quantiles[0.5] for report in reports]
+    if 0.0 in medians:
+        raise InvalidArgumentError(
+            f"the median eps over the draws is 0 at M = {m_list[medians.index(0.0)]}, "
+            "so log(eps) and the slope are undefined"
         )
-        rows.append(
-            ScalingRow(
-                num_delays=m,
-                infimum_soft_rank=report.infimum_soft_rank,
-                eps_median=report.quantiles[0.5],
-                eps_q05=report.quantiles[0.05],
-                eps_q95=report.quantiles[0.95],
-                eps_max=report.eps_max,
-                eps_mean=report.eps_mean,
-            )
-        )
-        reports.append(report)
 
-    log_m = np.log([row.num_delays for row in rows])
-    log_eps = np.log([row.eps_median for row in rows])
+    log_m = np.log(m_list)
+    log_eps = np.log(medians)
     design = np.column_stack([log_m, np.ones_like(log_m)])
     coef, _, _, _ = np.linalg.lstsq(design, log_eps, rcond=None)
     slope = float(coef[0])
-    dof = len(rows) - 2
+    dof = len(m_list) - 2
     if dof > 0:
         residuals = log_eps - design @ coef
         sigma_sq = float(residuals @ residuals) / dof
@@ -339,7 +284,7 @@ def scaling_study(
         stderr = math.sqrt(sigma_sq * xtx_inv[0, 0])
     else:
         stderr = math.nan
-    return ScalingStudyResult(rows=rows, slope=slope, slope_stderr=stderr, reports=reports)
+    return ScalingStudyResult(reports=reports, slope=slope, slope_stderr=stderr)
 
 
 def _finite_term(name: str, evaluate) -> float:

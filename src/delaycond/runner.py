@@ -31,7 +31,7 @@ import scipy
 from ._parallel import resolve_threads
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
-from .delay_map import DelayParams, derive_seed, draw_coeffs
+from .delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream
 from .dynamics import FlowSpec, lyapunov_exponent_inverse_flow
 from .embedding_analysis import (
     EmbeddingReport,
@@ -271,30 +271,31 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
 
 def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Median-eps-vs-M table and slope fit; see docs/report_schema.md."""
-    if len(config.delays) < 3:
+    delays = config.delays
+    if len(delays) < 3:
         raise ConfigError("delays: scaling study needs at least 3 delay counts")
+    if delays != sorted(delays):
+        raise ConfigError(f"delays: the scaling study needs ascending delay counts, got {delays}")
     flow = build_flow(config)
     samples, desc, _period = build_samples(config, flow)
-    study = scaling_study(
-        flow,
-        samples,
-        config.delays,
-        config.ensemble,
-        config.num_draws,
-        config.base_seed,
-        threads=threads,
-    )
+    draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
+    study = scaling_study(flow, samples, delays, draws, threads=threads)
 
-    rows = study.rows
-    table = {"M": np.array([r.num_delays for r in rows])}
-    for name in ("infimum_soft_rank", "eps_median", "eps_q05", "eps_q95", "eps_max"):
-        table[name] = np.array([getattr(r, name) for r in rows])
+    reports = study.reports
+    table = {
+        "M": np.array(delays),
+        "infimum_soft_rank": np.array([r.infimum_soft_rank for r in reports]),
+        "eps_median": np.array([r.quantiles[0.5] for r in reports]),
+        "eps_q05": np.array([r.quantiles[0.05] for r in reports]),
+        "eps_q95": np.array([r.quantiles[0.95] for r in reports]),
+        "eps_max": np.array([r.eps_max for r in reports]),
+    }
     summary = {
         "slope": study.slope,
         "slope_stderr": study.slope_stderr,
-        "num_delays": table["M"].tolist(),
+        "num_delays": delays,
         "eps_median": table["eps_median"].tolist(),
-        "eps_mean": [r.eps_mean for r in rows],
+        "eps_mean": [r.eps_mean for r in reports],
         "eps_max": table["eps_max"].tolist(),
         "ensemble": config.ensemble,
         "num_draws": config.num_draws,
@@ -302,7 +303,7 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
         "samples": desc,
         "ambient_dim": flow.ambient_dim,
     }
-    counts = [_counts(r, r.params["num_delays"], r.num_draws) for r in study.reports]
+    counts = [_counts(r, m, r.num_draws) for m, r in zip(delays, reports)]
     _write_run(
         out_dir,
         config,
@@ -441,22 +442,28 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "reach, which require at least 3 orbit-ordered samples"
         )
 
+    # the draws live only as long as the call: held on through the per-pair
+    # reductions and the writers, they would raise the run's peak memory
     report = monte_carlo(
         flow,
         samples,
         params,
-        config.ensemble,
-        config.num_draws,
-        config.base_seed,
+        draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed),
         threads=threads,
         keep_per_pair=True,
     )
 
     report_payload = {
-        "ensemble": report.ensemble,
-        "num_draws": report.num_draws,
-        "base_seed": report.base_seed,
-        "params": {**report.params, "samples": desc},
+        "ensemble": config.ensemble,
+        "num_draws": config.num_draws,
+        "base_seed": config.base_seed,
+        "params": {
+            "ambient_dim": flow.ambient_dim,
+            "num_delays": params.num_delays,
+            "num_samples": report.table.shape[0],
+            "sampling_interval": flow.sampling_interval,
+            "samples": desc,
+        },
         "quantiles": {f"{q:.2f}": v for q, v in report.quantiles.items()},
         "eps_median": report.quantiles[0.5],
         "eps_mean": report.eps_mean,
@@ -480,6 +487,11 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         manifold = geometry_payload["trajectory_manifold"]
         if "reach" not in manifold:
             raise ConfigError(f"c_user: the theorem check needs a reach; {manifold['note']}")
+        if report.quantiles[0.5] == 0.0:
+            raise ConfigError(
+                "c_user: the theorem check needs a positive epsilon; "
+                "the median eps over the draws is 0"
+            )
         check = theorem_condition_check(
             infimum_soft_rank=report.infimum_soft_rank,
             epsilon=report.quantiles[0.5],

@@ -15,6 +15,7 @@ import pytest
 
 from delaycond import (
     DelayParams,
+    draw_stream,
     infimum_soft_rank,
     lyapunov_exponent_inverse_flow,
     make_linear_flow,
@@ -95,9 +96,9 @@ def test_criterion_3_conditioning_scaling():
     flow = make_shift_flow(256)
     samples = np.eye(256)
     study = scaling_study(
-        flow, samples, [8, 16, 32, 64], "rademacher", 200, base_seed=12345
+        flow, samples, [8, 16, 32, 64], draw_stream("rademacher", 256, 200, 12345)
     )
-    medians = [row.eps_median for row in study.rows]
+    medians = [report.quantiles[0.5] for report in study.reports]
     strictly_decreasing = all(a > b for a, b in zip(medians, medians[1:]))
     elapsed = time.time() - start
     ok = -0.65 <= study.slope <= -0.35 and strictly_decreasing and elapsed < 300.0

@@ -26,7 +26,7 @@ from delaycond.config import (
     load_config,
     parse_origin,
 )
-from delaycond.delay_map import DelayParams
+from delaycond.delay_map import DelayParams, draw_stream
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
@@ -515,7 +515,8 @@ class TestRunFullReport:
                     flow = build_flow(config)
                     samples, _, _ = build_samples(config, flow)
                     report = monte_carlo(
-                        flow, samples, DelayParams(4), config.ensemble, num_draws, 5,
+                        flow, samples, DelayParams(4),
+                        draw_stream(config.ensemble, flow.ambient_dim, num_draws, 5),
                         keep_per_pair=True,
                     )
                     state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
@@ -729,6 +730,7 @@ class TestSingleOutputPath:
         def no_draws(*args, **kwargs):
             raise AssertionError("the draws ran")
 
+        monkeypatch.setattr(runner, "draw_stream", no_draws)
         monkeypatch.setattr(runner, "monte_carlo", no_draws)
         if geometry == "samples_path":
             samples_file = tmp_path / "samples.csv"
@@ -968,6 +970,42 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert "error: theorem check: the term " in captured.err
         assert "volume^(1/manifold_dim)" in captured.err and "overflows" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("scaling", {"delays": "2, 3, 4"}),
+            ("report", {"delays": "4", "c_user": "1.0", "manifold_dim": "1.0"}),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_median_eps_exit_one(self, tmp_path, capsys, command, overrides):
+        # at M = N = 4 the one draw of base seed 1 measures every pair exactly,
+        # so the median eps is 0: log(eps) and the theorem check are undefined
+        config_path = minimal_shift_config(
+            tmp_path, ambient_dim="4", origin="e1", num_samples="4", num_draws="1",
+            base_seed="1", **overrides,
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "median eps over the draws is 0" in captured.err
+        if command == "scaling":
+            assert "at M = 4" in captured.err
+        else:
+            assert "error: c_user: " in captured.err
+        assert "nan" not in (captured.err + captured.out).lower()
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_descending_delays_exit_one_naming_the_key(self, tmp_path, capsys):
+        config_path = minimal_shift_config(tmp_path, delays="3, 2, 4")
+        out = tmp_path / "o"
+        assert main(["scaling", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: delays: " in captured.err and "[3, 2, 4]" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

@@ -12,6 +12,7 @@ from delaycond import (
     delay_vector,
     derive_seed,
     draw_coeffs,
+    draw_stream,
     generate_orbit,
     infimum_soft_rank,
     lyapunov_exponent_inverse_flow,
@@ -80,6 +81,25 @@ class TestDrawCoeffs:
             user_coeffs(alpha)
         with pytest.raises(InvalidArgumentError, match="finite"):
             MeasurementCoeffs(alpha=alpha, ensemble="gaussian", seed=3)
+
+    @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
+    def test_stream_is_the_derived_seed_draws(self, ensemble):
+        stream = draw_stream(ensemble, 12, 6, 41)
+        expected = [draw_coeffs(ensemble, 12, derive_seed(41, k)) for k in range(6)]
+        assert [c.seed for c in stream] == [c.seed for c in expected]
+        assert all(c.ensemble == ensemble for c in stream)
+        assert all(a.alpha.tobytes() == b.alpha.tobytes() for a, b in zip(stream, expected))
+        # a shorter stream is a prefix of a longer one
+        assert [c.seed for c in draw_stream(ensemble, 12, 2, 41)] == [c.seed for c in stream[:2]]
+
+    @pytest.mark.parametrize(
+        "ensemble, num_draws, message",
+        [("rademacher", 0, "num_draws must be >= 1"), ("bogus", 3, "bogus")],
+        ids=["no-draws", "unknown-ensemble"],
+    )
+    def test_stream_arguments_are_typed_errors(self, ensemble, num_draws, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            draw_stream(ensemble, 8, num_draws, 0)
 
     def test_derived_seeds_are_order_independent(self):
         forward = [derive_seed(7, k) for k in range(5)]
@@ -165,7 +185,8 @@ class TestTrajectoryMatrix:
             pytest.param(lambda f, s, p: pair_soft_rank(f, s[0], s[1], p), id="pair_soft_rank"),
             pytest.param(lambda f, s, p: infimum_soft_rank(f, s, p), id="infimum_soft_rank"),
             pytest.param(
-                lambda f, s, p: monte_carlo(f, s, p, "gaussian", 2, 0), id="monte_carlo"
+                lambda f, s, p: monte_carlo(f, s, p, draw_stream("gaussian", 3, 2, 0)),
+                id="monte_carlo",
             ),
             pytest.param(
                 lambda f, s, p: trajectory_manifold_points(f, s, p),

@@ -14,6 +14,7 @@ from delaycond import (
     NonFiniteTrajectoryError,
     conditioning,
     draw_coeffs,
+    draw_stream,
     infimum_soft_rank,
     isometry_ratio,
     make_linear_flow,
@@ -230,17 +231,7 @@ class TestMonteCarlo:
         with pytest.raises(NonFiniteTrajectoryError, match=message):
             conditioning(flow, samples, alpha, params)
         with pytest.raises(NonFiniteTrajectoryError, match=message):
-            monte_carlo(flow, samples, params, ensemble, 5, base_seed=0)
-
-    def test_draws_must_number_num_draws(self):
-        flow = make_shift_flow(8)
-        draws = [draw_coeffs("rademacher", 8, k) for k in range(3)]
-        for num_draws, keep in ((5, False), (2, True)):
-            with pytest.raises(InvalidArgumentError, match="got 3 draws"):
-                monte_carlo(
-                    flow, np.eye(8), DelayParams(2), "rademacher", num_draws, 0,
-                    keep_per_pair=keep, draws=draws,
-                )
+            monte_carlo(flow, samples, params, draw_stream(ensemble, flow.ambient_dim, 5, 0))
 
     @pytest.mark.parametrize("n", [7, 9])
     @pytest.mark.parametrize("kind", ["shift", "linear"])
@@ -251,12 +242,12 @@ class TestMonteCarlo:
         draws = [draw_coeffs("rademacher", 8, 0), draw_coeffs("rademacher", n, 1)]
         monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
         with pytest.raises(DimensionMismatchError, match=f"length {n}, flow ambient dimension is 8"):
-            monte_carlo(flow, np.eye(8), DelayParams(2), "rademacher", 2, 0, draws=draws)
+            monte_carlo(flow, np.eye(8), DelayParams(2), draws)
 
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)
         samples = np.eye(16)
-        report = monte_carlo(flow, samples, DelayParams(4), "rademacher", 1, base_seed=5)
+        report = monte_carlo(flow, samples, DelayParams(4), draw_stream("rademacher", 16, 1, 5))
         assert report.num_draws == 1
         assert len(report.per_draw) == 1
         eps = report.per_draw[0].epsilon
@@ -268,7 +259,7 @@ class TestMonteCarlo:
         flow = make_shift_flow(32)
         samples = np.vstack([np.eye(32)[0], np.eye(32)[1]])
         report = monte_carlo(
-            flow, samples, DelayParams(4), "rademacher", 2000, base_seed=21,
+            flow, samples, DelayParams(4), draw_stream("rademacher", 32, 2000, 21),
             keep_per_pair=True,
         )
         mean_ratio = float(np.mean(report.ratios[:, 0]))
@@ -277,35 +268,32 @@ class TestMonteCarlo:
     def test_keep_per_pair_keeps_the_scan_table(self):
         flow = make_shift_flow(8)
         params = DelayParams(3)
-        report = monte_carlo(
-            flow, np.eye(8), params, "gaussian", 5, base_seed=1, keep_per_pair=True
-        )
+        draws = draw_stream("gaussian", 8, 5, 1)
+        report = monte_carlo(flow, np.eye(8), params, draws, keep_per_pair=True)
         scan = infimum_soft_rank(flow, np.eye(8), params)
         assert np.array_equal(report.soft_ranks, scan.soft_ranks)
         assert np.array_equal(report.table.stack, scan.table.stack)
         assert report.ratios.shape == (5, 28)
-        plain = monte_carlo(flow, np.eye(8), params, "gaussian", 5, base_seed=1)
+        plain = monte_carlo(flow, np.eye(8), params, draws)
         assert plain.table is None and plain.soft_ranks is None and plain.ratios is None
         assert np.array_equal(plain.epsilons, report.epsilons)
 
     def test_failure_rate_at_the_median_is_a_coin_flip(self):
         flow = make_shift_flow(32)
-        report = monte_carlo(
-            flow, np.eye(32), DelayParams(8), "gaussian", 200, base_seed=13
-        )
+        report = monte_carlo(flow, np.eye(32), DelayParams(8), draw_stream("gaussian", 32, 200, 13))
         median = report.quantiles[0.5]
         assert abs(report.failure_rate(median) - 0.5) <= 0.05
 
     def test_failure_rate_is_monotone_non_increasing(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), "gaussian", 60, base_seed=2)
+        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("gaussian", 16, 60, 2))
         grid = np.linspace(0.0, 3.0, 31)
         rates = [report.failure_rate(g) for g in grid]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_quantiles_are_ordered(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), "gaussian", 50, base_seed=4)
+        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("gaussian", 16, 50, 4))
         levels = sorted(report.quantiles)
         values = [report.quantiles[q] for q in levels]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -313,31 +301,21 @@ class TestMonteCarlo:
     def test_threaded_run_matches_sequential_bitwise(self):
         flow = make_shift_flow(32)
         samples = np.eye(32)
-        seq = monte_carlo(flow, samples, DelayParams(8), "rademacher", 40, base_seed=6)
-        par = monte_carlo(
-            flow, samples, DelayParams(8), "rademacher", 40, base_seed=6, threads=4
-        )
+        draws = draw_stream("rademacher", 32, 40, 6)
+        seq = monte_carlo(flow, samples, DelayParams(8), draws)
+        par = monte_carlo(flow, samples, DelayParams(8), draws, threads=4)
         assert np.array_equal(seq.epsilons, par.epsilons)
         assert [r.worst_pair for r in seq.per_draw] == [r.worst_pair for r in par.per_draw]
 
     def test_infimum_soft_rank_included(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), "rademacher", 3, base_seed=1)
+        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("rademacher", 16, 3, 1))
         assert report.infimum_soft_rank >= 2.0 - 1e-9
-        assert report.params["ambient_dim"] == 16
-        assert report.params["num_delays"] == 4
 
-    def test_unknown_ensemble_is_a_typed_error(self):
-        # rejected before the pair table is built: the coincident samples
-        # would otherwise raise DegeneratePairError
-        flow = make_shift_flow(8)
-        with pytest.raises(InvalidArgumentError, match="bogus"):
-            monte_carlo(flow, np.eye(8)[[0, 0]], DelayParams(2), "bogus", 3, base_seed=0)
-
-    def test_num_draws_validated(self):
-        flow = make_shift_flow(8)
-        with pytest.raises(InvalidArgumentError):
-            monte_carlo(flow, np.eye(8), DelayParams(2), "rademacher", 0, base_seed=0)
+    def test_no_draws_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
+        with pytest.raises(InvalidArgumentError, match="at least one coefficient draw"):
+            monte_carlo(make_shift_flow(8), np.eye(8), DelayParams(2), [])
 
 
 class TestScalingStudy:
@@ -345,15 +323,14 @@ class TestScalingStudy:
         # gaussian draws keep eps continuous; sign draws saturate |ratio - 1|
         # at 1 for small M, flattening the medians
         flow = make_shift_flow(64)
-        study = scaling_study(
-            flow, np.eye(64), [4, 8, 16], "gaussian", 50, base_seed=3
-        )
+        study = scaling_study(flow, np.eye(64), [4, 8, 16], draw_stream("gaussian", 64, 50, 3))
         assert study.slope < 0.0
-        medians = [row.eps_median for row in study.rows]
+        medians = [report.quantiles[0.5] for report in study.reports]
         assert all(a > b for a, b in zip(medians, medians[1:]))
-        for row in study.rows:
-            assert row.infimum_soft_rank >= row.num_delays / 2.0 - 1e-9
-            assert row.eps_q05 <= row.eps_median <= row.eps_q95 <= row.eps_max
+        for m, report in zip([4, 8, 16], study.reports):
+            q = report.quantiles
+            assert report.infimum_soft_rank >= m / 2.0 - 1e-9
+            assert q[0.05] <= q[0.5] <= q[0.95] <= report.eps_max
 
     @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
     def test_matches_a_naive_pair_by_pair_study(self, ensemble):
@@ -367,9 +344,10 @@ class TestScalingStudy:
         phi_inv = np.linalg.inv(phi)
         samples = np.eye(n)
         study = scaling_study(
-            make_shift_flow(n), samples, m_list, ensemble, num_draws, base_seed=seed
+            make_shift_flow(n), samples, m_list, draw_stream(ensemble, n, num_draws, seed)
         )
-        for m, row, report in zip(m_list, study.rows, study.reports):
+        assert len(study.reports) == len(m_list)
+        for m, report in zip(m_list, study.reports):
             gs = []
             for x in samples:
                 rows, cur = [], x.copy()
@@ -387,20 +365,28 @@ class TestScalingStudy:
                         ratio = np.sum((diff @ alpha) ** 2) / np.sum(diff**2)
                         worst = max(worst, abs(ratio - 1.0))
                 eps.append(worst)
-            assert row.num_delays == m
             np.testing.assert_allclose(report.epsilons, eps, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(row.eps_median, np.median(eps), rtol=1e-12, atol=0)
-            np.testing.assert_allclose(row.eps_max, np.max(eps), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(report.quantiles[0.5], np.median(eps), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(report.eps_max, np.max(eps), rtol=1e-12, atol=0)
 
     def test_single_m_cannot_fit(self):
         flow = make_shift_flow(16)
         with pytest.raises(InvalidArgumentError):
-            scaling_study(flow, np.eye(16), [4], "rademacher", 5, base_seed=0)
+            scaling_study(flow, np.eye(16), [4], draw_stream("rademacher", 16, 5, 0))
 
     def test_m_list_must_ascend(self):
         flow = make_shift_flow(16)
         with pytest.raises(InvalidArgumentError):
-            scaling_study(flow, np.eye(16), [8, 4], "rademacher", 5, base_seed=0)
+            scaling_study(flow, np.eye(16), [8, 4], draw_stream("rademacher", 16, 5, 0))
+
+    def test_zero_median_eps_names_its_m(self):
+        # at M = N = 4 the trajectory matrices are circulant permutations, so
+        # a pair at separation d has ratio 1 - c_d / 4, with c_d the circular
+        # autocorrelation of alpha; draw 0 of the stream at base seed 1,
+        # (-1, -1, 1, -1), has c_d = 0 at every lag, so every ratio is exactly 1
+        flow = make_shift_flow(4)
+        with pytest.raises(InvalidArgumentError, match="median eps over the draws is 0 at M = 4"):
+            scaling_study(flow, np.eye(4), [2, 3, 4], draw_stream("rademacher", 4, 1, 1))
 
 
 class TestTheoremConditionCheck:

@@ -15,7 +15,8 @@ Four cases, each run in-process at ``--threads 1`` and ``2``:
 The shuffled run must also match the orbit-ordered run pair by pair, and
 each benchmark workload's run at seed 0 must pass the benchmark's own output
 check against its stored reference in ``perfbench/reference/``. Every
-function the benchmark's per-layer metrics trace must exist under its name.
+function the benchmark's per-layer metrics trace must exist under its name,
+and every result attribute its count metrics read must be an int.
 """
 
 import csv
@@ -29,6 +30,7 @@ import sys
 import numpy as np
 import pytest
 
+from delaycond import DelayParams, draw_stream, infimum_soft_rank, make_shift_flow, monte_carlo
 from delaycond.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -227,3 +229,23 @@ def test_traced_functions_are_public_layer_functions():
         ):
             missing.append(name)
     assert traced and not missing, f"no public layer function for {missing}"
+
+
+def test_count_attributes_are_ints():
+    """Every result attribute a count metric reads is an int on a tiny run.
+
+    The span recorder reads it with ``getattr(result, attribute, None)``; a
+    renamed or removed attribute would make the metric read as absent.
+    """
+    flow, samples, params = make_shift_flow(4), np.eye(4), DelayParams(2)
+    results = {
+        "spectral.infimum_soft_rank": infimum_soft_rank(flow, samples, params),
+        "embedding_analysis.monte_carlo": monte_carlo(
+            flow, samples, params, draw_stream("rademacher", 4, 3, 0)
+        ),
+    }
+    assert spans.COUNT_ATTRIBUTES
+    for name, attribute in spans.COUNT_ATTRIBUTES.items():
+        assert name in results, f"no tiny run of {name}"
+        value = getattr(results[name], attribute, None)
+        assert type(value) is int, f"{name} result .{attribute} is {value!r}"

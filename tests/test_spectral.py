@@ -19,6 +19,7 @@ from delaycond import (
     NonFiniteTrajectoryError,
     UndefinedSoftRankError,
     draw_coeffs,
+    draw_stream,
     infimum_soft_rank,
     make_linear_flow,
     make_shift_flow,
@@ -402,9 +403,8 @@ class TestScreenedScan:
         flow, samples, params, gated = case
         reference, infimum, argmin = self.exhaustive(flow, samples, params)
         default_scan = infimum_soft_rank(flow, samples, params, threads=threads)
-        default_report = monte_carlo(
-            flow, samples, params, "rademacher", num_draws, 3, keep_per_pair=True
-        )
+        draws = draw_stream("rademacher", flow.ambient_dim, num_draws, 3)
+        default_report = monte_carlo(flow, samples, params, draws, keep_per_pair=True)
         # ``chunk`` pairs per scan chunk; the one-byte budget puts every pass,
         # the report's per-pair reductions included, in one-pair chunks
         budget = 1 if chunk == 1 else chunk * 8 * params.num_delays * flow.ambient_dim
@@ -417,8 +417,7 @@ class TestScreenedScan:
             scan = infimum_soft_rank(flow, samples, params, threads=threads)
             assert sum(rows) == screened
             report = monte_carlo(
-                flow, samples, params, "rademacher", num_draws, 3,
-                threads=threads, keep_per_pair=True,
+                flow, samples, params, draws, threads=threads, keep_per_pair=True
             )
             assert sum(rows) == 2 * screened
         assert scan.infimum == infimum
@@ -831,14 +830,13 @@ class TestStackFreePermutationTables:
         samples = np.eye(24)
         if order == "shuffled":  # not an orbit order, so every pair is screened
             samples = samples[np.random.default_rng(3).permutation(24)]
+        draws = draw_stream(ensemble, 24, 20, 4)
         expected = monte_carlo(
-            flow, samples, DelayParams(6), ensemble, 20, base_seed=4,
-            keep_per_pair=keep_per_pair,
+            flow, samples, DelayParams(6), draws, keep_per_pair=keep_per_pair
         )
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
         report = monte_carlo(
-            flow, samples, DelayParams(6), ensemble, 20, base_seed=4,
-            threads=2, keep_per_pair=keep_per_pair,
+            flow, samples, DelayParams(6), draws, threads=2, keep_per_pair=keep_per_pair
         )
         assert report.infimum_soft_rank == expected.infimum_soft_rank
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
