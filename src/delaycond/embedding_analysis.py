@@ -10,9 +10,11 @@ every ratio equal to 1; the achieved conditioning eps is the largest
 deviation |ratio - 1| over the scanned pairs, i.e. the tightest band
 (1 - eps, 1 + eps) containing all ratios. Monte Carlo over coefficient
 draws yields eps distributions, failure-rate curves, and scaling fits
-against the number of delays M. The draws are the caller's: ``monte_carlo``
-and ``scaling_study`` take them as a list (``delay_map.draw_stream`` makes
-the seeded stream), and their records hold only what the draws gave.
+against the number of delays M. The pair table and the draws are the
+caller's: ``conditioning`` and ``monte_carlo`` take one ``PairTable``,
+``monte_carlo`` and ``scaling_study`` take the draws as a list
+(``delay_map.draw_stream`` makes the seeded stream), and their records hold
+only what the draws gave.
 
 The denominators live in trajectory space. Ratios against state-space
 distances ||x - y||^2 are a separate, clearly labeled diagnostic (see the
@@ -65,11 +67,10 @@ class EmbeddingReport:
     ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
     ``num_pairs``, ``num_certified`` and ``num_chunks`` are the scan's pair
     count, the number of pairs it took the dense SVD of, and the number of
-    chunks of pair differences it formed; they are copied, so that the
-    scan's pair table is not kept alive unless asked for. ``table``,
-    ``soft_ranks`` (per pair) and ``ratios`` (draws x pairs) are kept only
-    when ``monte_carlo`` is asked to keep per-pair values, else None; their
-    pair axis is in ``pair_indices`` order.
+    chunks of pair differences it formed. ``soft_ranks`` (per pair) and
+    ``ratios`` (draws x pairs) are kept only when ``monte_carlo`` is asked
+    to keep per-pair values, else None; their pair axis is in the pair
+    order of the caller's table.
     """
 
     per_draw: list[ConditioningResult]
@@ -78,7 +79,6 @@ class EmbeddingReport:
     num_pairs: int
     num_certified: int
     num_chunks: int
-    table: PairTable | None = field(default=None, repr=False)
     soft_ranks: np.ndarray | None = field(default=None, repr=False)
     ratios: np.ndarray | None = field(default=None, repr=False)
 
@@ -180,41 +180,30 @@ def _conditioning(
     )
 
 
-def conditioning(
-    flow: FlowSpec,
-    samples: np.ndarray,
-    alpha: MeasurementCoeffs,
-    params: DelayParams,
-) -> ConditioningResult:
-    """Tightest eps such that every pair ratio lies in (1 - eps, 1 + eps)."""
-    _check_coeffs(flow, alpha)
-    table = PairTable(flow, samples, params)
-    return _conditioning(table, alpha, table.ratios(alpha.alpha))
+def conditioning(table: PairTable, alpha: MeasurementCoeffs) -> ConditioningResult:
+    """Tightest eps such that every pair ratio of ``table`` lies in (1 - eps, 1 + eps)."""
+    return _conditioning(table, alpha, table.ratios(_check_coeffs(table.flow, alpha)))
 
 
 def monte_carlo(
-    flow: FlowSpec,
-    samples: np.ndarray,
-    params: DelayParams,
+    table: PairTable,
     draws: list[MeasurementCoeffs],
     threads: int = 1,
     keep_per_pair: bool = False,
 ) -> EmbeddingReport:
-    """Conditioning distribution over the given coefficient draws.
+    """Scan of ``table`` and the conditioning distribution over the given draws.
 
     Each draw must have the flow's dimension, which is checked before the
     scan; ``delay_map.draw_stream`` makes the seeded draws. ``threads``
-    splits only the soft-rank scan. The draws run in order on the pair table
-    of that scan. ``keep_per_pair`` retains that table, the scan's per-pair
-    soft ranks and the full (draws, pairs) ratio matrix for per-pair
-    reporting.
+    splits only the soft-rank scan. The draws run in order on ``table``.
+    ``keep_per_pair`` retains the scan's per-pair soft ranks and the full
+    (draws, pairs) ratio matrix for per-pair reporting.
     """
     if not draws:
         raise InvalidArgumentError("monte_carlo needs at least one coefficient draw")
     for coeffs in draws:
-        _check_coeffs(flow, coeffs)
-    scan = infimum_soft_rank(flow, samples, params, threads=threads)
-    table = scan.table
+        _check_coeffs(table.flow, coeffs)
+    scan = infimum_soft_rank(table, threads=threads)
     per_draw = []
     ratios = np.empty((len(draws), table.num_pairs)) if keep_per_pair else None
     for k, coeffs in enumerate(draws):
@@ -234,7 +223,6 @@ def monte_carlo(
         num_pairs=scan.num_pairs,
         num_certified=scan.num_certified,
         num_chunks=scan.num_chunks,
-        table=table if keep_per_pair else None,
         soft_ranks=scan.soft_ranks if keep_per_pair else None,
         ratios=ratios,
     )
@@ -249,9 +237,10 @@ def scaling_study(
 ) -> ScalingStudyResult:
     """One ``monte_carlo`` report per M, with a least-squares log-log slope.
 
-    Every M takes the same draws, which pairs the per-M comparisons. Median
-    eps, not the max, enters the fit; a median of exactly 0 has no log and
-    is an ``InvalidArgumentError`` naming its M.
+    Every M takes its own ``PairTable`` of the samples and the same draws,
+    which pairs the per-M comparisons. Median eps, not the max, enters the
+    fit; a median of exactly 0 has no log and is an ``InvalidArgumentError``
+    naming its M.
     """
     m_list = list(m_list)
     if len(m_list) < 2:
@@ -261,8 +250,10 @@ def scaling_study(
     if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise InvalidArgumentError(f"delay counts must be ascending, got {m_list}")
 
+    # each table is freed once its report is made
     reports = [
-        monte_carlo(flow, samples, DelayParams(m), draws, threads=threads) for m in m_list
+        monte_carlo(PairTable(flow, samples, DelayParams(m)), draws, threads=threads)
+        for m in m_list
     ]
     medians = [report.quantiles[0.5] for report in reports]
     if 0.0 in medians:

@@ -1,7 +1,8 @@
 """Geometric estimators: attractor sampling, curve volume, reach, delay baselines.
 
 Point sets are plain arrays with one point per row: the trajectory manifold
-of a sample set is the (n, M N) array of its trajectory vectors.
+of a sample set is the (n, M N) array of its trajectory vectors, read from
+the caller's ``PairTable``.
 
 Estimator bias directions, reported alongside every value:
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_map import DelayParams, trajectory_matrices
 from .dynamics import FlowSpec, generate_orbit
 from .errors import (
     InvalidArgumentError,
@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteTrajectoryError,
     ZeroVarianceError,
 )
+from .spectral import PairTable
 
 VOLUME_BIAS_NOTE = "chordal sum; underestimates arc length, converges from below"
 REACH_BIAS_NOTE = (
@@ -79,27 +80,36 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     The period is detected as the first return to x0 within relative
     tolerance 1e-9; only the first full period of states is kept. Fewer
     than 2 unique states (a fixed point) is an error since no pair scan can
-    be formed, and so is an x0 with no finite norm to scale the tolerance.
+    be formed, and so is an x0 with no finite norm to scale the tolerance,
+    or a kept state that is not finite (the forward flow overflows).
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 samples, got n={n}")
-    # one lookahead state so a period of exactly n is still detected
-    states = generate_orbit(flow, x0, n + 1)
-    with np.errstate(over="ignore"):
+    # an overflow is reported below as the first state that is not finite;
+    # an overflowing distance (inf) or one to such a state (nan) is no return
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one lookahead state so a period of exactly n is still detected
+        states = generate_orbit(flow, x0, n + 1)
         norm = float(np.linalg.norm(states[0]))
-    if not math.isfinite(norm):
-        # an overflowing norm would match every state as a return to x0
-        raise NonFiniteTrajectoryError(
-            "the orbit's first state has no finite norm: an entry is not finite, "
-            "or the sum of its squares overflows"
-        )
-    scale = max(norm, np.finfo(float).tiny)
-    period = None
-    for k in range(1, n + 1):
-        if float(np.linalg.norm(states[k] - states[0])) <= _PERIOD_TOLERANCE * scale:
-            period = k
-            break
+        if not math.isfinite(norm):
+            # an overflowing norm would match every state as a return to x0
+            raise NonFiniteTrajectoryError(
+                "the orbit's first state has no finite norm: an entry is not finite, "
+                "or the sum of its squares overflows"
+            )
+        scale = max(norm, np.finfo(float).tiny)
+        period = None
+        for k in range(1, n + 1):
+            if float(np.linalg.norm(states[k] - states[0])) <= _PERIOD_TOLERANCE * scale:
+                period = k
+                break
     unique = states[:n] if period is None else states[:period]
+    finite = np.isfinite(unique).all(axis=1)
+    if not finite.all():
+        raise NonFiniteTrajectoryError(
+            f"forward step {int(np.argmin(finite))} of the orbit from x0 is not finite; "
+            "the flow overflows"
+        )
     if unique.shape[0] < 2:
         raise InvalidArgumentError(
             "orbit has a single unique state (fixed point); cannot form pairs"
@@ -107,17 +117,17 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     return AttractorSample(states=unique, period=period)
 
 
-def trajectory_manifold_points(
-    flow: FlowSpec, samples: np.ndarray, params: DelayParams
-) -> np.ndarray:
-    """Read-only (n, M N) array whose row i is the trajectory vector of sample i.
+def trajectory_manifold_points(table: PairTable) -> np.ndarray:
+    """Read-only (n, M N) view of ``table.stack``: row i is the trajectory vector of sample i.
 
-    One reshape of the trajectory stack, so row i is
-    ``trajectory_vector(flow, samples[i], params)`` bit for bit.
+    A reshape of the table's stack, which is not built again (on a
+    permutation flow it is gathered on its first read), so row i is the
+    ``trajectory_vector`` of ``table.samples[i]`` at the table's M bit for
+    bit.
     """
-    stack = trajectory_matrices(flow, samples, params)
-    stack.setflags(write=False)
-    return stack.reshape(stack.shape[0], -1)
+    points = table.stack.reshape(table.shape[0], -1)
+    points.setflags(write=False)
+    return points
 
 
 def curve_volume(points: np.ndarray, closed: bool = False) -> float:

@@ -31,8 +31,8 @@ import scipy
 from ._parallel import resolve_threads
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
-from .delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream
-from .dynamics import FlowSpec, lyapunov_exponent_inverse_flow
+from .delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream, time_series
+from .dynamics import lyapunov_exponent_inverse_flow
 from .embedding_analysis import (
     EmbeddingReport,
     monte_carlo,
@@ -47,6 +47,7 @@ from .geometry import (
     delay_selection,
     finite_difference_tangents,
     reach_estimate,
+    trajectory_manifold_points,
 )
 from .spectral import (
     PairScanResult,
@@ -223,9 +224,8 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     counts = []
     passed = True
     for m in config.delays:
-        params = DelayParams(m)
-        scan = infimum_soft_rank(flow, samples, params, threads=threads)
-        table = scan.table
+        table = PairTable(flow, samples, DelayParams(m))
+        scan = infimum_soft_rank(table, threads=threads)
         bound = m / 2.0
         seps = (basis[table.j_idx] - basis[table.i_idx]) % n
         # the oracle depends on the pair only through its separation
@@ -315,17 +315,13 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
 
 
 def _geometry_payload(
-    config: ExperimentConfig,
-    flow: FlowSpec,
-    table: PairTable,
-    period: int | None,
-    orbit_ordered: bool,
+    config: ExperimentConfig, table: PairTable, period: int | None, orbit_ordered: bool
 ) -> dict:
     """Trajectory-manifold, Lyapunov and delay-selection diagnostics of the samples.
 
     The manifold's points are the trajectory vectors of ``table``'s samples.
     """
-    samples = table.samples
+    flow, samples = table.flow, table.samples
     payload: dict = {}
 
     if not orbit_ordered:
@@ -338,7 +334,7 @@ def _geometry_payload(
             f"finite-difference tangents; got {samples.shape[0]}"
         }
     else:
-        points = table.stack.reshape(table.shape[0], -1)
+        points = trajectory_manifold_points(table)
         closed = period is not None and period == samples.shape[0]
         try:
             reach = reach_estimate(points, finite_difference_tangents(points))
@@ -365,7 +361,7 @@ def _geometry_payload(
             config.ensemble, flow.ambient_dim, derive_seed(config.base_seed, 0)
         )
         # orbit-ordered samples are the orbit itself
-        series = samples @ alpha0.alpha
+        series = time_series(samples, alpha0)
         try:
             selection = delay_selection(series, num_bins=config.num_bins)
             payload["delay_selection"] = {
@@ -384,14 +380,13 @@ def _geometry_payload(
     return payload
 
 
-def _per_pair_columns(report: EmbeddingReport) -> dict[str, np.ndarray]:
-    """The ``per_pair.csv`` columns of a report that kept its per-pair values.
+def _per_pair_columns(table: PairTable, report: EmbeddingReport) -> dict[str, np.ndarray]:
+    """The ``per_pair.csv`` columns of ``table``'s report that kept its per-pair values.
 
     Soft ranks are coefficient-free; ratio aggregates run over the draws.
     State-space-denominator ratios are the secondary diagnostic (the
     conditioning is measured in trajectory space).
     """
-    table = report.table
     state_scale = table.traj_dist_sq / table.state_dist_sq
     # chunk by chunk over (draws, pairs) views, so no whole-matrix copy is
     # formed. Rounding is monotone, so the state ratios' order statistics are
@@ -442,12 +437,11 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "reach, which require at least 3 orbit-ordered samples"
         )
 
+    table = PairTable(flow, samples, params)
     # the draws live only as long as the call: held on through the per-pair
     # reductions and the writers, they would raise the run's peak memory
     report = monte_carlo(
-        flow,
-        samples,
-        params,
+        table,
         draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed),
         threads=threads,
         keep_per_pair=True,
@@ -460,7 +454,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "params": {
             "ambient_dim": flow.ambient_dim,
             "num_delays": params.num_delays,
-            "num_samples": report.table.shape[0],
+            "num_samples": table.shape[0],
             "sampling_interval": flow.sampling_interval,
             "samples": desc,
         },
@@ -476,10 +470,10 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "per_draw": [{"draw": k, **vars(r)} for k, r in enumerate(report.per_draw)],
     }
 
-    geometry_payload = _geometry_payload(config, flow, report.table, period, orbit_ordered)
+    geometry_payload = _geometry_payload(config, table, period, orbit_ordered)
     files = {
         "embedding_report.json": report_payload,
-        "per_pair.csv": _per_pair_columns(report),
+        "per_pair.csv": _per_pair_columns(table, report),
         "geometry.json": geometry_payload,
     }
 

@@ -9,7 +9,10 @@ results carry the pair count.
 
 Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples and forms the pair differences and isometry
-ratios; the one-pair functions read the two-sample table of their pair.
+ratios. The caller builds the table once and passes it to every function
+that works over all pairs (the scan here, the conditioning and Monte Carlo
+draws, the trajectory-manifold points); no result carries it. The one-pair
+functions read the two-sample table of their pair.
 
 For a permutation flow (``flow.permutation`` set, as for the cyclic shift)
 the table builds no trajectory stack: every row of a trajectory matrix is
@@ -113,8 +116,7 @@ class PairScanResult:
     ``soft_ranks`` holds every pair's soft rank in ``pair_indices`` order: a
     certified pair's own dense value, any other pair's Gram-screened value
     (on an orbit, that of its class representative (0, j - i)), its own up
-    to rounding. ``table`` is the pair table the scan ran on, for callers
-    that go on to use the same pairs.
+    to rounding.
     """
 
     infimum: float
@@ -122,7 +124,6 @@ class PairScanResult:
     num_pairs: int
     num_certified: int
     num_chunks: int
-    table: PairTable = field(repr=False)
     soft_ranks: np.ndarray = field(repr=False)
 
 
@@ -200,10 +201,11 @@ class PairTable:
     squared trajectory distance overflows, that no two samples coincide and
     that no squared trajectory distance underflows to a subnormal number.
     This is the library's one coincidence rule; a coincident pair is an
-    error, never skipped. ``samples`` is a copy of the samples and ``shape``
-    is the stack's (n, M, N). ``state_dist_sq[k]`` is the squared
-    state-space distance of pair k, and ``traj_dist_sq[k]`` its squared
-    trajectory-vector distance, the denominator of its isometry ratio.
+    error, never skipped. ``flow`` is the flow, ``samples`` a copy of the
+    samples and ``shape`` the stack's (n, M, N). ``state_dist_sq[k]`` is the
+    squared state-space distance of pair k, and ``traj_dist_sq[k]`` its
+    squared trajectory-vector distance, the denominator of its isometry
+    ratio.
 
     On a permutation flow (``flow.permutation`` set) each row of a
     trajectory matrix is a permutation of its sample, so ||x~ - y~||^2 =
@@ -219,6 +221,7 @@ class PairTable:
         if n < 2:
             raise InvalidArgumentError(f"need at least 2 samples to form a pair, got {n}")
         m, n_amb = params.num_delays, flow.ambient_dim
+        self.flow = flow
         self.samples = samples
         self.shape = (n, m, n_amb)
         self.i_idx, self.j_idx = pair_indices(n)
@@ -368,27 +371,21 @@ def _chunks(num: int, parts: int, item_floats: int) -> list[slice]:
     return [slice(start, min(start + per_chunk, num)) for start in range(0, num, per_chunk)]
 
 
-def infimum_soft_rank(
-    flow: FlowSpec,
-    samples: np.ndarray,
-    params: DelayParams,
-    threads: int = 1,
-) -> PairScanResult:
-    """Exact minimum of the pair soft rank over all C(n, 2) sample pairs.
+def infimum_soft_rank(table: PairTable, threads: int = 1) -> PairScanResult:
+    """Exact minimum of the pair soft rank over all C(n, 2) pairs of ``table``.
 
-    Coincident samples are a hard error, never skipped. Every pair gets a
-    Gram-screened value: on an exact permutation-flow orbit
-    (``dynamics.is_permutation_orbit``) that of its class representative
-    (0, j - i), else its own. Every pair in the screen's rounding band gets
-    its own dense SVD, which replaces its screen value in ``soft_ranks``.
-    ``infimum`` and ``argmin_pair`` are those dense values, identical to a
-    sequential dense scan of every pair, whichever ``threads`` (0 picks the
-    CPU count) evaluate the chunks. A pair off the band keeps a screen value
-    above the band, within rounding of its own dense value, so
-    ``min(soft_ranks) == infimum``.
+    The table has checked the samples (a coincident pair is an error at its
+    construction, never skipped). Every pair gets a Gram-screened value: on
+    an exact permutation-flow orbit (``dynamics.is_permutation_orbit``) that
+    of its class representative (0, j - i), else its own. Every pair in the
+    screen's rounding band gets its own dense SVD, which replaces its screen
+    value in ``soft_ranks``. ``infimum`` and ``argmin_pair`` are those dense
+    values, identical to a sequential dense scan of every pair, whichever
+    ``threads`` (0 picks the CPU count) evaluate the chunks. A pair off the
+    band keeps a screen value above the band, within rounding of its own
+    dense value, so ``min(soft_ranks) == infimum``.
     """
     workers = resolve_threads(threads)
-    table = PairTable(flow, samples, params)
     num_pairs = table.num_pairs
     band = 1.0 + 5.0 * _band_rtol(*table.shape[1:])
     pair_floats = table.shape[1] * table.shape[2]
@@ -403,7 +400,7 @@ def infimum_soft_rank(
             ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
         )
 
-    orbit = is_permutation_orbit(flow, table.samples)
+    orbit = is_permutation_orbit(table.flow, table.samples)
     screened = scan_pass(_screened_soft_ranks, table.shape[0] - 1 if orbit else num_pairs)
     if orbit:
         # pair (i, j) has the exact singular values of the pair (0, j - i),
@@ -424,7 +421,6 @@ def infimum_soft_rank(
         num_pairs=num_pairs,
         num_certified=int(candidates.size),
         num_chunks=num_chunks,
-        table=table,
         soft_ranks=soft_ranks,
     )
 

@@ -30,6 +30,7 @@ from delaycond.delay_map import DelayParams, draw_stream
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
+from delaycond.spectral import PairTable
 
 from test_dynamics import well_conditioned_flow
 from test_embedding_analysis import large_shift_orbit
@@ -514,18 +515,19 @@ class TestRunFullReport:
 
                     flow = build_flow(config)
                     samples, _, _ = build_samples(config, flow)
+                    table = PairTable(flow, samples, DelayParams(4))
                     report = monte_carlo(
-                        flow, samples, DelayParams(4),
+                        table,
                         draw_stream(config.ensemble, flow.ambient_dim, num_draws, 5),
                         keep_per_pair=True,
                     )
-                    state_scale = report.table.traj_dist_sq / pdist(samples, "sqeuclidean")
+                    state_scale = table.traj_dist_sq / pdist(samples, "sqeuclidean")
                     rows = read_csv(os.path.join(out, "per_pair.csv"))
                     assert rows[0][5:] == [
                         "ratio_min", "ratio_median", "ratio_max",
                         "state_ratio_min", "state_ratio_median", "state_ratio_max",
                     ]
-                    assert len(rows) - 1 == report.table.num_pairs == 120
+                    assert len(rows) - 1 == table.num_pairs == 120
                     for k, row in enumerate(rows[1:]):
                         column = report.ratios[:, k]
                         tied = tied or np.unique(column).size < num_draws // 2
@@ -925,6 +927,25 @@ class TestCliMain:
         assert main([subcommand, "--config", config_path, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, delays", [("report", "3"), ("scaling", "2, 3, 4")])
+    def test_overflowing_forward_orbit_exit_one(self, tmp_path, capsys, subcommand, delays):
+        # the orbit of a Gaussian matrix times 1e150 from an origin near 1e48
+        # overflows at its second step; a numpy warning would fail the test
+        matrix_file = tmp_path / "m.csv"
+        matrix = 1e150 * np.random.default_rng(0).standard_normal((3, 3))
+        np.savetxt(matrix_file, matrix, delimiter=",", fmt="%.17g")
+        config_path = write_config(
+            tmp_path / "c.cfg",
+            f"kind = linear\nmatrix_path = {matrix_file}\norigin = 1e48, 2e48, -1e48\n"
+            f"num_samples = 6\ndelays = {delays}\nnum_draws = 3\n",
+        )
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: forward step 2 of the orbit from x0 is not finite" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

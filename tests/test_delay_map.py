@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from delaycond import (
     DelayParams,
     DimensionMismatchError,
     InvalidArgumentError,
     NonFiniteTrajectoryError,
+    PairTable,
     basis_delay_vector,
     delay_vector,
     derive_seed,
@@ -20,6 +22,7 @@ from delaycond import (
     make_shift_flow,
     monte_carlo,
     pair_soft_rank,
+    sample_attractor,
     time_series,
     trajectory_manifold_points,
     trajectory_matrices,
@@ -183,13 +186,15 @@ class TestTrajectoryMatrix:
                 id="delay_vector",
             ),
             pytest.param(lambda f, s, p: pair_soft_rank(f, s[0], s[1], p), id="pair_soft_rank"),
-            pytest.param(lambda f, s, p: infimum_soft_rank(f, s, p), id="infimum_soft_rank"),
             pytest.param(
-                lambda f, s, p: monte_carlo(f, s, p, draw_stream("gaussian", 3, 2, 0)),
+                lambda f, s, p: infimum_soft_rank(PairTable(f, s, p)), id="infimum_soft_rank"
+            ),
+            pytest.param(
+                lambda f, s, p: monte_carlo(PairTable(f, s, p), draw_stream("gaussian", 3, 2, 0)),
                 id="monte_carlo",
             ),
             pytest.param(
-                lambda f, s, p: trajectory_manifold_points(f, s, p),
+                lambda f, s, p: trajectory_manifold_points(PairTable(f, s, p)),
                 id="trajectory_manifold_points",
             ),
         ],
@@ -392,6 +397,65 @@ class TestBasisDelayVector:
         )
         full = delay_vector(flow, x, user_coeffs(coeffs), params)
         assert np.linalg.norm(assembled - full) <= 1e-12 * np.linalg.norm(full)
+
+
+class TestTakensIdentity:
+    """On orbit-ordered samples the delay vector is a window of the scalar series.
+
+    With x_k = Phi^k(x_0) and s_k = <alpha, x_k>, F_alpha(x_i)[m] = s_{i-m}:
+    the paper's definition, checked against ``delay_vector`` (the stack) and
+    the numerators of ``PairTable.ratios`` (the stack, or on a permutation
+    flow the gathered coefficients) independently of both.
+    """
+
+    @staticmethod
+    def sides(flow, samples, alpha, params):
+        """(delay vectors, their series windows, table ratios, ratios of the windows)."""
+        m = params.num_delays
+        # x_{-(M-1)}, ..., x_{-1}, then the samples x_0, x_1, ...
+        back = trajectory_matrix(flow, samples[0], params)[:0:-1]
+        series = time_series(np.vstack([back, samples]), alpha)
+        windows = series[np.arange(samples.shape[0])[:, None] - np.arange(m) + m - 1]
+        delays = np.array([delay_vector(flow, x, alpha, params) for x in samples])
+        table = PairTable(flow, samples, params)
+        window_ratios = pdist(windows, "sqeuclidean") / table.traj_dist_sq
+        return delays, windows, table.ratios(alpha.alpha), window_ratios
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(PERMUTATION_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 9),
+        num=st.integers(2, 12),
+        m=st.integers(1, 10),
+    )
+    def test_permutation_orbits_are_windows_bit_for_bit(self, kind, seed, n, num, m):
+        # integer states and sign coefficients: every sum is exact
+        flow = permutation_flow(kind, seed, n)
+        x0 = np.random.default_rng(seed).integers(-3, 4, n).astype(float)
+        assume(not np.array_equal(x0[flow.permutation], x0))  # not a fixed point
+        samples = sample_attractor(flow, x0, num).states
+        alpha = draw_coeffs("rademacher", n, seed)
+        delays, windows, ratios, window_ratios = self.sides(flow, samples, alpha, DelayParams(m))
+        assert delays.tobytes() == windows.tobytes()
+        assert ratios.tobytes() == window_ratios.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        num=st.integers(2, 12),
+        m=st.integers(1, 8),
+    )
+    def test_linear_flow_orbits_are_windows_to_rounding(self, seed, n, num, m):
+        flow = well_conditioned_flow(seed, n)
+        x0 = np.random.default_rng(seed).standard_normal(n)
+        samples = sample_attractor(flow, x0, num).states
+        alpha = draw_coeffs("gaussian", n, seed)
+        delays, windows, ratios, window_ratios = self.sides(flow, samples, alpha, DelayParams(m))
+        assert np.max(np.abs(delays - windows)) <= 1e-12 * np.max(np.abs(windows))
+        # a ratio lies in [0, ||alpha||^2], which scales its rounding
+        assert np.max(np.abs(ratios - window_ratios)) <= 1e-12 * (alpha.alpha @ alpha.alpha)
 
 
 class TestRademacherIsotropy:

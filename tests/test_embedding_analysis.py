@@ -135,7 +135,7 @@ class TestOnePairViews:
         assume(samples.shape[0] >= 2)
         params = DelayParams(m)
         ratios = PairTable(flow, samples, params).ratios(alpha.alpha)
-        soft_ranks = infimum_soft_rank(flow, samples, params).soft_ranks
+        soft_ranks = infimum_soft_rank(PairTable(flow, samples, params)).soft_ranks
         stack = trajectory_matrices(flow, samples, params)
         # a pair in the band takes its own dense value; a pair off the band
         # takes its Gram-screened value (on an exact permutation-flow orbit,
@@ -152,7 +152,8 @@ class TestConditioning:
     def test_one_dimensional_flow_is_perfectly_conditioned(self):
         flow = make_linear_flow(np.array([[1.0]]))
         samples = np.array([[1.0], [2.0], [4.0]])
-        result = conditioning(flow, samples, user_coeffs(np.array([1.0])), DelayParams(3))
+        table = PairTable(flow, samples, DelayParams(3))
+        result = conditioning(table, user_coeffs(np.array([1.0])))
         assert result.epsilon == 0.0
 
     @pytest.mark.parametrize("family", PAIR_FAMILIES)
@@ -160,7 +161,7 @@ class TestConditioning:
     def test_epsilon_is_max_deviation_over_pairwise_ratios(self, family, seed):
         flow, samples, alpha = pair_family(family, seed)
         params = DelayParams(3)
-        result = conditioning(flow, samples, alpha, params)
+        result = conditioning(PairTable(flow, samples, params), alpha)
         deviations = {}
         for i, j in zip(*pair_indices(samples.shape[0])):
             diag = isometry_ratio(flow, samples[i], samples[j], alpha, params)
@@ -173,29 +174,29 @@ class TestConditioning:
         flow = make_shift_flow(32)
         samples = np.eye(32)
         alpha = draw_coeffs("rademacher", 32, 7)
-        a = conditioning(flow, samples, alpha, DelayParams(8))
-        b = conditioning(flow, samples, alpha, DelayParams(8))
+        a = conditioning(PairTable(flow, samples, DelayParams(8)), alpha)
+        b = conditioning(PairTable(flow, samples, DelayParams(8)), alpha)
         assert a.epsilon == b.epsilon and a.worst_pair == b.worst_pair
 
     def test_adding_samples_never_decreases_epsilon(self):
         flow = make_shift_flow(16)
         alpha = draw_coeffs("rademacher", 16, 3)
         params = DelayParams(4)
-        eps_small = conditioning(flow, np.eye(16)[:6], alpha, params).epsilon
-        eps_large = conditioning(flow, np.eye(16)[:12], alpha, params).epsilon
+        eps_small = conditioning(PairTable(flow, np.eye(16)[:6], params), alpha).epsilon
+        eps_large = conditioning(PairTable(flow, np.eye(16)[:12], params), alpha).epsilon
         assert eps_large >= eps_small
 
     def test_duplicate_samples_rejected(self):
         flow = make_shift_flow(8)
         samples = np.vstack([np.eye(8)[0], np.eye(8)[0]])
         with pytest.raises(DegeneratePairError):
-            conditioning(flow, samples, user_coeffs(np.ones(8)), DelayParams(2))
+            conditioning(PairTable(flow, samples, DelayParams(2)), user_coeffs(np.ones(8)))
 
     def test_wrong_length_coefficients_are_a_typed_error(self):
         flow = make_shift_flow(8)
         alpha = user_coeffs(np.ones(3))
         with pytest.raises(DimensionMismatchError, match="length 3"):
-            conditioning(flow, np.eye(8), alpha, DelayParams(2))
+            conditioning(PairTable(flow, np.eye(8), DelayParams(2)), alpha)
         with pytest.raises(DimensionMismatchError, match="length 3"):
             isometry_ratio(flow, np.eye(8)[0], np.eye(8)[1], alpha, DelayParams(2))
 
@@ -229,9 +230,11 @@ class TestMonteCarlo:
         params = DelayParams(m)
         alpha = draw_coeffs(ensemble, flow.ambient_dim, 2)
         with pytest.raises(NonFiniteTrajectoryError, match=message):
-            conditioning(flow, samples, alpha, params)
+            conditioning(PairTable(flow, samples, params), alpha)
         with pytest.raises(NonFiniteTrajectoryError, match=message):
-            monte_carlo(flow, samples, params, draw_stream(ensemble, flow.ambient_dim, 5, 0))
+            monte_carlo(
+                PairTable(flow, samples, params), draw_stream(ensemble, flow.ambient_dim, 5, 0)
+            )
 
     @pytest.mark.parametrize("n", [7, 9])
     @pytest.mark.parametrize("kind", ["shift", "linear"])
@@ -242,12 +245,14 @@ class TestMonteCarlo:
         draws = [draw_coeffs("rademacher", 8, 0), draw_coeffs("rademacher", n, 1)]
         monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
         with pytest.raises(DimensionMismatchError, match=f"length {n}, flow ambient dimension is 8"):
-            monte_carlo(flow, np.eye(8), DelayParams(2), draws)
+            monte_carlo(PairTable(flow, np.eye(8), DelayParams(2)), draws)
 
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)
         samples = np.eye(16)
-        report = monte_carlo(flow, samples, DelayParams(4), draw_stream("rademacher", 16, 1, 5))
+        report = monte_carlo(
+            PairTable(flow, samples, DelayParams(4)), draw_stream("rademacher", 16, 1, 5)
+        )
         assert report.num_draws == 1
         assert len(report.per_draw) == 1
         eps = report.per_draw[0].epsilon
@@ -259,41 +264,48 @@ class TestMonteCarlo:
         flow = make_shift_flow(32)
         samples = np.vstack([np.eye(32)[0], np.eye(32)[1]])
         report = monte_carlo(
-            flow, samples, DelayParams(4), draw_stream("rademacher", 32, 2000, 21),
+            PairTable(flow, samples, DelayParams(4)),
+            draw_stream("rademacher", 32, 2000, 21),
             keep_per_pair=True,
         )
         mean_ratio = float(np.mean(report.ratios[:, 0]))
         assert abs(mean_ratio - 1.0) <= 5.0 / np.sqrt(2000.0)
 
-    def test_keep_per_pair_keeps_the_scan_table(self):
+    def test_keep_per_pair_keeps_the_scan_values(self):
         flow = make_shift_flow(8)
         params = DelayParams(3)
         draws = draw_stream("gaussian", 8, 5, 1)
-        report = monte_carlo(flow, np.eye(8), params, draws, keep_per_pair=True)
-        scan = infimum_soft_rank(flow, np.eye(8), params)
+        table = PairTable(flow, np.eye(8), params)
+        report = monte_carlo(table, draws, keep_per_pair=True)
+        scan = infimum_soft_rank(table)
         assert np.array_equal(report.soft_ranks, scan.soft_ranks)
-        assert np.array_equal(report.table.stack, scan.table.stack)
         assert report.ratios.shape == (5, 28)
-        plain = monte_carlo(flow, np.eye(8), params, draws)
-        assert plain.table is None and plain.soft_ranks is None and plain.ratios is None
+        plain = monte_carlo(table, draws)
+        assert plain.soft_ranks is None and plain.ratios is None
         assert np.array_equal(plain.epsilons, report.epsilons)
 
     def test_failure_rate_at_the_median_is_a_coin_flip(self):
         flow = make_shift_flow(32)
-        report = monte_carlo(flow, np.eye(32), DelayParams(8), draw_stream("gaussian", 32, 200, 13))
+        report = monte_carlo(
+            PairTable(flow, np.eye(32), DelayParams(8)), draw_stream("gaussian", 32, 200, 13)
+        )
         median = report.quantiles[0.5]
         assert abs(report.failure_rate(median) - 0.5) <= 0.05
 
     def test_failure_rate_is_monotone_non_increasing(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("gaussian", 16, 60, 2))
+        report = monte_carlo(
+            PairTable(flow, np.eye(16), DelayParams(4)), draw_stream("gaussian", 16, 60, 2)
+        )
         grid = np.linspace(0.0, 3.0, 31)
         rates = [report.failure_rate(g) for g in grid]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_quantiles_are_ordered(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("gaussian", 16, 50, 4))
+        report = monte_carlo(
+            PairTable(flow, np.eye(16), DelayParams(4)), draw_stream("gaussian", 16, 50, 4)
+        )
         levels = sorted(report.quantiles)
         values = [report.quantiles[q] for q in levels]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -302,20 +314,22 @@ class TestMonteCarlo:
         flow = make_shift_flow(32)
         samples = np.eye(32)
         draws = draw_stream("rademacher", 32, 40, 6)
-        seq = monte_carlo(flow, samples, DelayParams(8), draws)
-        par = monte_carlo(flow, samples, DelayParams(8), draws, threads=4)
+        seq = monte_carlo(PairTable(flow, samples, DelayParams(8)), draws)
+        par = monte_carlo(PairTable(flow, samples, DelayParams(8)), draws, threads=4)
         assert np.array_equal(seq.epsilons, par.epsilons)
         assert [r.worst_pair for r in seq.per_draw] == [r.worst_pair for r in par.per_draw]
 
     def test_infimum_soft_rank_included(self):
         flow = make_shift_flow(16)
-        report = monte_carlo(flow, np.eye(16), DelayParams(4), draw_stream("rademacher", 16, 3, 1))
+        report = monte_carlo(
+            PairTable(flow, np.eye(16), DelayParams(4)), draw_stream("rademacher", 16, 3, 1)
+        )
         assert report.infimum_soft_rank >= 2.0 - 1e-9
 
     def test_no_draws_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
         with pytest.raises(InvalidArgumentError, match="at least one coefficient draw"):
-            monte_carlo(make_shift_flow(8), np.eye(8), DelayParams(2), [])
+            monte_carlo(PairTable(make_shift_flow(8), np.eye(8), DelayParams(2)), [])
 
 
 class TestScalingStudy:

@@ -15,8 +15,9 @@ Four cases, each run in-process at ``--threads 1`` and ``2``:
 The shuffled run must also match the orbit-ordered run pair by pair, and
 each benchmark workload's run at seed 0 must pass the benchmark's own output
 check against its stored reference in ``perfbench/reference/``. Every
-function the benchmark's per-layer metrics trace must exist under its name,
-and every result attribute its count metrics read must be an int.
+function the benchmark's per-layer metrics trace must exist under its name
+and be called by some subcommand, and every result attribute its count
+metrics read must be an int.
 """
 
 import csv
@@ -30,8 +31,17 @@ import sys
 import numpy as np
 import pytest
 
-from delaycond import DelayParams, draw_stream, infimum_soft_rank, make_shift_flow, monte_carlo
+from delaycond import (
+    DelayParams,
+    PairTable,
+    draw_stream,
+    infimum_soft_rank,
+    make_shift_flow,
+    monte_carlo,
+)
 from delaycond.cli import main
+
+from test_dynamics import well_conditioned_flow
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -231,6 +241,47 @@ def test_traced_functions_are_public_layer_functions():
     assert traced and not missing, f"no public layer function for {missing}"
 
 
+def test_every_traced_function_runs_in_some_subcommand(tmp_path):
+    """Every function a per-layer benchmark metric traces is called on tiny configs.
+
+    A metric whose function no subcommand calls reads 0 on working code. The
+    span recorder is installed in-process over ``lemma-check``, ``scaling``
+    and ``report`` on the 8-state shift, and ``report`` on a linear flow,
+    whose pair table builds a trajectory stack; the package's functions are
+    restored afterwards.
+    """
+    np.savetxt(tmp_path / "flow.csv", well_conditioned_flow(0, 4).matrix, delimiter=",")
+    shift = ("kind = shift", "ambient_dim = 8", "num_samples = 8", "num_draws = 3")
+    runs = [
+        ("lemma-check", write_lines(tmp_path / "lemma.cfg", *shift, "delays = 2, 4")),
+        ("scaling", write_lines(tmp_path / "scaling.cfg", *shift, "delays = 2, 3, 4")),
+        ("report", write_lines(tmp_path / "report.cfg", *shift, "delays = 4")),
+        ("report", write_lines(
+            tmp_path / "linear.cfg",
+            "kind = linear", "matrix_path = flow.csv", "num_samples = 8", "delays = 3",
+            "num_draws = 3",
+        )),
+    ]
+    originals = [
+        (module, attr, obj)
+        for name, module in list(sys.modules.items())
+        if name == spans.PACKAGE or name.startswith(spans.PACKAGE + ".")
+        for attr, obj in list(vars(module).items())
+        if inspect.isfunction(obj)
+    ]
+    recorder = spans.SpanRecorder()
+    recorder.install()
+    try:
+        for k, (command, config) in enumerate(runs):
+            run_cli(command, config, tmp_path / f"out{k}")
+    finally:
+        for module, attr, obj in originals:
+            setattr(module, attr, obj)
+    traced = {name for _kind, names in spans.TIMED.values() for name in names}
+    missing = sorted(traced - set(spans.summarize(recorder.spans)))
+    assert not missing, f"no subcommand calls {missing}"
+
+
 def test_count_attributes_are_ints():
     """Every result attribute a count metric reads is an int on a tiny run.
 
@@ -239,9 +290,10 @@ def test_count_attributes_are_ints():
     """
     flow, samples, params = make_shift_flow(4), np.eye(4), DelayParams(2)
     results = {
-        "spectral.infimum_soft_rank": infimum_soft_rank(flow, samples, params),
+        "spectral.infimum_soft_rank": infimum_soft_rank(PairTable(flow, samples, params)),
         "embedding_analysis.monte_carlo": monte_carlo(
-            flow, samples, params, draw_stream("rademacher", 4, 3, 0)
+            PairTable(flow, samples, params),
+            draw_stream("rademacher", 4, 3, 0),
         ),
     }
     assert spans.COUNT_ATTRIBUTES

@@ -6,6 +6,7 @@ from delaycond import (
     InvalidArgumentError,
     NoEstimateError,
     NonFiniteTrajectoryError,
+    PairTable,
     ZeroVarianceError,
     autocorr_first_zero,
     curve_volume,
@@ -48,8 +49,7 @@ class TestSampleAttractor:
         dists = np.linalg.norm(sample.states[:, None] - sample.states[None, :], axis=2)
         assert np.all(dists[np.triu_indices(5, 1)] > 0.0)
 
-    # stepping an infinite state by a matvec makes NaN (0 * inf), with a warning
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    # stepping an infinite state by a matvec makes NaN (0 * inf), without a warning
     @pytest.mark.parametrize("scale", [1e160, np.inf])
     def test_origin_without_finite_norm_is_not_a_fixed_point(self, scale):
         # an overflowing norm would match the next state as a return to x0
@@ -62,19 +62,31 @@ class TestSampleAttractor:
         with pytest.raises(InvalidArgumentError):
             sample_attractor(make_shift_flow(4), np.eye(4)[0], 1)
 
+    def test_overflowing_forward_orbit_names_its_step(self):
+        # states 0 and 1 are finite; the matvec of step 2 overflows
+        flow = make_linear_flow(1e150 * np.random.default_rng(0).standard_normal((3, 3)))
+        with pytest.raises(NonFiniteTrajectoryError, match="forward step 2 of the orbit"):
+            sample_attractor(flow, np.array([1e48, 2e48, -1e48]), 6)
+
+    def test_overflow_past_the_kept_states_is_no_error(self):
+        # only the lookahead state of the period check, 1e400, overflows
+        sample = sample_attractor(make_linear_flow(1e200 * np.eye(2)), np.eye(2)[0], 2)
+        assert np.array_equal(sample.states, [[1.0, 0.0], [1e200, 0.0]])
+        assert sample.period is None
+
 
 class TestTrajectoryManifoldPoints:
     def test_single_delay_is_the_identity(self):
         flow = make_shift_flow(5)
         samples = np.eye(5)[:3]
-        points = trajectory_manifold_points(flow, samples, DelayParams(1))
+        points = trajectory_manifold_points(PairTable(flow, samples, DelayParams(1)))
         assert np.array_equal(points, samples)
 
     def test_rows_are_the_trajectory_vectors(self):
         flow = make_linear_flow(np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.3, 0.0, 0.7]]))
         samples = np.random.default_rng(5).standard_normal((4, 3))
         params = DelayParams(6)
-        points = trajectory_manifold_points(flow, samples, params)
+        points = trajectory_manifold_points(PairTable(flow, samples, params))
         assert points.shape == (4, 18)
         assert not points.flags.writeable
         for state, point in zip(samples, points):
@@ -84,14 +96,14 @@ class TestTrajectoryManifoldPoints:
         flow = make_shift_flow(6)
         rng = np.random.default_rng(3)
         samples = rng.standard_normal((4, 6))
-        points = trajectory_manifold_points(flow, samples, DelayParams(5))
+        points = trajectory_manifold_points(PairTable(flow, samples, DelayParams(5)))
         for state, point in zip(samples, points):
             assert np.isclose(np.dot(point, point), 5 * np.dot(state, state), rtol=1e-12)
 
     def test_distinct_samples_stay_distinct(self):
         flow = make_shift_flow(7)
         samples = np.eye(7)
-        points = trajectory_manifold_points(flow, samples, DelayParams(3))
+        points = trajectory_manifold_points(PairTable(flow, samples, DelayParams(3)))
         for i in range(7):
             for j in range(i + 1, 7):
                 assert np.linalg.norm(points[i] - points[j]) > 0.0

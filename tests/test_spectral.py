@@ -194,7 +194,7 @@ class TestPairSoftRank:
 class TestInfimumSoftRank:
     def test_shift8_basis_scan(self):
         flow = make_shift_flow(8)
-        scan = infimum_soft_rank(flow, np.eye(8), DelayParams(4))
+        scan = infimum_soft_rank(PairTable(flow, np.eye(8), DelayParams(4)))
         assert abs(scan.infimum - ADJACENT_SHIFT8_M4) <= 1e-10
         assert scan.infimum >= 4.0 / 2.0
         # the minimum sits on a circularly adjacent pair (all tie analytically,
@@ -204,14 +204,14 @@ class TestInfimumSoftRank:
         assert scan.num_pairs == 28
         assert scan.soft_ranks.shape == (28,)
         assert scan.infimum == np.min(scan.soft_ranks)
-        rerun = infimum_soft_rank(flow, np.eye(8), DelayParams(4))
+        rerun = infimum_soft_rank(PairTable(flow, np.eye(8), DelayParams(4)))
         assert rerun.argmin_pair == scan.argmin_pair
         assert rerun.infimum == scan.infimum
 
     def test_argmin_tie_break_is_lexicographic(self):
         # exact float ties resolve to the first pair in (i, j) order
         flow = make_shift_flow(16)
-        scan = infimum_soft_rank(flow, np.eye(16), DelayParams(1))
+        scan = infimum_soft_rank(PairTable(flow, np.eye(16), DelayParams(1)))
         assert np.all(scan.soft_ranks == 1.0)  # single-row differences are rank one
         assert scan.argmin_pair == (0, 1)
 
@@ -224,7 +224,7 @@ class TestInfimumSoftRank:
         params = DelayParams(3)
         # either band is the circularly adjacent basis pairs, 7 + 1
         for samples in (eye, eye[[1, 0, *range(2, 8)]]):
-            scan = infimum_soft_rank(flow, samples, params)
+            scan = infimum_soft_rank(PairTable(flow, samples, params))
             in_band = assert_kept_soft_ranks(flow, samples, params, scan.soft_ranks)
             assert scan.num_certified == np.count_nonzero(in_band) == 8
             assert np.min(scan.soft_ranks) == scan.infimum
@@ -234,18 +234,18 @@ class TestInfimumSoftRank:
         flow = make_shift_flow(n)
         eye = np.eye(n)
         for m in range(1, n + 1):
-            scan = infimum_soft_rank(flow, eye, DelayParams(m))
+            scan = infimum_soft_rank(PairTable(flow, eye, DelayParams(m)))
             assert scan.infimum >= m / 2.0 - 1e-9
 
     def test_duplicate_samples_are_an_error_not_a_skip(self):
         flow = make_shift_flow(6)
         samples = np.vstack([np.eye(6)[0], np.eye(6)[3], np.eye(6)[0]])
         with pytest.raises(DegeneratePairError, match="samples 0 and 2 coincide"):
-            infimum_soft_rank(flow, samples, DelayParams(2))
+            infimum_soft_rank(PairTable(flow, samples, DelayParams(2)))
         # (0, 3) precedes (1, 2) in (i, j) order
         samples = np.eye(6)[[0, 3, 3, 0]]
         with pytest.raises(DegeneratePairError, match="samples 0 and 3 coincide"):
-            infimum_soft_rank(flow, samples, DelayParams(2))
+            infimum_soft_rank(PairTable(flow, samples, DelayParams(2)))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_sample_is_named_not_coincident(self, bad):
@@ -254,7 +254,7 @@ class TestInfimumSoftRank:
         samples = np.eye(6)[:4]
         samples[2, 1] = bad
         with pytest.raises(NonFiniteTrajectoryError, match="sample 2: "):
-            infimum_soft_rank(make_shift_flow(6), samples, DelayParams(2))
+            infimum_soft_rank(PairTable(make_shift_flow(6), samples, DelayParams(2)))
 
     def test_huge_states_at_a_finite_distance_do_not_coincide(self):
         # ||x||^2 overflows, but ||x~ - y~||^2 = 2e300 is finite and the
@@ -263,7 +263,7 @@ class TestInfimumSoftRank:
         y = x + 1e150 * np.eye(8)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scan = infimum_soft_rank(make_shift_flow(8), [x, y], DelayParams(2))
+            scan = infimum_soft_rank(PairTable(make_shift_flow(8), [x, y], DelayParams(2)))
         assert scan.infimum == 2.0
 
     def test_underflowing_trajectory_distance_is_a_typed_error(self):
@@ -274,17 +274,17 @@ class TestInfimumSoftRank:
         flow = make_linear_flow(np.linalg.qr(rng.standard_normal((4, 4)))[0])
         samples = rng.standard_normal((6, 4))
         params = DelayParams(3)
-        base = infimum_soft_rank(flow, samples, params)
-        small = infimum_soft_rank(flow, 1e-150 * samples, params)
+        base = infimum_soft_rank(PairTable(flow, samples, params))
+        small = infimum_soft_rank(PairTable(flow, 1e-150 * samples, params))
         np.testing.assert_allclose(small.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
         message = "samples 0 and 1: their squared trajectory distance underflows"
         with pytest.raises(NonFiniteTrajectoryError, match=message):
-            infimum_soft_rank(flow, 1e-160 * samples, params)
+            infimum_soft_rank(PairTable(flow, 1e-160 * samples, params))
         # a distinct pair at 1e-10 relative, named after the coincidence test
         x = 1e-150 * np.eye(4)[0]
         tiny = np.vstack([np.eye(4)[3], x, x + 1e-160 * np.eye(4)[1]])
         with pytest.raises(NonFiniteTrajectoryError, match="samples 1 and 2: .* underflows"):
-            infimum_soft_rank(flow, tiny, params)
+            infimum_soft_rank(PairTable(flow, tiny, params))
         with pytest.raises(NonFiniteTrajectoryError, match=message):
             pair_soft_rank(flow, tiny[1], tiny[2], params)
 
@@ -300,22 +300,22 @@ class TestInfimumSoftRank:
         params = DelayParams(3)
         message = "samples 0 and 1: their squared trajectory distance underflows"
         with pytest.raises(NonFiniteTrajectoryError, match=message):
-            infimum_soft_rank(flow, samples, params)
+            infimum_soft_rank(PairTable(flow, samples, params))
         with pytest.raises(NonFiniteTrajectoryError, match=message):
             pair_soft_rank(flow, samples[0], samples[1], params)
         samples[3] = samples[1]
         with pytest.raises(DegeneratePairError, match="samples 1 and 3 coincide"):
-            infimum_soft_rank(flow, samples, params)
+            infimum_soft_rank(PairTable(flow, samples, params))
 
     def test_needs_two_samples(self):
         flow = make_shift_flow(6)
         with pytest.raises(InvalidArgumentError):
-            infimum_soft_rank(flow, np.eye(6)[:1], DelayParams(2))
+            infimum_soft_rank(PairTable(flow, np.eye(6)[:1], DelayParams(2)))
 
     def test_overflowing_stack_is_a_typed_error(self):
         flow = make_linear_flow(0.25 * np.eye(4))
         with pytest.raises(NonFiniteTrajectoryError, match="sample 0"):
-            infimum_soft_rank(flow, np.eye(4), DelayParams(600))
+            infimum_soft_rank(PairTable(flow, np.eye(4), DelayParams(600)))
 
 
 @st.composite
@@ -372,11 +372,11 @@ def counting_screen(rows):
     return counted
 
 
-def _per_pair_csv(report) -> bytes:
-    """The ``per_pair.csv`` bytes ``report`` writes for a report that kept its per-pair values."""
+def _per_pair_csv(table, report) -> bytes:
+    """The ``per_pair.csv`` bytes of ``table``'s report that kept its per-pair values."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "per_pair.csv")
-        runner.write_csv(path, runner._per_pair_columns(report))
+        runner.write_csv(path, runner._per_pair_columns(table, report))
         with open(path, "rb") as handle:
             return handle.read()
 
@@ -402,9 +402,10 @@ class TestScreenedScan:
     def test_matches_exhaustive_dense_scan(self, case, threads, chunk, num_draws):
         flow, samples, params, gated = case
         reference, infimum, argmin = self.exhaustive(flow, samples, params)
-        default_scan = infimum_soft_rank(flow, samples, params, threads=threads)
+        default_table = PairTable(flow, samples, params)
+        default_scan = infimum_soft_rank(default_table, threads=threads)
         draws = draw_stream("rademacher", flow.ambient_dim, num_draws, 3)
-        default_report = monte_carlo(flow, samples, params, draws, keep_per_pair=True)
+        default_report = monte_carlo(default_table, draws, keep_per_pair=True)
         # ``chunk`` pairs per scan chunk; the one-byte budget puts every pass,
         # the report's per-pair reductions included, in one-pair chunks
         budget = 1 if chunk == 1 else chunk * 8 * params.num_delays * flow.ambient_dim
@@ -414,11 +415,10 @@ class TestScreenedScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_CHUNK_BYTES", budget)
             mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
-            scan = infimum_soft_rank(flow, samples, params, threads=threads)
+            table = PairTable(flow, samples, params)
+            scan = infimum_soft_rank(table, threads=threads)
             assert sum(rows) == screened
-            report = monte_carlo(
-                flow, samples, params, draws, threads=threads, keep_per_pair=True
-            )
+            report = monte_carlo(table, draws, threads=threads, keep_per_pair=True)
             assert sum(rows) == 2 * screened
         assert scan.infimum == infimum
         assert scan.argmin_pair == argmin
@@ -435,7 +435,7 @@ class TestScreenedScan:
         # the screen, then the band
         scanned = screened + scan.num_certified
         assert math.ceil(scanned / chunk) <= scan.num_chunks <= scanned
-        assert _per_pair_csv(report) == _per_pair_csv(default_report)
+        assert _per_pair_csv(table, report) == _per_pair_csv(default_table, default_report)
 
     @settings(max_examples=60, deadline=None)
     @given(case=scan_cases(), perm_seed=st.integers(0, 2**32 - 1))
@@ -443,12 +443,14 @@ class TestScreenedScan:
         flow, samples, params, _ = case
         num = samples.shape[0]
         perm = np.random.default_rng(perm_seed).permutation(num)
-        scan = infimum_soft_rank(flow, samples, params)
-        permuted = infimum_soft_rank(flow, samples[perm], params)
+        table = PairTable(flow, samples, params)
+        permuted_table = PairTable(flow, samples[perm], params)
+        scan = infimum_soft_rank(table)
+        permuted = infimum_soft_rank(permuted_table)
         # permuted pair (a, b) is pair {perm[a], perm[b]} of the original samples
         index = np.zeros((num, num), dtype=int)
-        index[scan.table.i_idx, scan.table.j_idx] = np.arange(scan.num_pairs)
-        a, b = perm[permuted.table.i_idx], perm[permuted.table.j_idx]
+        index[table.i_idx, table.j_idx] = np.arange(scan.num_pairs)
+        a, b = perm[permuted_table.i_idx], perm[permuted_table.j_idx]
         expected = scan.soft_ranks[index[np.minimum(a, b), np.maximum(a, b)]]
         np.testing.assert_allclose(permuted.soft_ranks, expected, rtol=1e-12, atol=0)
         assert abs(permuted.infimum - scan.infimum) <= 1e-12 * scan.infimum
@@ -467,7 +469,7 @@ class TestScreenedScan:
             rows = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
-                infimum_soft_rank(flow, samples, params)
+                infimum_soft_rank(PairTable(flow, samples, params))
             return sum(rows)
 
         assert screened_rows(samples) == num - 1
@@ -488,7 +490,8 @@ class TestScreenedScan:
         for flow, samples, params in inputs:
             values, infimum, argmin = self.exhaustive(flow, samples, params)
             scan, two_threads = (
-                infimum_soft_rank(flow, samples, params, threads=threads) for threads in (1, 2)
+                infimum_soft_rank(PairTable(flow, samples, params), threads=threads)
+                for threads in (1, 2)
             )
             assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
             in_band = assert_kept_soft_ranks(flow, samples, params, scan.soft_ranks)
@@ -510,28 +513,31 @@ class TestScreenedScan:
     def test_scaling_the_samples_leaves_soft_ranks_and_ratios(self, case, k, alpha_seed):
         flow, samples, params, gated = case
         alpha = np.random.default_rng(alpha_seed).standard_normal(flow.ambient_dim)
-        base = infimum_soft_rank(flow, samples, params)
-        ratios = base.table.ratios(alpha)
+        base_table = PairTable(flow, samples, params)
+        base = infimum_soft_rank(base_table)
+        ratios = base_table.ratios(alpha)
         # a scaled orbit is still an orbit, so the screen takes its representatives
         screened = samples.shape[0] - 1 if gated else base.num_pairs
         rows = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_screened_soft_ranks", counting_screen(rows))
             # 2^k scales every entry exactly, so nothing may move
-            scaled = infimum_soft_rank(flow, 2.0**k * samples, params)
+            scaled_table = PairTable(flow, 2.0**k * samples, params)
+            scaled = infimum_soft_rank(scaled_table)
             assert sum(rows) == screened
             assert np.array_equal(scaled.soft_ranks, base.soft_ranks)
-            assert np.array_equal(scaled.table.ratios(alpha), ratios)
+            assert np.array_equal(scaled_table.ratios(alpha), ratios)
             assert (scaled.infimum, scaled.argmin_pair, scaled.num_certified) == (
                 base.infimum, base.argmin_pair, base.num_certified
             )
             # 3 x rounds the samples: a rounding change, held to 1e-12 relative;
             # a ratio is at most ||alpha||^2, which scales its rounding
-            tripled = infimum_soft_rank(flow, 3.0 * samples, params)
+            tripled_table = PairTable(flow, 3.0 * samples, params)
+            tripled = infimum_soft_rank(tripled_table)
             assert sum(rows) == 2 * screened
         np.testing.assert_allclose(tripled.soft_ranks, base.soft_ranks, rtol=1e-12, atol=0)
         np.testing.assert_allclose(
-            tripled.table.ratios(alpha), ratios, rtol=0, atol=1e-12 * (alpha @ alpha)
+            tripled_table.ratios(alpha), ratios, rtol=0, atol=1e-12 * (alpha @ alpha)
         )
         assert abs(tripled.infimum - base.infimum) <= 1e-12 * base.infimum
 
@@ -541,7 +547,7 @@ class TestScreenedScan:
         flow = make_shift_flow(32)
         params = DelayParams(5)
         _, infimum, argmin = self.exhaustive(flow, np.eye(32), params)
-        scan = infimum_soft_rank(flow, np.eye(32), params)
+        scan = infimum_soft_rank(PairTable(flow, np.eye(32), params))
         assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
 
     @pytest.mark.parametrize("threads", [-1, _parallel.MAX_THREADS + 1, 10**9])
@@ -552,14 +558,17 @@ class TestScreenedScan:
         monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(spectral, "_chunks", no_pool)
         with pytest.raises(InvalidArgumentError, match="threads: "):
-            infimum_soft_rank(make_shift_flow(4), np.eye(4), DelayParams(2), threads=threads)
+            infimum_soft_rank(
+                PairTable(make_shift_flow(4), np.eye(4), DelayParams(2)), threads=threads
+            )
         with pytest.raises(InvalidArgumentError, match="threads: "):
             _parallel.ordered_map(abs, [1, 2], threads)
 
     def test_the_thread_bound_itself_is_accepted(self):
         # one pair, so one chunk and no worker thread beyond the caller's
         scan = infimum_soft_rank(
-            make_shift_flow(2), np.eye(2), DelayParams(1), threads=_parallel.MAX_THREADS
+            PairTable(make_shift_flow(2), np.eye(2), DelayParams(1)),
+            threads=_parallel.MAX_THREADS,
         )
         assert (scan.num_pairs, scan.num_chunks) == (1, 2)
 
@@ -600,7 +609,8 @@ class TestScreenedScan:
 
         monkeypatch.setattr(spectral, "ordered_map", recording_map)
         order = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
-        scan = infimum_soft_rank(make_shift_flow(n), np.eye(n)[order], DelayParams(m), threads=2)
+        table = PairTable(make_shift_flow(n), np.eye(n)[order], DelayParams(m))
+        scan = infimum_soft_rank(table, threads=2)
         assert len(passes) == scan.num_chunks
         assert sum(passes) == (scan.num_pairs if shuffled else n - 1) + scan.num_certified
         assert all(pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes)
@@ -623,7 +633,9 @@ class TestScreenedScan:
             return [func(item) for item in items]
 
         monkeypatch.setattr(spectral, "ordered_map", recording_map)
-        infimum_soft_rank(make_shift_flow(8), np.eye(8), DelayParams(3), threads=threads)
+        infimum_soft_rank(
+            PairTable(make_shift_flow(8), np.eye(8), DelayParams(3)), threads=threads
+        )
         assert [workers for _, workers in passes] == [threads, threads]
         assert all(count >= threads for count, _ in passes)
 
@@ -832,23 +844,23 @@ class TestStackFreePermutationTables:
             samples = samples[np.random.default_rng(3).permutation(24)]
         draws = draw_stream(ensemble, 24, 20, 4)
         expected = monte_carlo(
-            flow, samples, DelayParams(6), draws, keep_per_pair=keep_per_pair
+            PairTable(flow, samples, DelayParams(6)), draws, keep_per_pair=keep_per_pair
         )
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
-        report = monte_carlo(
-            flow, samples, DelayParams(6), draws, threads=2, keep_per_pair=keep_per_pair
-        )
+        table = PairTable(flow, samples, DelayParams(6))
+        report = monte_carlo(table, draws, threads=2, keep_per_pair=keep_per_pair)
         assert report.infimum_soft_rank == expected.infimum_soft_rank
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
         assert report.num_certified == expected.num_certified
+        assert table._stack is None  # not gathered either
         if keep_per_pair:
-            assert report.table._stack is None  # not gathered either
             assert report.soft_ranks.tobytes() == expected.soft_ranks.tobytes()
             assert report.ratios.tobytes() == expected.ratios.tobytes()
 
     def test_gaussian_alpha_gathers_no_stack(self, monkeypatch):
         flow, params = make_shift_flow(8), DelayParams(3)
-        table = infimum_soft_rank(flow, np.eye(8), params).table
+        table = PairTable(flow, np.eye(8), params)
+        infimum_soft_rank(table)
         monkeypatch.setattr(spectral, "_gathered_rows", _path_taken)
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
         alpha = draw_coeffs("gaussian", 8, 0).alpha
