@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, _check_seed, _check_state, permutation_powers
+from .dynamics import FlowSpec, _check_seed, _check_state
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
@@ -163,23 +163,19 @@ def _gathered_rows(states: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> np.ndarray:
     """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) of each state, as an (n, m, N) array.
 
-    For a permutation flow the rows are one gather over all states at once
-    (``_gathered_rows``). Other flows take the matvecs by ``flow.inverse``,
-    state by state. The array is C-contiguous either way. Raises
+    The rows are the matvecs by ``flow.inverse``, state by state, whatever
+    the flow, in a C-contiguous array; a permutation flow's ``PairTable``
+    gathers the same bits instead (``_gathered_rows``). Raises
     NonFiniteTrajectoryError naming the first non-finite row of the first
     state that has one (and that state's index, when ``named``).
     """
-    perm = flow.permutation
+    out = np.empty((states.shape[0], m, flow.ambient_dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        if perm is not None:
-            out = _gathered_rows(states, permutation_powers(perm, m))
-        else:
-            out = np.empty((states.shape[0], m, flow.ambient_dim))
-            for i, cur in enumerate(states):
-                for k in range(m):
-                    out[i, k] = cur
-                    if k + 1 < m:
-                        cur = flow.inverse @ cur
+        for i, cur in enumerate(states):
+            for k in range(m):
+                out[i, k] = cur
+                if k + 1 < m:
+                    cur = flow.inverse @ cur
     _check_finite_rows(np.isfinite(out).all(axis=2), m, named)
     return out
 

@@ -10,11 +10,14 @@ every ratio equal to 1; the achieved conditioning eps is the largest
 deviation |ratio - 1| over the scanned pairs, i.e. the tightest band
 (1 - eps, 1 + eps) containing all ratios. Monte Carlo over coefficient
 draws yields eps distributions, failure-rate curves, and scaling fits
-against the number of delays M. The pair table and the draws are the
-caller's: ``conditioning`` and ``monte_carlo`` take one ``PairTable``,
-``monte_carlo`` and ``scaling_study`` take the draws as a list
-(``delay_map.draw_stream`` makes the seeded stream), and their records hold
-only what the draws gave.
+against the number of delays M. The pair table, its scan and the draws
+are the caller's: ``conditioning`` and ``monte_carlo`` take one
+``PairTable``, ``monte_carlo`` takes the draws as a list
+(``delay_map.draw_stream`` makes the seeded stream) and its record holds
+only what the draws gave. The soft-rank infimum is a property of the
+table alone, so ``spectral.infimum_soft_rank`` runs once per table beside
+the draws, never inside them, and ``scaling_study`` fits the slope of the
+medians the caller measured.
 
 The denominators live in trajectory space. Ratios against state-space
 distances ||x - y||^2 are a separate, clearly labeled diagnostic (see the
@@ -32,13 +35,7 @@ import numpy as np
 from .delay_map import DelayParams, MeasurementCoeffs, row_squared_norms, _check_coeffs
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError, NonFiniteTrajectoryError
-from .spectral import (
-    PairDiagnostics,
-    PairTable,
-    _pair_table,
-    infimum_soft_rank,
-    soft_rank,
-)
+from .spectral import PairDiagnostics, PairTable, _pair_table, soft_rank
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -61,25 +58,17 @@ class ConditioningResult:
 class EmbeddingReport:
     """Monte Carlo conditioning summary over coefficient draws.
 
-    It holds results only; the ensemble and seeds of the draws are the
-    caller's. ``per_draw`` holds one result per draw, in the order given,
-    and ``num_draws`` is its length. ``quantiles`` maps each of
-    ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
-    ``num_pairs``, ``num_certified`` and ``num_chunks`` are the scan's pair
-    count, the number of pairs it took the dense SVD of, and the number of
-    chunks of pair differences it formed. ``soft_ranks`` (per pair) and
-    ``ratios`` (draws x pairs) are kept only when ``monte_carlo`` is asked
-    to keep per-pair values, else None; their pair axis is in the pair
-    order of the caller's table.
+    It holds results only; the ensemble and seeds of the draws, the table
+    and its scan are the caller's. ``per_draw`` holds one result per draw,
+    in the order given, and ``num_draws`` is its length. ``quantiles`` maps
+    each of ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
+    ``ratios`` (draws x pairs) is kept only when ``monte_carlo`` is asked to
+    keep per-pair values, else None; its pair axis is in the pair order of
+    the caller's table.
     """
 
     per_draw: list[ConditioningResult]
     quantiles: dict[float, float]
-    infimum_soft_rank: float
-    num_pairs: int
-    num_certified: int
-    num_chunks: int
-    soft_ranks: np.ndarray | None = field(default=None, repr=False)
     ratios: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -105,9 +94,12 @@ class EmbeddingReport:
 
 @dataclass(frozen=True)
 class ScalingStudyResult:
-    """One report per M, and the log-log slope of median eps against M."""
+    """Least-squares slope of log median eps against log M, and its standard error.
 
-    reports: list[EmbeddingReport]
+    ``slope_stderr`` is NaN for two delay counts, which leave no residual
+    degree of freedom.
+    """
+
     slope: float
     slope_stderr: float
 
@@ -186,24 +178,19 @@ def conditioning(table: PairTable, alpha: MeasurementCoeffs) -> ConditioningResu
 
 
 def monte_carlo(
-    table: PairTable,
-    draws: list[MeasurementCoeffs],
-    threads: int = 1,
-    keep_per_pair: bool = False,
+    table: PairTable, draws: list[MeasurementCoeffs], keep_per_pair: bool = False
 ) -> EmbeddingReport:
-    """Scan of ``table`` and the conditioning distribution over the given draws.
+    """Conditioning distribution of ``table``'s pairs over the given draws.
 
     Each draw must have the flow's dimension, which is checked before the
-    scan; ``delay_map.draw_stream`` makes the seeded draws. ``threads``
-    splits only the soft-rank scan. The draws run in order on ``table``.
-    ``keep_per_pair`` retains the scan's per-pair soft ranks and the full
-    (draws, pairs) ratio matrix for per-pair reporting.
+    first draw; ``delay_map.draw_stream`` makes the seeded draws. The draws
+    run in order on ``table``. ``keep_per_pair`` retains the full (draws,
+    pairs) ratio matrix for per-pair reporting.
     """
     if not draws:
         raise InvalidArgumentError("monte_carlo needs at least one coefficient draw")
     for coeffs in draws:
         _check_coeffs(table.flow, coeffs)
-    scan = infimum_soft_rank(table, threads=threads)
     per_draw = []
     ratios = np.empty((len(draws), table.num_pairs)) if keep_per_pair else None
     for k, coeffs in enumerate(draws):
@@ -216,31 +203,16 @@ def monte_carlo(
     quantiles = {
         q: float(np.quantile(eps, q)) for q in QUANTILE_LEVELS
     }
-    return EmbeddingReport(
-        per_draw=per_draw,
-        quantiles=quantiles,
-        infimum_soft_rank=scan.infimum,
-        num_pairs=scan.num_pairs,
-        num_certified=scan.num_certified,
-        num_chunks=scan.num_chunks,
-        soft_ranks=scan.soft_ranks if keep_per_pair else None,
-        ratios=ratios,
-    )
+    return EmbeddingReport(per_draw=per_draw, quantiles=quantiles, ratios=ratios)
 
 
-def scaling_study(
-    flow: FlowSpec,
-    samples: np.ndarray,
-    m_list: list[int],
-    draws: list[MeasurementCoeffs],
-    threads: int = 1,
-) -> ScalingStudyResult:
-    """One ``monte_carlo`` report per M, with a least-squares log-log slope.
+def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult:
+    """Least-squares log-log slope of the median eps ``medians[k]`` at M = ``m_list[k]``.
 
-    Every M takes its own ``PairTable`` of the samples and the same draws,
-    which pairs the per-M comparisons. Median eps, not the max, enters the
-    fit; a median of exactly 0 has no log and is an ``InvalidArgumentError``
-    naming its M.
+    The caller measures each median, one ``monte_carlo`` report per M with
+    the same draws, which pairs the per-M comparisons; the median, not the
+    max, enters the fit. A median of exactly 0 has no log and is an
+    ``InvalidArgumentError`` naming its M.
     """
     m_list = list(m_list)
     if len(m_list) < 2:
@@ -249,13 +221,10 @@ def scaling_study(
         )
     if any(m_list[i] >= m_list[i + 1] for i in range(len(m_list) - 1)):
         raise InvalidArgumentError(f"delay counts must be ascending, got {m_list}")
-
-    # each table is freed once its report is made
-    reports = [
-        monte_carlo(PairTable(flow, samples, DelayParams(m)), draws, threads=threads)
-        for m in m_list
-    ]
-    medians = [report.quantiles[0.5] for report in reports]
+    if len(medians) != len(m_list):
+        raise InvalidArgumentError(
+            f"need one median per delay count, got {len(medians)} for {len(m_list)}"
+        )
     if 0.0 in medians:
         raise InvalidArgumentError(
             f"the median eps over the draws is 0 at M = {m_list[medians.index(0.0)]}, "
@@ -275,7 +244,7 @@ def scaling_study(
         stderr = math.sqrt(sigma_sq * xtx_inv[0, 0])
     else:
         stderr = math.nan
-    return ScalingStudyResult(reports=reports, slope=slope, slope_stderr=stderr)
+    return ScalingStudyResult(slope=slope, slope_stderr=stderr)
 
 
 def _finite_term(name: str, evaluate) -> float:

@@ -31,8 +31,15 @@ import scipy
 from ._parallel import resolve_threads
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
-from .delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream, time_series
-from .dynamics import lyapunov_exponent_inverse_flow
+from .delay_map import (
+    DelayParams,
+    MeasurementCoeffs,
+    derive_seed,
+    draw_coeffs,
+    draw_stream,
+    time_series,
+)
+from .dynamics import FlowSpec, lyapunov_exponent_inverse_flow
 from .embedding_analysis import (
     EmbeddingReport,
     monte_carlo,
@@ -116,8 +123,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _counts(scan: PairScanResult | EmbeddingReport, num_delays: int, draws: int) -> dict:
-    """The manifest's ``counts.per_m`` entry of one scan, or of the report built on it."""
+def _counts(scan: PairScanResult, num_delays: int, draws: int) -> dict:
+    """The manifest's ``counts.per_m`` entry of one scan and the draws made on its table."""
     return {
         "num_delays": num_delays,
         "pairs": scan.num_pairs,
@@ -269,8 +276,25 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     return summary
 
 
+def _scaling_row(
+    flow: FlowSpec, samples: np.ndarray, m: int, draws: list[MeasurementCoeffs], threads: int
+) -> tuple[float, dict, EmbeddingReport]:
+    """One M of the scaling study: its scan's infimum and counts, and the draws' report.
+
+    The table and its scan are locals, so each M's are freed before the next
+    M builds its own.
+    """
+    table = PairTable(flow, samples, DelayParams(m))
+    scan = infimum_soft_rank(table, threads=threads)
+    report = monte_carlo(table, draws)
+    return scan.infimum, _counts(scan, m, report.num_draws), report
+
+
 def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
-    """Median-eps-vs-M table and slope fit; see docs/report_schema.md."""
+    """Median-eps-vs-M table and slope fit; see docs/report_schema.md.
+
+    Every M takes its own table and scan and the same draws.
+    """
     delays = config.delays
     if len(delays) < 3:
         raise ConfigError("delays: scaling study needs at least 3 delay counts")
@@ -279,12 +303,13 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
     flow = build_flow(config)
     samples, desc, _period = build_samples(config, flow)
     draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
-    study = scaling_study(flow, samples, delays, draws, threads=threads)
+    rows = [_scaling_row(flow, samples, m, draws, threads) for m in delays]
+    infima, counts, reports = zip(*rows)
+    study = scaling_study(delays, [r.quantiles[0.5] for r in reports])
 
-    reports = study.reports
     table = {
         "M": np.array(delays),
-        "infimum_soft_rank": np.array([r.infimum_soft_rank for r in reports]),
+        "infimum_soft_rank": np.array(infima),
         "eps_median": np.array([r.quantiles[0.5] for r in reports]),
         "eps_q05": np.array([r.quantiles[0.05] for r in reports]),
         "eps_q95": np.array([r.quantiles[0.95] for r in reports]),
@@ -303,12 +328,11 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
         "samples": desc,
         "ambient_dim": flow.ambient_dim,
     }
-    counts = [_counts(r, m, r.num_draws) for m, r in zip(delays, reports)]
     _write_run(
         out_dir,
         config,
         {"scaling.csv": table, "scaling_summary.json": summary},
-        counts,
+        list(counts),
         threads,
     )
     return summary
@@ -380,8 +404,10 @@ def _geometry_payload(
     return payload
 
 
-def _per_pair_columns(table: PairTable, report: EmbeddingReport) -> dict[str, np.ndarray]:
-    """The ``per_pair.csv`` columns of ``table``'s report that kept its per-pair values.
+def _per_pair_columns(
+    table: PairTable, scan: PairScanResult, report: EmbeddingReport
+) -> dict[str, np.ndarray]:
+    """The ``per_pair.csv`` columns of ``table``'s scan and its report that kept its ratios.
 
     Soft ranks are coefficient-free; ratio aggregates run over the draws.
     State-space-denominator ratios are the secondary diagnostic (the
@@ -418,7 +444,7 @@ def _per_pair_columns(table: PairTable, report: EmbeddingReport) -> dict[str, np
         "j": table.j_idx,
         "state_dist_sq": table.state_dist_sq,
         "traj_dist_sq": table.traj_dist_sq,
-        "soft_rank": report.soft_ranks,
+        "soft_rank": scan.soft_ranks,
         **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
     }
 
@@ -438,12 +464,12 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
 
     table = PairTable(flow, samples, params)
+    scan = infimum_soft_rank(table, threads=threads)
     # the draws live only as long as the call: held on through the per-pair
     # reductions and the writers, they would raise the run's peak memory
     report = monte_carlo(
         table,
         draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed),
-        threads=threads,
         keep_per_pair=True,
     )
 
@@ -466,14 +492,14 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "target_eps": list(config.target_eps_grid),
             "rate": [report.failure_rate(g) for g in config.target_eps_grid],
         },
-        "infimum_soft_rank": report.infimum_soft_rank,
+        "infimum_soft_rank": scan.infimum,
         "per_draw": [{"draw": k, **vars(r)} for k, r in enumerate(report.per_draw)],
     }
 
     geometry_payload = _geometry_payload(config, table, period, orbit_ordered)
     files = {
         "embedding_report.json": report_payload,
-        "per_pair.csv": _per_pair_columns(table, report),
+        "per_pair.csv": _per_pair_columns(table, scan, report),
         "geometry.json": geometry_payload,
     }
 
@@ -487,7 +513,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
                 "the median eps over the draws is 0"
             )
         check = theorem_condition_check(
-            infimum_soft_rank=report.infimum_soft_rank,
+            infimum_soft_rank=scan.infimum,
             epsilon=report.quantiles[0.5],
             manifold_dim=config.manifold_dim,
             volume=manifold["volume"],
@@ -496,6 +522,6 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
         files["theorem_check.json"] = {**vars(check), "epsilon_source": "median over draws"}
 
-    counts = [_counts(report, params.num_delays, report.num_draws)]
+    counts = [_counts(scan, params.num_delays, report.num_draws)]
     _write_run(out_dir, config, files, counts, threads)
     return report_payload

@@ -11,8 +11,9 @@ Every pair quantity comes from one ``PairTable`` per (flow, samples, M),
 which checks the samples and forms the pair differences and isometry
 ratios. The caller builds the table once and passes it to every function
 that works over all pairs (the scan here, the conditioning and Monte Carlo
-draws, the trajectory-manifold points); no result carries it. The one-pair
-functions read the two-sample table of their pair.
+draws, the trajectory-manifold points); no result carries it. The scan is
+the caller's too: it runs once per table, and the draws never rerun it.
+The one-pair functions read the two-sample table of their pair.
 
 For a permutation flow (``flow.permutation`` set, as for the cyclic shift)
 the table builds no trajectory stack: every row of a trajectory matrix is

@@ -7,6 +7,7 @@ import os
 import platform
 import re
 import tempfile
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +31,7 @@ from delaycond.delay_map import DelayParams, draw_stream
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
-from delaycond.spectral import PairTable
+from delaycond.spectral import PairTable, infimum_soft_rank
 
 from test_dynamics import well_conditioned_flow
 from test_embedding_analysis import large_shift_orbit
@@ -626,6 +627,42 @@ class TestRunFullReport:
         config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
         with pytest.raises(ConfigError, match="delays"):
             run_full_report(config, str(tmp_path / "out"))
+
+
+class TestOneScanPerTable:
+    @pytest.mark.parametrize(
+        "command, delays",
+        [("lemma-check", "2,4,8"), ("scaling", "2,4,8"), ("report", "4")],
+    )
+    def test_each_subcommand_scans_each_table_once(self, tmp_path, monkeypatch, command, delays):
+        scanned = []
+
+        def counting_scan(table, threads=1):
+            scanned.append(table.shape[1])
+            return infimum_soft_rank(table, threads=threads)
+
+        monkeypatch.setattr(runner, "infimum_soft_rank", counting_scan)
+        config_path = minimal_shift_config(tmp_path, delays=delays)
+        assert main([command, "--config", config_path, "--out", str(tmp_path / "o")]) == 0
+        assert scanned == [int(m) for m in delays.split(",")]
+
+    def test_scaling_holds_one_pair_table_at_a_time(self, tmp_path, monkeypatch):
+        # each M's table and scan are freed before the next M builds its own;
+        # the weak references are taken at each construction
+        tables = []
+
+        class TrackedTable(PairTable):
+            def __init__(self, *args):
+                alive = [ref().shape[1] for ref in tables if ref() is not None]
+                assert not alive, f"the table of M = {alive} outlived its M"
+                super().__init__(*args)
+                tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "PairTable", TrackedTable)
+        config = load_config(minimal_shift_config(tmp_path, delays="2,4,8"))
+        run_scaling_study(config, str(tmp_path / "out"))
+        assert len(tables) == 3
+        assert all(ref() is None for ref in tables)
 
 
 class TestSingleOutputPath:

@@ -30,17 +30,10 @@ from delaycond import (
     trajectory_vector,
     user_coeffs,
 )
-from delaycond.delay_map import MeasurementCoeffs, row_squared_norms
-from delaycond.dynamics import FlowSpec
+from delaycond.delay_map import MeasurementCoeffs, _gathered_rows, row_squared_norms
+from delaycond.dynamics import permutation_powers
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
-
-
-def matvec_twin(flow: FlowSpec) -> FlowSpec:
-    """The same flow with its permutation forgotten, so backward iterates are matvecs."""
-    twin = FlowSpec(matrix=flow.matrix, inverse=flow.inverse)
-    object.__setattr__(twin, "permutation", None)
-    return twin
 
 
 class TestDrawCoeffs:
@@ -255,14 +248,11 @@ class TestTrajectoryMatrix:
             samples = rng.standard_normal((num, n_amb))
             samples[rng.random(samples.shape) < 0.3] = -0.0
             samples[rng.random(samples.shape) < 0.2] = 0.0
-        params = DelayParams(m)
-        stack = trajectory_matrices(flow, samples, params)
-        reference = trajectory_matrices(matvec_twin(flow), samples, params)
-        single = trajectory_matrix(flow, samples[0], params)
-        assert flow.permutation is not None
-        assert stack.flags.c_contiguous  # later passes over the stack assume C order
-        assert stack.tobytes() == reference.tobytes()  # zero signs included
-        assert single.tobytes() == reference[0].tobytes()
+        # the gathers are the pair table's; trajectory_matrices takes the matvecs
+        gathered = _gathered_rows(samples, permutation_powers(flow.permutation, m))
+        reference = trajectory_matrices(flow, samples, DelayParams(m))
+        assert gathered.flags.c_contiguous  # later passes over the stack assume C order
+        assert gathered.tobytes() == reference.tobytes()  # zero signs included
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_permutation_gathers_name_the_same_non_finite_sample(self, bad):
@@ -270,9 +260,9 @@ class TestTrajectoryMatrix:
         samples = np.random.default_rng(0).standard_normal((4, 5))
         samples[2, 3] = bad
         messages = []
-        for path in (flow, matvec_twin(flow)):
+        for path in (PairTable, trajectory_matrices):
             with pytest.raises(NonFiniteTrajectoryError) as info:
-                trajectory_matrices(path, samples, DelayParams(3))
+                path(flow, samples, DelayParams(3))
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("sample 2: backward iterate at delay index 0 of 3")

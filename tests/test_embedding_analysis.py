@@ -25,7 +25,7 @@ from delaycond import (
     trajectory_matrices,
     user_coeffs,
 )
-from delaycond import embedding_analysis
+from delaycond import spectral
 from delaycond.delay_map import (
     delay_vector,
     derive_seed,
@@ -43,6 +43,10 @@ PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
 
 def _no_scan(*args, **kwargs):
     raise AssertionError("the scan ran")
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a draw ran")
 
 
 def pair_family(family: str, seed: int):
@@ -240,12 +244,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("kind", ["shift", "linear"])
     def test_given_draws_of_the_wrong_length_are_a_typed_error(self, monkeypatch, kind, n):
         # a permutation flow gathers alpha, any other flow multiplies by it;
-        # both would fail inside numpy, so the draws are checked before the scan
+        # both would fail inside numpy, so every draw is checked before the first
         flow = make_shift_flow(8) if kind == "shift" else well_conditioned_flow(3, 8)
         draws = [draw_coeffs("rademacher", 8, 0), draw_coeffs("rademacher", n, 1)]
-        monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
+        table = PairTable(flow, np.eye(8), DelayParams(2))
+        monkeypatch.setattr(table, "ratios", _no_draw)
         with pytest.raises(DimensionMismatchError, match=f"length {n}, flow ambient dimension is 8"):
-            monte_carlo(PairTable(flow, np.eye(8), DelayParams(2)), draws)
+            monte_carlo(table, draws)
 
     def test_single_draw_reduces_to_conditioning(self):
         flow = make_shift_flow(16)
@@ -271,17 +276,17 @@ class TestMonteCarlo:
         mean_ratio = float(np.mean(report.ratios[:, 0]))
         assert abs(mean_ratio - 1.0) <= 5.0 / np.sqrt(2000.0)
 
-    def test_keep_per_pair_keeps_the_scan_values(self):
+    def test_keep_per_pair_keeps_each_draws_ratios(self):
         flow = make_shift_flow(8)
         params = DelayParams(3)
         draws = draw_stream("gaussian", 8, 5, 1)
         table = PairTable(flow, np.eye(8), params)
         report = monte_carlo(table, draws, keep_per_pair=True)
-        scan = infimum_soft_rank(table)
-        assert np.array_equal(report.soft_ranks, scan.soft_ranks)
         assert report.ratios.shape == (5, 28)
+        for k, coeffs in enumerate(draws):
+            assert report.ratios[k].tobytes() == table.ratios(coeffs.alpha).tobytes()
         plain = monte_carlo(table, draws)
-        assert plain.soft_ranks is None and plain.ratios is None
+        assert plain.ratios is None
         assert np.array_equal(plain.epsilons, report.epsilons)
 
     def test_failure_rate_at_the_median_is_a_coin_flip(self):
@@ -311,25 +316,44 @@ class TestMonteCarlo:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_threaded_run_matches_sequential_bitwise(self):
+        # the threads split the scan, which the caller runs on the table the
+        # draws then read
         flow = make_shift_flow(32)
         samples = np.eye(32)
         draws = draw_stream("rademacher", 32, 40, 6)
-        seq = monte_carlo(PairTable(flow, samples, DelayParams(8)), draws)
-        par = monte_carlo(PairTable(flow, samples, DelayParams(8)), draws, threads=4)
+        seq_table = PairTable(flow, samples, DelayParams(8))
+        par_table = PairTable(flow, samples, DelayParams(8))
+        seq_scan, par_scan = infimum_soft_rank(seq_table), infimum_soft_rank(par_table, threads=4)
+        assert (seq_scan.infimum, seq_scan.argmin_pair) == (par_scan.infimum, par_scan.argmin_pair)
+        assert seq_scan.soft_ranks.tobytes() == par_scan.soft_ranks.tobytes()
+        seq, par = monte_carlo(seq_table, draws), monte_carlo(par_table, draws)
         assert np.array_equal(seq.epsilons, par.epsilons)
         assert [r.worst_pair for r in seq.per_draw] == [r.worst_pair for r in par.per_draw]
 
-    def test_infimum_soft_rank_included(self):
-        flow = make_shift_flow(16)
-        report = monte_carlo(
-            PairTable(flow, np.eye(16), DelayParams(4)), draw_stream("rademacher", 16, 3, 1)
-        )
-        assert report.infimum_soft_rank >= 2.0 - 1e-9
+    @pytest.mark.parametrize("keep_per_pair", [False, True])
+    def test_draws_run_no_scan(self, monkeypatch, keep_per_pair):
+        # the soft ranks are the caller's scan of the table, never rerun by the draws
+        table = PairTable(make_shift_flow(16), np.eye(16), DelayParams(4))
+        draws = draw_stream("rademacher", 16, 3, 1)
+        expected = monte_carlo(table, draws, keep_per_pair=keep_per_pair)
+        monkeypatch.setattr(spectral, "_screened_soft_ranks", _no_scan)
+        monkeypatch.setattr(spectral, "_dense_soft_ranks", _no_scan)
+        report = monte_carlo(table, draws, keep_per_pair=keep_per_pair)
+        assert report.epsilons.tobytes() == expected.epsilons.tobytes()
+        assert report.quantiles == expected.quantiles
+        if keep_per_pair:
+            assert report.ratios.tobytes() == expected.ratios.tobytes()
 
     def test_no_draws_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(embedding_analysis, "infimum_soft_rank", _no_scan)
+        table = PairTable(make_shift_flow(8), np.eye(8), DelayParams(2))
+        monkeypatch.setattr(table, "ratios", _no_draw)
         with pytest.raises(InvalidArgumentError, match="at least one coefficient draw"):
-            monte_carlo(PairTable(make_shift_flow(8), np.eye(8), DelayParams(2)), [])
+            monte_carlo(table, [])
+
+
+def study_reports(flow, samples, m_list, draws):
+    """One ``monte_carlo`` report per M, each on its own table, with the same draws."""
+    return [monte_carlo(PairTable(flow, samples, DelayParams(m)), draws) for m in m_list]
 
 
 class TestScalingStudy:
@@ -337,13 +361,17 @@ class TestScalingStudy:
         # gaussian draws keep eps continuous; sign draws saturate |ratio - 1|
         # at 1 for small M, flattening the medians
         flow = make_shift_flow(64)
-        study = scaling_study(flow, np.eye(64), [4, 8, 16], draw_stream("gaussian", 64, 50, 3))
+        m_list = [4, 8, 16]
+        reports = study_reports(flow, np.eye(64), m_list, draw_stream("gaussian", 64, 50, 3))
+        medians = [report.quantiles[0.5] for report in reports]
+        study = scaling_study(m_list, medians)
         assert study.slope < 0.0
-        medians = [report.quantiles[0.5] for report in study.reports]
         assert all(a > b for a, b in zip(medians, medians[1:]))
-        for m, report in zip([4, 8, 16], study.reports):
+        for m, report in zip(m_list, reports):
             q = report.quantiles
-            assert report.infimum_soft_rank >= m / 2.0 - 1e-9
+            assert infimum_soft_rank(PairTable(flow, np.eye(64), DelayParams(m))).infimum >= (
+                m / 2.0 - 1e-9
+            )
             assert q[0.05] <= q[0.5] <= q[0.95] <= report.eps_max
 
     @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
@@ -357,11 +385,11 @@ class TestScalingStudy:
         phi[n - 1, 0] = 1.0
         phi_inv = np.linalg.inv(phi)
         samples = np.eye(n)
-        study = scaling_study(
+        reports = study_reports(
             make_shift_flow(n), samples, m_list, draw_stream(ensemble, n, num_draws, seed)
         )
-        assert len(study.reports) == len(m_list)
-        for m, report in zip(m_list, study.reports):
+        naive_medians = []
+        for m, report in zip(m_list, reports):
             gs = []
             for x in samples:
                 rows, cur = [], x.copy()
@@ -382,16 +410,28 @@ class TestScalingStudy:
             np.testing.assert_allclose(report.epsilons, eps, rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.quantiles[0.5], np.median(eps), rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.eps_max, np.max(eps), rtol=1e-12, atol=0)
+            naive_medians.append(np.median(eps))
+        # the fit itself, against numpy's least-squares line
+        study = scaling_study(m_list, [report.quantiles[0.5] for report in reports])
+        naive_slope = np.polyfit(np.log(m_list), np.log(naive_medians), 1)[0]
+        np.testing.assert_allclose(study.slope, naive_slope, rtol=1e-10, atol=1e-12)
 
     def test_single_m_cannot_fit(self):
-        flow = make_shift_flow(16)
-        with pytest.raises(InvalidArgumentError):
-            scaling_study(flow, np.eye(16), [4], draw_stream("rademacher", 16, 5, 0))
+        with pytest.raises(InvalidArgumentError, match="at least 2 delay counts"):
+            scaling_study([4], [0.5])
 
     def test_m_list_must_ascend(self):
-        flow = make_shift_flow(16)
-        with pytest.raises(InvalidArgumentError):
-            scaling_study(flow, np.eye(16), [8, 4], draw_stream("rademacher", 16, 5, 0))
+        with pytest.raises(InvalidArgumentError, match="ascending"):
+            scaling_study([8, 4], [0.4, 0.5])
+
+    def test_one_median_per_m(self):
+        with pytest.raises(InvalidArgumentError, match="one median per delay count"):
+            scaling_study([4, 8, 16], [0.5, 0.4])
+
+    def test_two_delay_counts_have_no_stderr(self):
+        study = scaling_study([4, 16], [0.5, 0.25])
+        assert study.slope == pytest.approx(-0.5, rel=1e-12)
+        assert math.isnan(study.slope_stderr)
 
     def test_zero_median_eps_names_its_m(self):
         # at M = N = 4 the trajectory matrices are circulant permutations, so
@@ -399,8 +439,10 @@ class TestScalingStudy:
         # autocorrelation of alpha; draw 0 of the stream at base seed 1,
         # (-1, -1, 1, -1), has c_d = 0 at every lag, so every ratio is exactly 1
         flow = make_shift_flow(4)
+        m_list = [2, 3, 4]
+        reports = study_reports(flow, np.eye(4), m_list, draw_stream("rademacher", 4, 1, 1))
         with pytest.raises(InvalidArgumentError, match="median eps over the draws is 0 at M = 4"):
-            scaling_study(flow, np.eye(4), [2, 3, 4], draw_stream("rademacher", 4, 1, 1))
+            scaling_study(m_list, [report.quantiles[0.5] for report in reports])
 
 
 class TestTheoremConditionCheck:

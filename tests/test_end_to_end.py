@@ -17,7 +17,7 @@ each benchmark workload's run at seed 0 must pass the benchmark's own output
 check against its stored reference in ``perfbench/reference/``. Every
 function the benchmark's per-layer metrics trace must exist under its name
 and be called by some subcommand, and every result attribute its count
-metrics read must be an int.
+metrics read must be an int. The README's Library example must run.
 """
 
 import csv
@@ -26,6 +26,7 @@ import importlib.util
 import inspect
 import json
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -301,3 +302,15 @@ def test_count_attributes_are_ints():
         assert name in results, f"no tiny run of {name}"
         value = getattr(results[name], attribute, None)
         assert type(value) is int, f"{name} result .{attribute} is {value!r}"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's one ``python`` block runs against the package as it is."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(REPO / "README.md"), "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    assert float(printed[0].split()[0]) >= 4.0
+    assert printed[2] == "(496,) (200, 496)"
+    assert printed[3] == "(32, 256)"

@@ -372,11 +372,11 @@ def counting_screen(rows):
     return counted
 
 
-def _per_pair_csv(table, report) -> bytes:
-    """The ``per_pair.csv`` bytes of ``table``'s report that kept its per-pair values."""
+def _per_pair_csv(table, scan, report) -> bytes:
+    """The ``per_pair.csv`` bytes of ``table``'s scan and its report that kept its ratios."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "per_pair.csv")
-        runner.write_csv(path, runner._per_pair_columns(table, report))
+        runner.write_csv(path, runner._per_pair_columns(table, scan, report))
         with open(path, "rb") as handle:
             return handle.read()
 
@@ -418,8 +418,8 @@ class TestScreenedScan:
             table = PairTable(flow, samples, params)
             scan = infimum_soft_rank(table, threads=threads)
             assert sum(rows) == screened
-            report = monte_carlo(table, draws, threads=threads, keep_per_pair=True)
-            assert sum(rows) == 2 * screened
+            report = monte_carlo(table, draws, keep_per_pair=True)
+            assert sum(rows) == screened  # the draws rerun no scan
         assert scan.infimum == infimum
         assert scan.argmin_pair == argmin
         assert scan.num_pairs == reference.size
@@ -435,7 +435,9 @@ class TestScreenedScan:
         # the screen, then the band
         scanned = screened + scan.num_certified
         assert math.ceil(scanned / chunk) <= scan.num_chunks <= scanned
-        assert _per_pair_csv(table, report) == _per_pair_csv(default_table, default_report)
+        assert _per_pair_csv(table, scan, report) == _per_pair_csv(
+            default_table, default_scan, default_report
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(case=scan_cases(), perm_seed=st.integers(0, 2**32 - 1))
@@ -709,9 +711,10 @@ class TestPermutationTables:
     def check(flow, samples, params, alpha, bitwise, gathered=True):
         """traj_dist_sq and ratios against the stack's, with the path not taken made to raise.
 
-        Bit for bit when ``bitwise``; else traj_dist_sq within 1e-12
-        relative and each ratio within 1e-12 max(1, |ratio|), since a ratio
-        near zero is formed with cancellation.
+        The reference stack is the literal matvecs of ``trajectory_matrices``,
+        whatever the flow. Bit for bit when ``bitwise``; else traj_dist_sq
+        within 1e-12 relative and each ratio within 1e-12 max(1, |ratio|),
+        since a ratio near zero is formed with cancellation.
         """
         stack = trajectory_matrices(flow, samples, params)
         traj_dist_sq = pdist(stack.reshape(stack.shape[0], -1), "sqeuclidean")
@@ -843,18 +846,19 @@ class TestStackFreePermutationTables:
         if order == "shuffled":  # not an orbit order, so every pair is screened
             samples = samples[np.random.default_rng(3).permutation(24)]
         draws = draw_stream(ensemble, 24, 20, 4)
-        expected = monte_carlo(
-            PairTable(flow, samples, DelayParams(6)), draws, keep_per_pair=keep_per_pair
-        )
+        expected_table = PairTable(flow, samples, DelayParams(6))
+        expected_scan = infimum_soft_rank(expected_table)
+        expected = monte_carlo(expected_table, draws, keep_per_pair=keep_per_pair)
         monkeypatch.setattr(spectral, "trajectory_matrices", _path_taken)
         table = PairTable(flow, samples, DelayParams(6))
-        report = monte_carlo(table, draws, threads=2, keep_per_pair=keep_per_pair)
-        assert report.infimum_soft_rank == expected.infimum_soft_rank
+        scan = infimum_soft_rank(table, threads=2)
+        report = monte_carlo(table, draws, keep_per_pair=keep_per_pair)
+        assert scan.infimum == expected_scan.infimum
+        assert scan.num_certified == expected_scan.num_certified
+        assert scan.soft_ranks.tobytes() == expected_scan.soft_ranks.tobytes()
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
-        assert report.num_certified == expected.num_certified
         assert table._stack is None  # not gathered either
         if keep_per_pair:
-            assert report.soft_ranks.tobytes() == expected.soft_ranks.tobytes()
             assert report.ratios.tobytes() == expected.ratios.tobytes()
 
     def test_gaussian_alpha_gathers_no_stack(self, monkeypatch):
