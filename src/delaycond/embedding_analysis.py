@@ -35,7 +35,7 @@ import numpy as np
 from .delay_map import DelayParams, MeasurementCoeffs, row_squared_norms, _check_coeffs
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError, NonFiniteTrajectoryError
-from .spectral import PairDiagnostics, PairTable, _pair_table, soft_rank
+from .spectral import PairDiagnostics, PairTable, _chunks, _pair_table, soft_rank
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -62,14 +62,20 @@ class EmbeddingReport:
     and its scan are the caller's. ``per_draw`` holds one result per draw,
     in the order given, and ``num_draws`` is its length. ``quantiles`` maps
     each of ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
-    ``ratios`` (draws x pairs) is kept only when ``monte_carlo`` is asked to
-    keep per-pair values, else None; its pair axis is in the pair order of
-    the caller's table.
+
+    When ``monte_carlo`` is asked to keep per-pair values, each pair's order
+    statistics of its ratio over the draws are kept, else None: ``ratio_min``
+    and ``ratio_max`` (pairs,), and ``ratio_mid`` (1 or 2, pairs), the one
+    (odd ``num_draws``) or two (even) middle values, whose mean is the
+    median as ``np.median`` forms it. The pair axis is in the pair order of
+    the caller's table; no field holds a row per draw.
     """
 
     per_draw: list[ConditioningResult]
     quantiles: dict[float, float]
-    ratios: np.ndarray | None = field(default=None, repr=False)
+    ratio_min: np.ndarray | None = field(default=None, repr=False)
+    ratio_mid: np.ndarray | None = field(default=None, repr=False)
+    ratio_max: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_draws(self) -> int:
@@ -177,6 +183,24 @@ def conditioning(table: PairTable, alpha: MeasurementCoeffs) -> ConditioningResu
     return _conditioning(table, alpha, table.ratios(_check_coeffs(table.flow, alpha)))
 
 
+def _order_statistics(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's min, one or two middle values (rows of ``mid``) and max.
+
+    A single-kth partition puts the lower middle value in place; the upper
+    one is the least value above it. The partitioned copy is this call's
+    local, and no returned array is a view of it, so it is freed before
+    the caller's next chunk makes its own.
+    """
+    num_draws = block.shape[0]
+    low, high = (num_draws - 1) // 2, num_draws // 2
+    part = np.partition(block, low, axis=0)
+    if high > low:
+        mid = np.stack([part[low], np.min(part[high:], axis=0)])
+    else:
+        mid = part[low:low + 1].copy()
+    return np.min(block, axis=0), mid, np.max(block, axis=0)
+
+
 def monte_carlo(
     table: PairTable, draws: list[MeasurementCoeffs], keep_per_pair: bool = False
 ) -> EmbeddingReport:
@@ -184,8 +208,10 @@ def monte_carlo(
 
     Each draw must have the flow's dimension, which is checked before the
     first draw; ``delay_map.draw_stream`` makes the seeded draws. The draws
-    run in order on ``table``. ``keep_per_pair`` retains the full (draws,
-    pairs) ratio matrix for per-pair reporting.
+    run in order on ``table``. ``keep_per_pair`` keeps each pair's order
+    statistics over the draws (see ``EmbeddingReport``): the (draws, pairs)
+    ratio matrix they come from is reduced ``_chunks`` of pairs at a time
+    and freed when this call returns.
     """
     if not draws:
         raise InvalidArgumentError("monte_carlo needs at least one coefficient draw")
@@ -198,12 +224,17 @@ def monte_carlo(
         per_draw.append(_conditioning(table, coeffs, draw_ratios))
         if keep_per_pair:
             ratios[k] = draw_ratios
+    stats = (None, None, None)
+    if keep_per_pair:
+        chunks = _chunks(table.num_pairs, 1, len(draws))
+        per_chunk = [_order_statistics(ratios[:, chunk]) for chunk in chunks]
+        stats = tuple(np.concatenate(parts, axis=-1) for parts in zip(*per_chunk))
 
     eps = np.array([r.epsilon for r in per_draw])
     quantiles = {
         q: float(np.quantile(eps, q)) for q in QUANTILE_LEVELS
     }
-    return EmbeddingReport(per_draw=per_draw, quantiles=quantiles, ratios=ratios)
+    return EmbeddingReport(per_draw, quantiles, *stats)
 
 
 def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult:

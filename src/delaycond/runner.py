@@ -59,7 +59,6 @@ from .geometry import (
 from .spectral import (
     PairScanResult,
     PairTable,
-    _chunks,
     infimum_soft_rank,
     shift_system_oracle,
 )
@@ -407,45 +406,28 @@ def _geometry_payload(
 def _per_pair_columns(
     table: PairTable, scan: PairScanResult, report: EmbeddingReport
 ) -> dict[str, np.ndarray]:
-    """The ``per_pair.csv`` columns of ``table``'s scan and its report that kept its ratios.
+    """The ``per_pair.csv`` columns of ``table``'s scan and its report that kept per-pair values.
 
-    Soft ranks are coefficient-free; ratio aggregates run over the draws.
-    State-space-denominator ratios are the secondary diagnostic (the
-    conditioning is measured in trajectory space).
+    Soft ranks are coefficient-free; ratio aggregates run over the draws,
+    from the report's per-pair order statistics. Rounding is monotone, so
+    the state ratios' order statistics are the ratios' own times the pair's
+    scale; the medians are the mean of the one or two middle values, formed
+    as np.median forms it. State-space-denominator ratios are the secondary
+    diagnostic (the conditioning is measured in trajectory space).
     """
     state_scale = table.traj_dist_sq / table.state_dist_sq
-    # chunk by chunk over (draws, pairs) views, so no whole-matrix copy is
-    # formed. Rounding is monotone, so the state ratios' order statistics are
-    # the ratios' own times the pair's scale; the medians are the mean of the
-    # one or two middle values, formed as np.median forms it. A single-kth
-    # partition puts the lower middle value in place; the upper one is the
-    # least value above it.
-    num_draws = report.ratios.shape[0]
-    low, high = (num_draws - 1) // 2, num_draws // 2
-    chunk_stats = []
-    for chunk in _chunks(table.num_pairs, 1, num_draws):
-        block = report.ratios[:, chunk]  # (draws, pairs)
-        scale = state_scale[chunk]
-        lowest, highest = np.min(block, axis=0), np.max(block, axis=0)
-        part = np.partition(block, low, axis=0)
-        mid = part[low:low + 1]
-        if high > low:
-            mid = np.stack([part[low], np.min(part[high:], axis=0)])
-        chunk_stats.append({
-            "ratio_min": lowest,
-            "ratio_median": np.mean(mid, axis=0),
-            "ratio_max": highest,
-            "state_ratio_min": lowest * scale,
-            "state_ratio_median": np.mean(mid * scale, axis=0),
-            "state_ratio_max": highest * scale,
-        })
     return {
         "i": table.i_idx,
         "j": table.j_idx,
         "state_dist_sq": table.state_dist_sq,
         "traj_dist_sq": table.traj_dist_sq,
         "soft_rank": scan.soft_ranks,
-        **{name: np.concatenate([s[name] for s in chunk_stats]) for name in chunk_stats[0]},
+        "ratio_min": report.ratio_min,
+        "ratio_median": np.mean(report.ratio_mid, axis=0),
+        "ratio_max": report.ratio_max,
+        "state_ratio_min": report.ratio_min * state_scale,
+        "state_ratio_median": np.mean(report.ratio_mid * state_scale, axis=0),
+        "state_ratio_max": report.ratio_max * state_scale,
     }
 
 
@@ -464,14 +446,15 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
 
     table = PairTable(flow, samples, params)
-    scan = infimum_soft_rank(table, threads=threads)
-    # the draws live only as long as the call: held on through the per-pair
-    # reductions and the writers, they would raise the run's peak memory
+    # the draws and their (draws, pairs) ratio matrix live only as long as
+    # the call, and the call runs before the scan, so the two peaks of
+    # memory never add up
     report = monte_carlo(
         table,
         draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed),
         keep_per_pair=True,
     )
+    scan = infimum_soft_rank(table, threads=threads)
 
     report_payload = {
         "ensemble": config.ensemble,

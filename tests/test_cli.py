@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import platform
 import re
 import tempfile
@@ -517,11 +518,10 @@ class TestRunFullReport:
                     flow = build_flow(config)
                     samples, _, _ = build_samples(config, flow)
                     table = PairTable(flow, samples, DelayParams(4))
-                    report = monte_carlo(
-                        table,
-                        draw_stream(config.ensemble, flow.ambient_dim, num_draws, 5),
-                        keep_per_pair=True,
-                    )
+                    ratios = np.stack([
+                        table.ratios(coeffs.alpha)
+                        for coeffs in draw_stream(config.ensemble, flow.ambient_dim, num_draws, 5)
+                    ])
                     state_scale = table.traj_dist_sq / pdist(samples, "sqeuclidean")
                     rows = read_csv(os.path.join(out, "per_pair.csv"))
                     assert rows[0][5:] == [
@@ -530,7 +530,7 @@ class TestRunFullReport:
                     ]
                     assert len(rows) - 1 == table.num_pairs == 120
                     for k, row in enumerate(rows[1:]):
-                        column = report.ratios[:, k]
+                        column = ratios[:, k]
                         tied = tied or np.unique(column).size < num_draws // 2
                         expected = [
                             float(reduce(values))
@@ -645,6 +645,33 @@ class TestOneScanPerTable:
         config_path = minimal_shift_config(tmp_path, delays=delays)
         assert main([command, "--config", config_path, "--out", str(tmp_path / "o")]) == 0
         assert scanned == [int(m) for m in delays.split(",")]
+
+    def test_report_draws_before_its_scan(self, tmp_path, monkeypatch):
+        # the (draws, pairs) ratio matrix is a local of monte_carlo, freed
+        # before the scan runs: no array the report keeps has a row per draw
+        calls, reports = [], []
+
+        def recording_draws(table, draws, keep_per_pair=False):
+            calls.append("draws")
+            reports.append(monte_carlo(table, draws, keep_per_pair=keep_per_pair))
+            return reports[-1]
+
+        def recording_scan(table, threads=1):
+            calls.append("scan")
+            return infimum_soft_rank(table, threads=threads)
+
+        monkeypatch.setattr(runner, "monte_carlo", recording_draws)
+        monkeypatch.setattr(runner, "infimum_soft_rank", recording_scan)
+        config_path = minimal_shift_config(tmp_path, num_draws="6")
+        assert main(["report", "--config", config_path, "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["draws", "scan"]
+        (report,) = reports
+        shapes = {
+            spec.name: getattr(report, spec.name).shape
+            for spec in fields(report)
+            if isinstance(getattr(report, spec.name), np.ndarray)
+        }
+        assert shapes == {"ratio_min": (28,), "ratio_mid": (2, 28), "ratio_max": (28,)}
 
     def test_scaling_holds_one_pair_table_at_a_time(self, tmp_path, monkeypatch):
         # each M's table and scan are freed before the next M builds its own;
@@ -1260,3 +1287,119 @@ class TestCliMain:
         out = str(tmp_path / "s")
         assert main(["scaling", "--config", config_path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "scaling.csv"))
+
+
+MATRIX_KINDS = ("integer", "diagonal", "permutation", "near-singular", "scaled", "non-finite")
+
+
+def random_matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n flow matrix of one of ``MATRIX_KINDS``."""
+    if kind == "integer":
+        return rng.integers(-3, 4, (n, n)).astype(float)
+    if kind == "diagonal":
+        return np.diag(rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], n))
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)]
+    matrix = rng.standard_normal((n, n))
+    if kind == "near-singular":  # two rows 1e-13 apart
+        matrix[-1] = matrix[0] + 1e-13 * matrix[-1]
+    elif kind == "scaled":
+        matrix *= 10.0 ** rng.choice([-150, 150])
+    elif kind == "non-finite":
+        matrix[rng.integers(n), rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan])
+    return matrix
+
+
+@st.composite
+def cli_runs(draw):
+    """(subcommand, config keys, CSV files) of one small random run of the CLI."""
+    command = draw(st.sampled_from(["lemma-check", "scaling", "report"]))
+    kind = draw(st.sampled_from(["shift", "linear"]))
+    dim = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = {"kind": kind, "ambient_dim": str(dim)}
+    files = {}
+    if kind == "linear":
+        files["m.csv"] = random_matrix(draw(st.sampled_from(MATRIX_KINDS)), dim, rng)
+        keys["matrix_path"] = "m.csv"
+    num_samples = draw(st.integers(2, 12))
+    scale = 10.0 ** draw(st.sampled_from([0, -200, 200]))
+    where = draw(st.sampled_from(["axis", "origin", "file"]))
+    if where == "file":
+        states = scale * rng.standard_normal((num_samples, dim))
+        if draw(st.booleans()):
+            states[-1] = states[0]
+        files["s.csv"] = states
+        keys["samples_path"] = "s.csv"
+    else:
+        origin = scale * rng.standard_normal(dim)
+        keys["origin"] = (
+            f"e{draw(st.integers(1, dim))}" if where == "axis" else ",".join(map(repr, origin.tolist()))
+        )
+        keys["num_samples"] = str(num_samples)
+    num_delays = 3 if command == "scaling" else 1
+    delays = draw(st.lists(st.integers(1, 12), min_size=num_delays, max_size=num_delays, unique=True))
+    keys["delays"] = ",".join(map(str, sorted(delays)))
+    keys["ensemble"] = draw(st.sampled_from(["rademacher", "gaussian"]))
+    keys["num_draws"] = str(draw(st.integers(1, 5)))
+    keys["base_seed"] = str(draw(st.integers(0, 1000)))
+    extreme = st.sampled_from(["1e-300", "1", "1e300"])
+    if draw(st.booleans()):
+        keys["sampling_interval"] = draw(extreme)
+    if draw(st.booleans()):
+        keys["target_eps_grid"] = ",".join(draw(st.lists(extreme, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        keys["c_user"], keys["manifold_dim"] = draw(extreme), draw(extreme)
+    if draw(st.booleans()):
+        keys["num_bins"] = draw(st.sampled_from(["2", "16", "1000000"]))
+    return command, keys, files
+
+
+def _no_constant(name):
+    raise AssertionError(f"a JSON data file holds {name}")
+
+
+def assert_finite_data_files(out_dir: str) -> None:
+    """No number in a CSV or JSON file of ``out_dir`` is NaN or infinite."""
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        with open(path, encoding="utf-8") as handle:
+            if name.endswith(".json"):
+                json.load(handle, parse_constant=_no_constant)
+                continue
+            for row in list(csv.reader(handle))[1:]:
+                for cell in row:
+                    if cell not in ("true", "false"):
+                        assert math.isfinite(float(cell)), f"{name}: {row}"
+
+
+class TestRandomConfigs:
+    @pytest.mark.filterwarnings("error", "ignore:num_delays=:RuntimeWarning")
+    def test_random_configs_exit_cleanly(self):
+        # every run exits 0, 1 or 2 with no other exception and no numpy
+        # warning; an exit 1 writes nothing, and no data file holds NaN or inf
+        outcomes = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(run=cli_runs())
+        def run_one(run):
+            command, keys, files = run
+            with tempfile.TemporaryDirectory() as directory:
+                for name, rows in files.items():
+                    np.savetxt(os.path.join(directory, name), rows, delimiter=",", fmt="%.17g")
+                config_path = write_config(
+                    pathlib.Path(directory, "c.cfg"),
+                    "".join(f"{key} = {value}\n" for key, value in keys.items()),
+                )
+                out = os.path.join(directory, "out")
+                code = main([command, "--config", config_path, "--out", out, "--threads", "1"])
+                assert code in (0, 1, 2)
+                if code == 1:
+                    assert not os.path.exists(out)
+                else:
+                    assert_finite_data_files(out)
+            outcomes.add((command, code))
+
+        run_one()
+        # each subcommand, the report's reordered draws and scan included, ran to the end
+        assert {("lemma-check", 0), ("scaling", 0), ("report", 0)} <= outcomes, outcomes

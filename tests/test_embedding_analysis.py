@@ -36,7 +36,7 @@ from delaycond.dynamics import generate_orbit
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
-from test_spectral import assert_kept_soft_ranks
+from test_spectral import assert_kept_soft_ranks, per_pair_bytes
 
 PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
 
@@ -268,26 +268,37 @@ class TestMonteCarlo:
         # 5 standard-error band on 2000 draws
         flow = make_shift_flow(32)
         samples = np.vstack([np.eye(32)[0], np.eye(32)[1]])
-        report = monte_carlo(
-            PairTable(flow, samples, DelayParams(4)),
-            draw_stream("rademacher", 32, 2000, 21),
-            keep_per_pair=True,
-        )
-        mean_ratio = float(np.mean(report.ratios[:, 0]))
+        table = PairTable(flow, samples, DelayParams(4))
+        draws = draw_stream("rademacher", 32, 2000, 21)
+        mean_ratio = float(np.mean([table.ratios(coeffs.alpha)[0] for coeffs in draws]))
         assert abs(mean_ratio - 1.0) <= 5.0 / np.sqrt(2000.0)
-
-    def test_keep_per_pair_keeps_each_draws_ratios(self):
-        flow = make_shift_flow(8)
-        params = DelayParams(3)
-        draws = draw_stream("gaussian", 8, 5, 1)
-        table = PairTable(flow, np.eye(8), params)
         report = monte_carlo(table, draws, keep_per_pair=True)
-        assert report.ratios.shape == (5, 28)
-        for k, coeffs in enumerate(draws):
-            assert report.ratios[k].tobytes() == table.ratios(coeffs.alpha).tobytes()
-        plain = monte_carlo(table, draws)
-        assert plain.ratios is None
-        assert np.array_equal(plain.epsilons, report.epsilons)
+        assert report.ratio_min[0] <= mean_ratio <= report.ratio_max[0]
+
+    def test_keep_per_pair_keeps_each_draws_ratios(self, monkeypatch):
+        # each pair's min, middle values and max, against a hand-built
+        # (draws, pairs) stack; 5 pairs per reduction chunk, so the 28 pairs
+        # span 6 chunks and the last holds 3
+        flow = make_shift_flow(8)
+        table = PairTable(flow, np.eye(8), DelayParams(3))
+        for num_draws in (1, 2, 5, 6):
+            draws = draw_stream("gaussian", 8, num_draws, 1)
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * num_draws)
+            chunks = spectral._chunks(table.num_pairs, 1, num_draws)
+            assert [c.stop - c.start for c in chunks] == [5, 5, 5, 5, 5, 3]
+            report = monte_carlo(table, draws, keep_per_pair=True)
+            ratios = np.stack([table.ratios(coeffs.alpha) for coeffs in draws])
+            # the lower and upper middle values, one value for an odd count
+            middle = sorted({(num_draws - 1) // 2, num_draws // 2})
+            assert report.ratio_min.tobytes() == np.min(ratios, axis=0).tobytes()
+            assert report.ratio_mid.shape == (len(middle), 28)
+            assert report.ratio_mid.tobytes() == np.stack(
+                [np.partition(ratios, k, axis=0)[k] for k in middle]
+            ).tobytes()
+            assert report.ratio_max.tobytes() == np.max(ratios, axis=0).tobytes()
+            plain = monte_carlo(table, draws)
+            assert plain.ratio_min is plain.ratio_mid is plain.ratio_max is None
+            assert np.array_equal(plain.epsilons, report.epsilons)
 
     def test_failure_rate_at_the_median_is_a_coin_flip(self):
         flow = make_shift_flow(32)
@@ -342,7 +353,7 @@ class TestMonteCarlo:
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
         assert report.quantiles == expected.quantiles
         if keep_per_pair:
-            assert report.ratios.tobytes() == expected.ratios.tobytes()
+            assert per_pair_bytes(report) == per_pair_bytes(expected)
 
     def test_no_draws_is_a_typed_error(self, monkeypatch):
         table = PairTable(make_shift_flow(8), np.eye(8), DelayParams(2))

@@ -312,5 +312,5 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(REPO / "README.md"), "exec"), {"__name__": "readme"})
     printed = capsys.readouterr().out.splitlines()
     assert float(printed[0].split()[0]) >= 4.0
-    assert printed[2] == "(496,) (200, 496)"
+    assert printed[2] == "(496,) (2, 496)"
     assert printed[3] == "(32, 256)"

@@ -372,8 +372,13 @@ def counting_screen(rows):
     return counted
 
 
+def per_pair_bytes(report) -> list[bytes]:
+    """The bytes of a report's kept per-pair order statistics, to compare bit for bit."""
+    return [getattr(report, name).tobytes() for name in ("ratio_min", "ratio_mid", "ratio_max")]
+
+
 def _per_pair_csv(table, scan, report) -> bytes:
-    """The ``per_pair.csv`` bytes of ``table``'s scan and its report that kept its ratios."""
+    """The ``per_pair.csv`` bytes of ``table``'s scan and its report that kept per-pair values."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "per_pair.csv")
         runner.write_csv(path, runner._per_pair_columns(table, scan, report))
@@ -435,6 +440,7 @@ class TestScreenedScan:
         # the screen, then the band
         scanned = screened + scan.num_certified
         assert math.ceil(scanned / chunk) <= scan.num_chunks <= scanned
+        assert per_pair_bytes(report) == per_pair_bytes(default_report)
         assert _per_pair_csv(table, scan, report) == _per_pair_csv(
             default_table, default_scan, default_report
         )
@@ -859,7 +865,7 @@ class TestStackFreePermutationTables:
         assert report.epsilons.tobytes() == expected.epsilons.tobytes()
         assert table._stack is None  # not gathered either
         if keep_per_pair:
-            assert report.ratios.tobytes() == expected.ratios.tobytes()
+            assert per_pair_bytes(report) == per_pair_bytes(expected)
 
     def test_gaussian_alpha_gathers_no_stack(self, monkeypatch):
         flow, params = make_shift_flow(8), DelayParams(3)
