@@ -22,7 +22,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
     sub.add_argument("--seed", type=int, default=None, help="override base_seed")
     sub.add_argument(
-        "--threads", type=int, default=0, help="pair-scan threads; 0 picks the CPU count"
+        "--threads",
+        type=int,
+        default=0,
+        help="pair-scan threads; 0 picks the CPUs this process may run on",
     )
 
 

@@ -32,14 +32,15 @@ of every pair within a rounding band of the screen's minimum by its dense
 SVD value. The reported minimum and argmin come from those dense values, so
 they equal an exhaustive dense scan's bit for bit, exact analytic ties
 included. Chunks of either pass are
-spread over the ``threads`` workers, and a pass of at least ``threads``
-pairs has at least one chunk per worker. A chunk is sized in bytes, at most
-``_CHUNK_BYTES`` of differences or one pair, so a worker's working set does
-not grow with M N. The screen value of a pair comes from the smaller Gram
-matrix of its difference (D D^T, or D^T D when M > N): its trace is
-||D||_F^2 and its top eigenvalue ||D||_2^2. When the samples are one exact
-orbit of a permutation flow (the cyclic shift's orbits, checked by
-``dynamics.is_permutation_orbit``), the trajectory matrix of state i is that
+spread over the ``threads`` workers. A chunk holds at most ``_CHUNK_BYTES``
+of differences (or one pair), so a worker's working set does not grow with
+M N, and at most a quarter of one worker's share of the pass, so a pass too
+small to fill its chunks is cut into about four chunks per worker and each
+worker holds a fraction of it. The screen value of a pair comes from the
+smaller Gram matrix of its difference (D D^T, or D^T D when M > N): its
+trace is ||D||_F^2 and its top eigenvalue ||D||_2^2. When the samples are
+one exact orbit of a permutation flow (the cyclic shift's orbits, checked
+by ``dynamics.is_permutation_orbit``), the trajectory matrix of state i is that
 of state 0 with its columns permuted, so pair (i, j) has the exact singular
 values of pair (0, j - i); the screen then runs over those n - 1 class
 representatives alone and gives every pair the value of its class.
@@ -69,10 +70,15 @@ from .errors import (
     UndefinedSoftRankError,
 )
 
-# Bytes of one chunk of pair data, in every scan pass (M N floats per pair)
-# and in the report's per-pair reductions (one float per draw and pair).
-# Each scan worker holds one chunk of differences at a time.
+# Bytes of at most one chunk of pair data, in every scan pass (M N floats per
+# pair), in the report's per-pair reductions (one float per draw and pair)
+# and in the shift oracle's Gram batches (M^2 floats per separation). Each
+# scan worker holds one chunk of differences at a time.
 _CHUNK_BYTES = 4 << 20
+
+# Chunks per worker of a pass too small to fill its chunks' bytes: a pass
+# the budget does not cap is cut into about this many slices per worker.
+_CHUNKS_PER_WORKER = 4
 
 # Relative distance below which two states are treated as coincident.
 COINCIDENCE_THRESHOLD = 1e-12
@@ -358,18 +364,16 @@ def _dense_soft_ranks(diffs: np.ndarray) -> np.ndarray:
 
 
 def _chunks(num: int, parts: int, item_floats: int) -> list[slice]:
-    """``range(num)`` in order, in slices of at most ``_CHUNK_BYTES`` of items.
+    """``range(num)`` in order, in slices of equal size but the last.
 
-    Each item is ``item_floats`` doubles; a slice holds at least one item,
-    however large. A pass of fewer than ``parts`` full chunks is cut instead
-    into ``min(parts, num)`` slices of ``ceil(num / parts)`` items or one
-    fewer, so that every worker gets one slice and none is left over.
+    Each item is ``item_floats`` doubles. A slice holds the fewer of
+    ``_CHUNK_BYTES`` of items and ``ceil(num / (_CHUNKS_PER_WORKER * parts))``
+    items, and at least one item, however large. A pass the budget caps
+    fills its chunks; a smaller one is cut into about ``_CHUNKS_PER_WORKER``
+    slices per worker, so each worker holds a fraction of the pass.
     """
-    per_chunk = max(1, _CHUNK_BYTES // (8 * item_floats))
-    if num < parts * per_chunk:
-        bounds = [-(-num * k // parts) for k in range(parts + 1)]
-        return [slice(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
-    return [slice(start, min(start + per_chunk, num)) for start in range(0, num, per_chunk)]
+    size = max(1, min(_CHUNK_BYTES // (8 * item_floats), -(-num // (_CHUNKS_PER_WORKER * parts))))
+    return [slice(start, min(start + size, num)) for start in range(0, num, size)]
 
 
 def infimum_soft_rank(table: PairTable, threads: int = 1) -> PairScanResult:
@@ -382,7 +386,7 @@ def infimum_soft_rank(table: PairTable, threads: int = 1) -> PairScanResult:
     screen's rounding band gets its own dense SVD, which replaces its screen
     value in ``soft_ranks``. ``infimum`` and ``argmin_pair`` are those dense
     values, identical to a sequential dense scan of every pair, whichever
-    ``threads`` (0 picks the CPU count) evaluate the chunks. A pair off the
+    ``threads`` (0 picks the usable CPUs) evaluate the chunks. A pair off the
     band keeps a screen value above the band, within rounding of its own
     dense value, so ``min(soft_ranks) == infimum``.
     """
@@ -437,8 +441,9 @@ def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
 
     ``d`` is one separation or a 1-D integer array of them. For an array,
     every field gains a leading separation axis, and the Grams are solved
-    together, one batched ``eigvalsh`` per slice of at most ``_CHUNK_BYTES``
-    of Grams; each separation gets the bits its own scalar call gives.
+    together, one batched ``eigvalsh`` per ``_chunks`` slice of Grams (at
+    most ``_CHUNK_BYTES``); each separation gets the bits its own scalar
+    call gives.
 
     The result always satisfies value >= m/2: the Gram's largest eigenvalue
     is at most 4 because each backward iterate appears in at most two rows.

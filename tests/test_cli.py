@@ -36,6 +36,7 @@ from delaycond.spectral import PairTable, infimum_soft_rank
 
 from test_dynamics import well_conditioned_flow
 from test_embedding_analysis import large_shift_orbit
+from test_spectral import usable_cpus
 
 
 SCHEMA_DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "report_schema.md")
@@ -376,14 +377,15 @@ class TestRunLemmaCheck:
     def test_lemma_check_certifies_the_minimal_classes(self, tmp_path):
         # on the 8-state orbit, the scan screens the 7 representatives (0, d)
         # by Gram and certifies the circularly adjacent classes d = 1 and 7,
-        # 7 + 1 pairs: one chunk each, 8 dense SVDs in place of 28
+        # 7 + 1 pairs: 8 dense SVDs in place of 28. At one thread each pass
+        # is cut into four chunks, of at most two pairs
         config = load_config(minimal_shift_config(tmp_path, delays="2,4"))
         run_lemma_check(config, str(tmp_path / "out"))
         with open(tmp_path / "out" / "run_manifest.json", encoding="utf-8") as handle:
             counts = json.load(handle)["counts"]
         assert counts == {
             "per_m": [
-                {"num_delays": m, "pairs": 28, "pairs_certified": 8, "chunks": 2, "draws": 0}
+                {"num_delays": m, "pairs": 28, "pairs_certified": 8, "chunks": 8, "draws": 0}
                 for m in (2, 4)
             ]
         }
@@ -439,7 +441,10 @@ class TestRunScalingStudy:
             for entry in per_m:
                 assert entry["pairs"] == 28 and entry["draws"] == 12
                 assert 1 <= entry["pairs_certified"] <= 28
-                assert entry["chunks"] == 2  # a screen and a certification pass
+                # a screen of 7 representatives or 28 pairs, in four chunks
+                # at one thread, and a certification pass cut by the same rule
+                certified = spectral._chunks(entry["pairs_certified"], 1, 8 * entry["num_delays"])
+                assert entry["chunks"] == 4 + len(certified)
 
 
 class TestRunFullReport:
@@ -568,7 +573,7 @@ class TestRunFullReport:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
-                "threads": threads or os.cpu_count(),
+                "threads": threads or usable_cpus(),
                 "cpu_count": os.cpu_count(),
             }
 

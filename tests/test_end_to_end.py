@@ -1,6 +1,7 @@
 """End-to-end CLI runs whose data files must not depend on ``--threads``.
 
-Four cases, each run in-process at ``--threads 1`` and ``2``:
+Four cases, each run in-process at ``--threads`` 1, 2 and 3, which must all
+give the same data files (three workers split a pass unevenly):
 
 - ``shipped``: the three configs in ``scripts/configs/`` that
   ``scripts/run_shift_experiment.py`` runs;
@@ -166,7 +167,7 @@ def runs(tmp_path_factory):
     def get(case):
         if case not in done:
             root = tmp_path_factory.mktemp(case)
-            done[case] = {threads: CASES[case](root, threads) for threads in (1, 2)}
+            done[case] = {threads: CASES[case](root, threads) for threads in (1, 2, 3)}
         return done[case]
 
     return get
@@ -176,6 +177,7 @@ def runs(tmp_path_factory):
 def test_data_files_do_not_depend_on_threads(runs, case):
     by_threads = runs(case)
     assert_same_data_files(by_threads[1], by_threads[2])
+    assert_same_data_files(by_threads[1], by_threads[3])
 
 
 def soft_ranks(path):

@@ -42,6 +42,14 @@ from test_dynamics import (
     well_conditioned_flow,
 )
 
+
+def usable_cpus():
+    """The CPUs this process may run on; the CPU count where the platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Adjacent basis states of the 8-state shift with 4 delays: the pair Gram is
 # 2I minus the path adjacency, eigenvalues 2 - 2 cos(k pi / 5).
 ADJACENT_SHIFT8_M4 = 8.0 / (2.0 + 2.0 * math.cos(math.pi / 5.0))
@@ -596,15 +604,18 @@ class TestScreenedScan:
         assert [k for part in parts for k in range(num)[part]] == list(range(num))
         sizes = [part.stop - part.start for part in parts]
         assert min(workers, num) <= len(parts) <= num
-        assert all(1 <= size <= chunk for size in sizes)
-        if num >= workers * chunk:  # a large pass keeps whole chunks
-            assert set(sizes[:-1]) <= {chunk}
-        else:  # a small pass gets one slice per worker, ceil(num / workers) or one fewer
-            assert len(parts) == min(workers, num)
-            assert set(sizes) <= {-(-num // workers), num // workers}
+        # one rule: every slice but the last holds the fewer of ``chunk`` and
+        # a quarter of one worker's share, and the last no more
+        size = max(1, min(chunk, -(-num // (4 * workers))))
+        assert set(sizes[:-1]) <= {size} and all(1 <= last <= size for last in sizes[-1:])
+        if num >= 4 * workers * chunk:  # a pass the budget caps keeps whole chunks
+            assert size == chunk
+        else:  # a smaller one gets about four slices per worker
+            assert len(parts) >= min(num, 2 * workers)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("shuffled", [False, True])
-    def test_chunks_stay_within_the_byte_budget(self, monkeypatch, shuffled):
+    def test_chunks_stay_within_the_byte_budget(self, monkeypatch, shuffled, threads):
         # the largest step of the lemma check on the 128-state shift orbit,
         # and the same states out of orbit order, whose screen takes every
         # pair
@@ -612,24 +623,40 @@ class TestScreenedScan:
         passes = []
 
         def recording_map(func, items, workers):
-            passes.extend(part.stop - part.start for part in items)
+            passes.append([part.stop - part.start for part in items])
             return [func(item) for item in items]
 
         monkeypatch.setattr(spectral, "ordered_map", recording_map)
         order = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
         table = PairTable(make_shift_flow(n), np.eye(n)[order], DelayParams(m))
-        scan = infimum_soft_rank(table, threads=2)
-        assert len(passes) == scan.num_chunks
-        assert sum(passes) == (scan.num_pairs if shuffled else n - 1) + scan.num_certified
-        assert all(pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in passes)
+        scan = infimum_soft_rank(table, threads=threads)
+        assert sum(map(len, passes)) == scan.num_chunks
+        assert [sum(chunks) for chunks in passes] == [
+            scan.num_pairs if shuffled else n - 1, scan.num_certified
+        ]
+        for chunks in passes:
+            # a quarter of one worker's share of the pass, and the byte budget
+            assert max(chunks) <= max(1, -(-sum(chunks) // (4 * threads)))
+            assert all(pairs * m * n * 8 <= spectral._CHUNK_BYTES or pairs == 1 for pairs in chunks)
         # either band is the circularly adjacent basis pairs, 127 + 1
         assert scan.num_certified == n
-        if shuffled:  # a large pass fills its chunks
-            assert max(passes) == spectral._CHUNK_BYTES // (m * n * 8)
+        if shuffled:  # a pass the budget caps fills its chunks
+            assert max(passes[0]) == spectral._CHUNK_BYTES // (m * n * 8)
 
     def test_zero_threads_resolve_to_the_cpu_count(self):
-        assert _parallel.resolve_threads(0) == (os.cpu_count() or 1)
+        assert _parallel.resolve_threads(0) == usable_cpus()
         assert _parallel.resolve_threads(3) == 3
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_zero_threads_follow_the_cpu_affinity(self):
+        # narrowed to one CPU, the process may run one worker at a time
+        # however many CPUs the machine has
+        usable = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(usable)})
+            assert _parallel.resolve_threads(0) == 1
+        finally:
+            os.sched_setaffinity(0, usable)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_small_passes_get_a_chunk_per_worker(self, monkeypatch, threads):
@@ -967,15 +994,21 @@ class TestShiftSystemOracle:
     def test_a_value_below_the_bound_names_its_separation(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
 
-        def inflated(grams):
-            # lift the top eigenvalue of the Gram of d = 3 (index 2) far past 4
-            eigs = eigvalsh(grams)
-            eigs[2, -1] = 100.0
-            return eigs
+        def inflate(d):
+            def inflated(grams):
+                # lift the top eigenvalue of the Gram of separation d far past 4,
+                # whichever chunk of the batch it is in: for d < m < n it is the
+                # Gram with -1 at (0, d), which n - d shares
+                eigs = eigvalsh(grams)
+                eigs[grams[:, 0, d] == -1.0, -1] = 100.0
+                return eigs
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", inflated)
+            monkeypatch.setattr(np.linalg, "eigvalsh", inflated)
+
+        inflate(3)
         with pytest.raises(AssertionError, match=r"below the m/2 bound for \(n=16, m=8, d=3\)"):
             shift_system_oracle(16, 8, np.arange(1, 16))
+        inflate(5)
         with pytest.raises(AssertionError, match=r"\(n=16, m=8, d=5\)"):
             shift_system_oracle(16, 8, np.array([2, 4, 5, 9]))
 
