@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
+    NonFiniteTrajectoryError,
     NonInvertibleFlowError,
 )
 
@@ -192,21 +193,31 @@ def inverse_step(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
 def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> np.ndarray:
     """Read-only (length, N) array of the forward orbit x0, Phi(x0), Phi^2(x0), ...
 
-    When ``flow.matrix`` is an exact 0/1 permutation matrix and x0 is
-    finite, each step is the gather ``cur[forward] + 0.0`` instead of the
-    matvec, with the same bits: each matvec entry sums one exact 1 * x and
-    zeros, and that sum turns -0.0 into +0.0 as ``+ 0.0`` does.
+    When ``flow.matrix`` is an exact 0/1 permutation matrix, each step is
+    the gather ``cur[forward] + 0.0`` instead of the matvec, with the same
+    bits for finite states: each matvec entry sums one exact 1 * x and
+    zeros, and that sum turns -0.0 into +0.0 as ``+ 0.0`` does. A state
+    that is not finite is a ``NonFiniteTrajectoryError`` naming its step,
+    x0 being step 0.
     """
     if length < 1:
         raise InvalidArgumentError(f"orbit length must be >= 1, got {length}")
     cur = _check_state(flow, x0)
-    # a gather keeps an infinity where the matvec's 0 * inf makes NaN
-    forward = _permutation_of(flow.matrix) if np.all(np.isfinite(cur)) else None
+    forward = _permutation_of(flow.matrix)
     states = np.empty((length, flow.ambient_dim))
-    for n in range(length):
-        states[n] = cur
-        if n + 1 < length:
-            cur = flow.matrix @ cur if forward is None else cur[forward] + 0.0
+    # an overflowing step is reported below as the first state that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(length):
+            states[n] = cur
+            if n + 1 < length:
+                cur = flow.matrix @ cur if forward is None else cur[forward] + 0.0
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NonFiniteTrajectoryError(
+            f"forward step {first} of the orbit from x0 is not finite"
+            + ("; the flow overflows" if first else "")
+        )
     return _freeze(states)
 
 

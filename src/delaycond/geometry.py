@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, generate_orbit
+from .dynamics import FlowSpec, _check_state, generate_orbit
 from .errors import (
     InvalidArgumentError,
     NoEstimateError,
@@ -81,35 +81,32 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     tolerance 1e-9; only the first full period of states is kept. Fewer
     than 2 unique states (a fixed point) is an error since no pair scan can
     be formed, and so is an x0 with no finite norm to scale the tolerance,
-    or a kept state that is not finite (the forward flow overflows).
+    or one of the n states that is not finite (the forward flow overflows,
+    raised by ``generate_orbit``).
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 samples, got n={n}")
-    # an overflow is reported below as the first state that is not finite;
-    # an overflowing distance (inf) or one to such a state (nan) is no return
+    x0 = _check_state(flow, x0)
+    # an overflowing distance (inf) or one to an overflowing state (nan) is no return
     with np.errstate(over="ignore", invalid="ignore"):
-        # one lookahead state so a period of exactly n is still detected
-        states = generate_orbit(flow, x0, n + 1)
-        norm = float(np.linalg.norm(states[0]))
+        norm = float(np.linalg.norm(x0))
         if not math.isfinite(norm):
             # an overflowing norm would match every state as a return to x0
             raise NonFiniteTrajectoryError(
                 "the orbit's first state has no finite norm: an entry is not finite, "
                 "or the sum of its squares overflows"
             )
+        states = generate_orbit(flow, x0, n)
+        # one lookahead state so a period of exactly n is still detected
+        lookahead = flow.matrix @ states[-1]
         scale = max(norm, np.finfo(float).tiny)
         period = None
         for k in range(1, n + 1):
-            if float(np.linalg.norm(states[k] - states[0])) <= _PERIOD_TOLERANCE * scale:
+            state = states[k] if k < n else lookahead
+            if float(np.linalg.norm(state - states[0])) <= _PERIOD_TOLERANCE * scale:
                 period = k
                 break
-    unique = states[:n] if period is None else states[:period]
-    finite = np.isfinite(unique).all(axis=1)
-    if not finite.all():
-        raise NonFiniteTrajectoryError(
-            f"forward step {int(np.argmin(finite))} of the orbit from x0 is not finite; "
-            "the flow overflows"
-        )
+    unique = states if period is None else states[:period]
     if unique.shape[0] < 2:
         raise InvalidArgumentError(
             "orbit has a single unique state (fixed point); cannot form pairs"

@@ -28,14 +28,11 @@ import platform
 import numpy as np
 import scipy
 
-from ._parallel import resolve_threads
 from ._version import __version__
 from .config import ExperimentConfig, build_flow, build_samples
 from .delay_map import (
     DelayParams,
     MeasurementCoeffs,
-    derive_seed,
-    draw_coeffs,
     draw_stream,
     time_series,
 )
@@ -60,6 +57,7 @@ from .spectral import (
     PairScanResult,
     PairTable,
     infimum_soft_rank,
+    resolve_threads,
     shift_system_oracle,
 )
 
@@ -338,11 +336,16 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
 
 
 def _geometry_payload(
-    config: ExperimentConfig, table: PairTable, period: int | None, orbit_ordered: bool
+    config: ExperimentConfig,
+    table: PairTable,
+    period: int | None,
+    orbit_ordered: bool,
+    alpha0: MeasurementCoeffs,
 ) -> dict:
     """Trajectory-manifold, Lyapunov and delay-selection diagnostics of the samples.
 
-    The manifold's points are the trajectory vectors of ``table``'s samples.
+    The manifold's points are the trajectory vectors of ``table``'s samples;
+    the delay-selection series is measured by ``alpha0``, the first draw.
     """
     flow, samples = table.flow, table.samples
     payload: dict = {}
@@ -380,9 +383,6 @@ def _geometry_payload(
     payload["inverse_flow_lyapunov"] = vars(lyap)
 
     if orbit_ordered and samples.shape[0] >= 8:
-        alpha0 = draw_coeffs(
-            config.ensemble, flow.ambient_dim, derive_seed(config.base_seed, 0)
-        )
         # orbit-ordered samples are the orbit itself
         series = time_series(samples, alpha0)
         try:
@@ -446,14 +446,11 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
 
     table = PairTable(flow, samples, params)
-    # the draws and their (draws, pairs) ratio matrix live only as long as
-    # the call, and the call runs before the scan, so the two peaks of
-    # memory never add up
-    report = monte_carlo(
-        table,
-        draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed),
-        keep_per_pair=True,
-    )
+    draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
+    # the draws' (draws, pairs) ratio matrix lives only as long as the call,
+    # and the call runs before the scan, so the two peaks of memory never
+    # add up
+    report = monte_carlo(table, draws, keep_per_pair=True)
     scan = infimum_soft_rank(table, threads=threads)
 
     report_payload = {
@@ -479,7 +476,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "per_draw": [{"draw": k, **vars(r)} for k, r in enumerate(report.per_draw)],
     }
 
-    geometry_payload = _geometry_payload(config, table, period, orbit_ordered)
+    geometry_payload = _geometry_payload(config, table, period, orbit_ordered, draws[0])
     files = {
         "embedding_report.json": report_payload,
         "per_pair.csv": _per_pair_columns(table, scan, report),

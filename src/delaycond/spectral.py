@@ -26,34 +26,37 @@ shift on basis states with Rademacher draws) they give the same bits;
 otherwise they agree to rounding. Every other flow takes the (n, M, N)
 stack, built once per table.
 
-The scan runs in two passes over chunks of pair differences: a screen that
+The scan runs in two passes over chunks of pair indices: a screen that
 gives every pair a value, then a certification pass that replaces the value
 of every pair within a rounding band of the screen's minimum by its dense
 SVD value. The reported minimum and argmin come from those dense values, so
 they equal an exhaustive dense scan's bit for bit, exact analytic ties
-included. Chunks of either pass are
-spread over the ``threads`` workers. A chunk holds at most ``_CHUNK_BYTES``
-of differences (or one pair), so a worker's working set does not grow with
-M N, and at most a quarter of one worker's share of the pass, so a pass too
-small to fill its chunks is cut into about four chunks per worker and each
-worker holds a fraction of it. The screen value of a pair comes from the
-smaller Gram matrix of its difference (D D^T, or D^T D when M > N): its
-trace is ||D||_F^2 and its top eigenvalue ||D||_2^2. When the samples are
-one exact orbit of a permutation flow (the cyclic shift's orbits, checked
-by ``dynamics.is_permutation_orbit``), the trajectory matrix of state i is that
-of state 0 with its columns permuted, so pair (i, j) has the exact singular
-values of pair (0, j - i); the screen then runs over those n - 1 class
-representatives alone and gives every pair the value of its class.
+included. Both passes run on one pool of ``threads`` workers, which the
+scan owns; each chunk's task forms the chunk's differences
+(``PairTable.differences``) and their soft ranks. A chunk holds at most
+``_CHUNK_BYTES`` of differences (or one pair), so a worker's working set
+does not grow with M N, and at most a quarter of one worker's share of the
+pass, so a pass too small to fill its chunks is cut into about four chunks
+per worker and each worker holds a fraction of it. The screen value of a
+pair comes from the smaller Gram matrix of its difference (D D^T, or D^T D
+when M > N): its trace is ||D||_F^2 and its top eigenvalue ||D||_2^2. When
+the samples are one exact orbit of a permutation flow (the cyclic shift's
+orbits, checked by ``dynamics.is_permutation_orbit``), the trajectory
+matrix of state i is that of state 0 with its columns permuted, so pair
+(i, j) has the exact singular values of pair (0, j - i); the screen then
+runs over those n - 1 class representatives alone and gives every pair the
+value of its class.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._parallel import ordered_map, resolve_threads
 from .delay_map import (
     DelayParams,
     _check_finite_rows,
@@ -73,12 +76,19 @@ from .errors import (
 # Bytes of at most one chunk of pair data, in every scan pass (M N floats per
 # pair), in the report's per-pair reductions (one float per draw and pair)
 # and in the shift oracle's Gram batches (M^2 floats per separation). Each
-# scan worker holds one chunk of differences at a time.
+# scan worker holds one chunk of differences at a time, and on a stack, while
+# it forms them, one gathered block of the same size.
 _CHUNK_BYTES = 4 << 20
 
 # Chunks per worker of a pass too small to fill its chunks' bytes: a pass
 # the budget does not cap is cut into about this many slices per worker.
 _CHUNKS_PER_WORKER = 4
+
+# The most workers ``threads`` may ask for, well above the core counts the
+# scan gains from. A small pass is cut into about ``_CHUNKS_PER_WORKER``
+# chunks per worker, and each busy worker is an OS thread, so an unbounded
+# count would start one thread per pair (8 128 on a 128-sample table).
+MAX_THREADS = 256
 
 # Relative distance below which two states are treated as coincident.
 COINCIDENCE_THRESHOLD = 1e-12
@@ -295,24 +305,14 @@ class PairTable:
         On a permutation flow each is gathered from its sample difference,
         with ``+ 0.0`` on rows m >= 1 as the stack has (``_gathered_rows``):
         the stack's bits, signed zeros included, since a gather commutes
-        with the subtraction. Otherwise a slice takes, for each i in it, one
-        subtraction from a slice of the stack (the partners j of one i are
-        consecutive), with no gathered copies.
+        with the subtraction. Otherwise the stack rows of the i's are
+        gathered, and those of the j's subtracted in place.
         """
+        i, j = self.i_idx[pairs], self.j_idx[pairs]
         if self._powers is not None:
-            sample_diffs = self.samples[self.i_idx[pairs]] - self.samples[self.j_idx[pairs]]
-            return _gathered_rows(sample_diffs, self._powers)
-        stack = self._stack
-        if not isinstance(pairs, slice):
-            return stack[self.i_idx[pairs]] - stack[self.j_idx[pairs]]
-        out = np.empty((pairs.stop - pairs.start,) + stack.shape[1:])
-        k = pairs.start
-        while k < pairs.stop:
-            i, j = self.pair(k)
-            take = min(pairs.stop - k, stack.shape[0] - j)
-            offset = k - pairs.start
-            np.subtract(stack[i], stack[j : j + take], out=out[offset : offset + take])
-            k += take
+            return _gathered_rows(self.samples[i] - self.samples[j], self._powers)
+        out = self._stack[i]
+        out -= self._stack[j]
         return out
 
     def ratios(self, alpha: np.ndarray) -> np.ndarray:
@@ -330,6 +330,22 @@ class PairTable:
         else:
             measured = self._stack @ alpha  # (n, M)
         return pdist(measured, "sqeuclidean") / self.traj_dist_sq
+
+
+def resolve_threads(threads: int) -> int:
+    """The number of workers ``threads`` asks for: itself, or for 0 the usable CPUs.
+
+    The usable CPUs are the CPUs this process may run on, its affinity set;
+    where the platform has no ``sched_getaffinity``, ``os.cpu_count()``.
+    ``threads`` outside ``[0, MAX_THREADS]`` is an ``InvalidArgumentError``.
+    """
+    if not 0 <= threads <= MAX_THREADS:
+        raise InvalidArgumentError(f"threads: must be in [0, {MAX_THREADS}], got {threads}")
+    if threads:
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pair_table(
@@ -389,31 +405,39 @@ def infimum_soft_rank(table: PairTable, threads: int = 1) -> PairScanResult:
     ``threads`` (0 picks the usable CPUs) evaluate the chunks. A pair off the
     band keeps a screen value above the band, within rounding of its own
     dense value, so ``min(soft_ranks) == infimum``.
+
+    Both passes share one pool of ``resolve_threads(threads)`` workers. Each
+    task forms its own differences when it starts, so at most ``workers``
+    chunks are alive at once.
     """
     workers = resolve_threads(threads)
     num_pairs = table.num_pairs
     band = 1.0 + 5.0 * _band_rtol(*table.shape[1:])
     pair_floats = table.shape[1] * table.shape[2]
     num_chunks = 0
-
-    def scan_pass(soft_ranks, num: int, select=lambda part: part) -> np.ndarray:
-        """``soft_ranks`` of the pairs ``select(part)`` over the chunks of ``range(num)``."""
-        nonlocal num_chunks
-        parts = _chunks(num, workers, pair_floats)
-        num_chunks += len(parts)
-        return np.concatenate(
-            ordered_map(lambda part: soft_ranks(table.differences(select(part))), parts, workers)
-        )
-
     orbit = is_permutation_orbit(table.flow, table.samples)
-    screened = scan_pass(_screened_soft_ranks, table.shape[0] - 1 if orbit else num_pairs)
-    if orbit:
-        # pair (i, j) has the exact singular values of the pair (0, j - i),
-        # and the pairs (0, d) lead the pair order
-        screened = screened[table.j_idx - table.i_idx - 1]
-    # NaN fails every comparison, so a NaN screen value sends its pair to the SVD
-    candidates = np.flatnonzero(~(screened > np.min(screened) * band))
-    values = scan_pass(_dense_soft_ranks, candidates.size, lambda part: candidates[part])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def scan_pass(soft_ranks, pairs: np.ndarray) -> np.ndarray:
+            """``soft_ranks`` of the pairs at the index array ``pairs``, chunk by chunk."""
+            nonlocal num_chunks
+            parts = _chunks(pairs.size, workers, pair_floats)
+            num_chunks += len(parts)
+            return np.concatenate(
+                list(pool.map(lambda part: soft_ranks(table.differences(pairs[part])), parts))
+            )
+
+        # the pairs (0, d) lead the pair order
+        screened = scan_pass(
+            _screened_soft_ranks, np.arange(table.shape[0] - 1 if orbit else num_pairs)
+        )
+        if orbit:
+            # pair (i, j) has the exact singular values of the pair (0, j - i)
+            screened = screened[table.j_idx - table.i_idx - 1]
+        # NaN fails every comparison, so a NaN screen value sends its pair to the SVD
+        candidates = np.flatnonzero(~(screened > np.min(screened) * band))
+        values = scan_pass(_dense_soft_ranks, candidates)
     # every pair off the band keeps its screen value, above the cutoff and so
     # above the minimum, which stays that of the certified pairs
     soft_ranks = screened

@@ -7,6 +7,7 @@ import os
 import pathlib
 import platform
 import re
+import sys
 import tempfile
 import weakref
 from dataclasses import fields
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from delaycond import _parallel, runner, spectral
+from delaycond import delay_map, embedding_analysis, runner, spectral
 from delaycond.cli import main
 from delaycond.config import (
     _KNOWN_KEYS,
@@ -478,6 +479,29 @@ class TestRunFullReport:
         # no c_user and manifold_dim, so no sufficient-condition check
         assert not os.path.exists(os.path.join(out, "theorem_check.json"))
 
+    def test_each_draw_is_made_once(self, tmp_path, monkeypatch):
+        # the delay-selection series takes the stream's first draw, not a
+        # draw of its own
+        calls = []
+        draw_coeffs = delay_map.draw_coeffs
+
+        def counting_draw_coeffs(*args, **kwargs):
+            calls.append(args)
+            return draw_coeffs(*args, **kwargs)
+
+        # every import site, as the benchmark's tracer wraps them
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "delaycond" and vars(module).get("draw_coeffs") is draw_coeffs:
+                monkeypatch.setattr(module, "draw_coeffs", counting_draw_coeffs)
+        monkeypatch.setattr(runner, "draw_coeffs", counting_draw_coeffs, raising=False)
+        config = load_config(
+            minimal_shift_config(
+                tmp_path, ambient_dim="16", num_samples="16", delays="4", num_draws="20",
+            )
+        )
+        run_full_report(config, str(tmp_path / "out"))
+        assert len(calls) == 20
+
     def test_per_pair_ratio_columns_are_per_pair_reductions(self, tmp_path, monkeypatch):
         matrix_file = tmp_path / "m.csv"
         np.savetxt(
@@ -508,7 +532,7 @@ class TestRunFullReport:
                     monkeypatch.setattr(
                         spectral, "_CHUNK_BYTES", pairs_per_chunk * 8 * num_draws
                     )
-                    monkeypatch.setattr(runner.np, "partition", partition)
+                    monkeypatch.setattr(embedding_analysis.np, "partition", partition)
                     config = load_config(
                         write_config(
                             tmp_path / "c.cfg",
@@ -1106,7 +1130,7 @@ class TestCliMain:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool started")
 
-        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", no_pool)
         config_path = minimal_shift_config(
             tmp_path, delays="2, 3, 4" if command == "scaling" else "4"
         )
@@ -1114,7 +1138,7 @@ class TestCliMain:
         argv = ["--config", config_path, "--out", str(out), "--threads", str(10**9)]
         assert main([command, *argv]) == 1
         captured = capsys.readouterr()
-        assert f"error: threads: must be in [0, {_parallel.MAX_THREADS}]" in captured.err
+        assert f"error: threads: must be in [0, {spectral.MAX_THREADS}]" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from delaycond import (
     DimensionMismatchError,
     InvalidArgumentError,
+    NonFiniteTrajectoryError,
     NonInvertibleFlowError,
     generate_orbit,
     inverse_step,
@@ -267,13 +268,22 @@ class TestGenerateOrbit:
             states = generate_orbit(gather_only, x0, 9)
             assert np.array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
 
-    def test_non_finite_origin_keeps_the_matvec(self):
-        flow = make_shift_flow(3)
+    @pytest.mark.parametrize(
+        "flow", [make_shift_flow(3), make_linear_flow(np.diag([1.0, 2.0, 3.0]))]
+    )
+    def test_non_finite_origin_is_step_0(self, flow):
         x0 = np.array([np.inf, 1.0, 2.0])
-        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
-            states = generate_orbit(flow, x0, 3)
-            np.testing.assert_array_equal(states[1], flow.matrix @ x0)
-            np.testing.assert_array_equal(states[2], flow.matrix @ states[1])
+        with pytest.raises(NonFiniteTrajectoryError, match="forward step 0 of the orbit from x0"):
+            generate_orbit(flow, x0, 3)
+
+    def test_overflowing_orbit_names_its_step(self):
+        # states 0 and 1 are finite; the matvec of step 2 overflows, and a
+        # numpy warning would fail the test (the suite makes it an error)
+        flow = make_linear_flow(1e150 * np.random.default_rng(0).standard_normal((3, 3)))
+        x0 = np.array([1e48, 2e48, -1e48])
+        with pytest.raises(NonFiniteTrajectoryError, match="forward step 2 of the orbit"):
+            generate_orbit(flow, x0, 6)
+        assert np.isfinite(generate_orbit(flow, x0, 2)).all()
 
 
 class _NoMatvec(np.ndarray):

@@ -29,7 +29,7 @@ from delaycond import (
     soft_rank,
     trajectory_matrices,
 )
-from delaycond import _parallel, runner, spectral
+from delaycond import runner, spectral
 from delaycond.delay_map import _gathered_rows
 from delaycond.dynamics import is_permutation_orbit
 from delaycond.spectral import PairTable, matrix_rank_of, pair_indices
@@ -566,25 +566,43 @@ class TestScreenedScan:
         scan = infimum_soft_rank(PairTable(flow, np.eye(32), params))
         assert (scan.infimum, scan.argmin_pair) == (infimum, argmin)
 
-    @pytest.mark.parametrize("threads", [-1, _parallel.MAX_THREADS + 1, 10**9])
+    @pytest.mark.parametrize("threads", [-1, spectral.MAX_THREADS + 1, 10**9])
     def test_threads_out_of_range_rejected_before_any_pool(self, monkeypatch, threads):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pass was cut or a thread pool started")
 
-        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(spectral, "_chunks", no_pool)
         with pytest.raises(InvalidArgumentError, match="threads: "):
             infimum_soft_rank(
                 PairTable(make_shift_flow(4), np.eye(4), DelayParams(2)), threads=threads
             )
-        with pytest.raises(InvalidArgumentError, match="threads: "):
-            _parallel.ordered_map(abs, [1, 2], threads)
+
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
+    @pytest.mark.parametrize("orbit", [False, True])
+    def test_one_scan_starts_one_pool_of_the_resolved_workers(self, monkeypatch, orbit, threads):
+        pools = []
+
+        class RecordingPool(spectral.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", RecordingPool)
+        order = np.arange(8) if orbit else np.random.default_rng(2).permutation(8)
+        scan = infimum_soft_rank(
+            PairTable(make_shift_flow(8), np.eye(8)[order], DelayParams(3)), threads=threads
+        )
+        # both passes, the screen and certification, ran on it
+        assert scan.num_chunks >= 2
+        assert pools == [spectral.resolve_threads(threads)]
 
     def test_the_thread_bound_itself_is_accepted(self):
-        # one pair, so one chunk and no worker thread beyond the caller's
+        # one pair, so one chunk per pass; the pool starts a thread only for
+        # a chunk that finds none idle
         scan = infimum_soft_rank(
             PairTable(make_shift_flow(2), np.eye(2), DelayParams(1)),
-            threads=_parallel.MAX_THREADS,
+            threads=spectral.MAX_THREADS,
         )
         assert (scan.num_pairs, scan.num_chunks) == (1, 2)
 
@@ -599,7 +617,7 @@ class TestScreenedScan:
         # less than one item, which still gets a chunk of its own
         monkeypatch.setattr(spectral, "_CHUNK_BYTES", (chunk + 1) * 8 * item_floats - 1)
         chunk = max(chunk, 1)
-        workers = _parallel.resolve_threads(threads)
+        workers = spectral.resolve_threads(threads)
         parts = spectral._chunks(num, workers, item_floats)
         assert [k for part in parts for k in range(num)[part]] == list(range(num))
         sizes = [part.stop - part.start for part in parts]
@@ -621,12 +639,14 @@ class TestScreenedScan:
         # pair
         m, n = 32, 128
         passes = []
+        chunks = spectral._chunks
 
-        def recording_map(func, items, workers):
-            passes.append([part.stop - part.start for part in items])
-            return [func(item) for item in items]
+        def recording_chunks(num, workers, item_floats):
+            parts = chunks(num, workers, item_floats)
+            passes.append([part.stop - part.start for part in parts])
+            return parts
 
-        monkeypatch.setattr(spectral, "ordered_map", recording_map)
+        monkeypatch.setattr(spectral, "_chunks", recording_chunks)
         order = np.random.default_rng(5).permutation(n) if shuffled else np.arange(n)
         table = PairTable(make_shift_flow(n), np.eye(n)[order], DelayParams(m))
         scan = infimum_soft_rank(table, threads=threads)
@@ -644,8 +664,8 @@ class TestScreenedScan:
             assert max(passes[0]) == spectral._CHUNK_BYTES // (m * n * 8)
 
     def test_zero_threads_resolve_to_the_cpu_count(self):
-        assert _parallel.resolve_threads(0) == usable_cpus()
-        assert _parallel.resolve_threads(3) == 3
+        assert spectral.resolve_threads(0) == usable_cpus()
+        assert spectral.resolve_threads(3) == 3
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
     def test_zero_threads_follow_the_cpu_affinity(self):
@@ -654,7 +674,7 @@ class TestScreenedScan:
         usable = os.sched_getaffinity(0)
         try:
             os.sched_setaffinity(0, {min(usable)})
-            assert _parallel.resolve_threads(0) == 1
+            assert spectral.resolve_threads(0) == 1
         finally:
             os.sched_setaffinity(0, usable)
 
@@ -662,12 +682,14 @@ class TestScreenedScan:
     def test_small_passes_get_a_chunk_per_worker(self, monkeypatch, threads):
         # 7 representatives and their certified pairs each fit in one chunk's bytes
         passes = []
+        chunks = spectral._chunks
 
-        def recording_map(func, items, workers):
-            passes.append((len(items), workers))
-            return [func(item) for item in items]
+        def recording_chunks(num, workers, item_floats):
+            parts = chunks(num, workers, item_floats)
+            passes.append((len(parts), workers))
+            return parts
 
-        monkeypatch.setattr(spectral, "ordered_map", recording_map)
+        monkeypatch.setattr(spectral, "_chunks", recording_chunks)
         infimum_soft_rank(
             PairTable(make_shift_flow(8), np.eye(8), DelayParams(3)), threads=threads
         )
@@ -820,6 +842,42 @@ class TestPermutationTables:
                 samples = scale * rng.standard_normal((5, int(rng.integers(1, 30))))
                 dists = pdist(samples)
                 assert np.sqrt(pdist(samples, "sqeuclidean")).tobytes() == dists.tobytes()
+
+
+class TestStackDifferences:
+    """A stack-built table's pair differences: one gather and one in-place subtraction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_amb=st.integers(2, 8),
+        num=st.integers(4, 10),
+        m=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_differences_are_the_per_pair_subtractions(self, seed, n_amb, num, m, data):
+        flow = well_conditioned_flow(seed, n_amb)
+        samples = np.random.default_rng(seed).standard_normal((num, n_amb))
+        table = PairTable(flow, samples, DelayParams(m))
+        stack = trajectory_matrices(flow, samples, DelayParams(m))
+        pairs = table.num_pairs
+        start = data.draw(st.integers(0, pairs - 1), label="start")
+        stop = data.draw(st.integers(start + 1, pairs), label="stop")
+        picked = np.array(
+            data.draw(st.lists(st.integers(0, pairs - 1), min_size=1, max_size=12)),
+            dtype=np.intp,
+        )
+        # the partners of i = 0 end at num - 2, so this slice crosses into i = 1
+        crossing = slice(num - 3, num + 1)
+        for part, indices in [
+            (slice(start, stop), np.arange(start, stop)),
+            (crossing, np.arange(num - 3, num + 1)),
+            (picked, picked),
+        ]:
+            diffs = table.differences(part)
+            expected = np.array([stack[table.i_idx[k]] - stack[table.j_idx[k]] for k in indices])
+            assert diffs.flags.c_contiguous
+            assert diffs.tobytes() == expected.tobytes()
 
 
 class TestStackFreePermutationTables:
