@@ -92,10 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"reports in {out_dir}")
         return 0
-    except DelaycondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DelaycondError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

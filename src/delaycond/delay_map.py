@@ -4,8 +4,9 @@ The scalar time series is s_n = <alpha, x_n>. Stacking M consecutive past
 samples gives the delay vector; stacking the M backward iterates of a state
 gives the M x N trajectory matrix G (row m is Phi^{-m}(x)) and, flattened
 row by row, the trajectory vector in R^{MN}. Each is a plain read-only
-array. The delay vector is computed as G_x @ alpha, and ``_backward_rows``
-is the one place the flow is iterated.
+array. The delay vector is computed as G_x @ alpha. ``_backward_rows``
+forms the backward iterates (``_gathered_rows`` gathers them on a
+permutation flow); ``dynamics`` iterates the flow for orbits and Lyapunov probes.
 """
 
 from __future__ import annotations

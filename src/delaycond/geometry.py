@@ -78,20 +78,19 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     """First n orbit states with the periodic wrap deduplicated.
 
     The period is detected as the first return to x0 within relative
-    tolerance 1e-9; only the first full period of states is kept. Fewer
-    than 2 unique states (a fixed point) is an error since no pair scan can
-    be formed, and so is an x0 with no finite norm to scale the tolerance,
-    or one of the n states that is not finite (the forward flow overflows,
-    raised by ``generate_orbit``).
+    tolerance 1e-9, in units of x0's largest entry so that no square of a
+    tiny orbit underflows to a false return; only the first full period of
+    states is kept. Fewer than 2 unique states (a fixed point) is an error
+    since no pair scan can be formed, and so is an x0 with no finite norm (a
+    non-finite entry, or squares that overflow), or one of the n states that
+    is not finite (the forward flow overflows, raised by ``generate_orbit``).
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 samples, got n={n}")
     x0 = _check_state(flow, x0)
     # an overflowing distance (inf) or one to an overflowing state (nan) is no return
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(x0))
-        if not math.isfinite(norm):
-            # an overflowing norm would match every state as a return to x0
+        if not math.isfinite(float(np.linalg.norm(x0))):
             raise NonFiniteTrajectoryError(
                 "the orbit's first state has no finite norm: an entry is not finite, "
                 "or the sum of its squares overflows"
@@ -99,11 +98,12 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
         states = generate_orbit(flow, x0, n)
         # one lookahead state so a period of exactly n is still detected
         lookahead = flow.matrix @ states[-1]
-        scale = max(norm, np.finfo(float).tiny)
+        peak = np.max(np.abs(x0)) or 1.0
+        tolerance = _PERIOD_TOLERANCE * np.linalg.norm(x0 / peak)
         period = None
         for k in range(1, n + 1):
             state = states[k] if k < n else lookahead
-            if float(np.linalg.norm(state - states[0])) <= _PERIOD_TOLERANCE * scale:
+            if float(np.linalg.norm((state - states[0]) / peak)) <= tolerance:
                 period = k
                 break
     unique = states if period is None else states[:period]
@@ -117,8 +117,8 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
 def trajectory_manifold_points(table: PairTable) -> np.ndarray:
     """Read-only (n, M N) view of ``table.stack``: row i is the trajectory vector of sample i.
 
-    A reshape of the table's stack, which is not built again (on a
-    permutation flow it is gathered on its first read), so row i is the
+    A reshape of ``table.stack``: the table's stored stack, or on a
+    permutation flow one gathered for this call, so row i is the
     ``trajectory_vector`` of ``table.samples[i]`` at the table's M bit for
     bit.
     """
@@ -216,14 +216,8 @@ def _demeaned(series: np.ndarray) -> np.ndarray:
     return centered
 
 
-def autocorr_first_zero(series: np.ndarray, max_lag: int | None = None) -> int | None:
-    """First lag at which the biased autocorrelation crosses zero.
-
-    Scans lags 1 .. max_lag (default: a quarter of the series length) and
-    returns the first lag with non-positive autocorrelation, or None.
-    """
-    centered = _demeaned(series)
-    length = centered.size
+def _lag_window(length: int, max_lag: int | None) -> int:
+    """The largest lag scanned: ``max_lag``, by default a quarter of ``length``, if it fits."""
     if max_lag is None:
         max_lag = length // 4
     if max_lag < 1 or length < 4 * max_lag:
@@ -231,6 +225,17 @@ def autocorr_first_zero(series: np.ndarray, max_lag: int | None = None) -> int |
             f"series of length {length} supports lags up to {length // 4}, "
             f"requested {max_lag}"
         )
+    return max_lag
+
+
+def autocorr_first_zero(series: np.ndarray, max_lag: int | None = None) -> int | None:
+    """First lag at which the biased autocorrelation crosses zero.
+
+    Scans lags 1 .. max_lag (default: a quarter of the series length) and
+    returns the first lag with non-positive autocorrelation, or None.
+    """
+    centered = _demeaned(series)
+    max_lag = _lag_window(centered.size, max_lag)
     denom = float(np.dot(centered, centered))
     for lag in range(1, max_lag + 1):
         r = float(np.dot(centered[:-lag], centered[lag:])) / denom
@@ -272,13 +277,7 @@ def mutual_information_first_min(
             f"num_bins must be <= max(series length {length}, {DEFAULT_NUM_BINS}), "
             f"got {num_bins}"
         )
-    if max_lag is None:
-        max_lag = length // 4
-    if max_lag < 1 or length < 4 * max_lag:
-        raise InvalidArgumentError(
-            f"series of length {length} supports lags up to {length // 4}, "
-            f"requested {max_lag}"
-        )
+    max_lag = _lag_window(length, max_lag)
     mi = np.empty(max_lag + 1)
     mi[0] = _histogram_mi(centered, centered, num_bins)
     for lag in range(1, max_lag + 1):

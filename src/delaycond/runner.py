@@ -54,16 +54,13 @@ from .geometry import (
     trajectory_manifold_points,
 )
 from .spectral import (
+    BOUND_SLACK,
     PairScanResult,
     PairTable,
     infimum_soft_rank,
     resolve_threads,
     shift_system_oracle,
 )
-
-# Floating-point slack on exact-equality bound comparisons (the m/2 bound is
-# attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
-BOUND_SLACK = 1e-9
 
 # Dense soft rank and analytic oracle must agree to this tolerance.
 ORACLE_TOLERANCE = 1e-10
@@ -302,12 +299,13 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
     draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
     rows = [_scaling_row(flow, samples, m, draws, threads) for m in delays]
     infima, counts, reports = zip(*rows)
-    study = scaling_study(delays, [r.quantiles[0.5] for r in reports])
+    medians = [r.quantiles[0.5] for r in reports]
+    study = scaling_study(delays, medians)
 
     table = {
         "M": np.array(delays),
         "infimum_soft_rank": np.array(infima),
-        "eps_median": np.array([r.quantiles[0.5] for r in reports]),
+        "eps_median": np.array(medians),
         "eps_q05": np.array([r.quantiles[0.05] for r in reports]),
         "eps_q95": np.array([r.quantiles[0.95] for r in reports]),
         "eps_max": np.array([r.eps_max for r in reports]),

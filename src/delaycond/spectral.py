@@ -93,6 +93,10 @@ MAX_THREADS = 256
 # Relative distance below which two states are treated as coincident.
 COINCIDENCE_THRESHOLD = 1e-12
 
+# Floating-point slack on exact-equality bound comparisons (the m/2 bound is
+# attained exactly at some (n, m, d), where SVD noise must not flip the verdict).
+BOUND_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class SoftRankResult:
@@ -162,12 +166,6 @@ def soft_rank(g: np.ndarray) -> SoftRankResult:
     )
 
 
-def matrix_rank_of(result: SoftRankResult) -> int:
-    """Number of singular values above 1e-10 times the largest."""
-    s = result.singular_values
-    return int(np.sum(s > 1e-10 * s[0]))
-
-
 def pair_soft_rank(
     flow: FlowSpec, x: np.ndarray, y: np.ndarray, params: DelayParams
 ) -> SoftRankResult:
@@ -228,8 +226,8 @@ class PairTable:
     trajectory matrix is a permutation of its sample, so ||x~ - y~||^2 =
     M ||x - y||^2: ``traj_dist_sq`` is ``M * state_dist_sq``, the ``pdist``
     of the flattened stack to rounding (bit for bit where every sum is an
-    exact integer), and ``stack`` is gathered only when read. Every other
-    flow builds the stack at construction.
+    exact integer), and ``stack`` gathers it afresh on each read. Every
+    other flow builds the stack at construction; no read changes the table.
     """
 
     def __init__(self, flow: FlowSpec, samples: np.ndarray, params: DelayParams):
@@ -287,10 +285,8 @@ class PairTable:
 
     @property
     def stack(self) -> np.ndarray:
-        """The (n, M, N) trajectory stack; on a permutation flow, gathered on first read."""
-        if self._stack is None:
-            self._stack = _gathered_rows(self.samples, self._powers)
-        return self._stack
+        """The (n, M, N) trajectory stack; on a permutation flow, gathered on each read."""
+        return self._stack if self._powers is None else _gathered_rows(self.samples, self._powers)
 
     @property
     def num_pairs(self) -> int:
@@ -499,7 +495,7 @@ def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
     frobenius_sq = 2.0 * m  # exact trace of the Gram
     spectral_sq = eigs[:, 0]
     value = frobenius_sq / spectral_sq
-    below = np.flatnonzero(~(value >= m / 2 - 1e-9))
+    below = np.flatnonzero(~(value >= m / 2 - BOUND_SLACK))
     if below.size:
         k = below[0]
         raise AssertionError(

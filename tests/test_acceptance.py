@@ -34,7 +34,6 @@ from delaycond.config import load_config
 from delaycond.delay_map import delay_vector, row_squared_norms
 from delaycond.geometry import curve_volume, reach_estimate
 from delaycond.runner import run_full_report, run_scaling_study
-from delaycond.spectral import matrix_rank_of
 
 from test_dynamics import well_conditioned_flow
 
@@ -42,6 +41,11 @@ from test_dynamics import well_conditioned_flow
 # floating-point noise can cross it (e.g. N=32, M=32, d=16 gives soft rank
 # M/2 exactly).
 EXACT_BOUND_SLACK = 1e-9
+
+
+def matrix_rank_of(result):
+    """Number of singular values above 1e-10 times the largest."""
+    return int(np.sum(result.singular_values > 1e-10 * result.singular_values[0]))
 
 
 def report(num, name, ok, elapsed, budget, detail=""):

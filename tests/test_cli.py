@@ -1042,6 +1042,20 @@ class TestCliMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_shift_orbit_exit_one_at_its_underflow(self, tmp_path, capsys):
+        # the 8-state orbit of 1e-170 e1 is no fixed point; the table finds
+        # that its squared trajectory distances underflow
+        config_path = minimal_shift_config(
+            tmp_path, delays="2, 3, 4", origin="1e-170, 0, 0, 0, 0, 0, 0, 0"
+        )
+        out = tmp_path / "o"
+        assert main(["scaling", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: samples 0 and 1: their squared trajectory distance underflows" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, argv, key",
         [

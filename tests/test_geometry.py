@@ -58,6 +58,19 @@ class TestSampleAttractor:
         with pytest.raises(NonFiniteTrajectoryError, match="no finite norm"):
             sample_attractor(make_shift_flow(8), origin, 8)
 
+    def test_tiny_shift_orbit_is_no_fixed_point(self):
+        # the squares of 1e-170 underflow to 0, which must not read as a return
+        flow = make_shift_flow(8)
+        sample = sample_attractor(flow, 1e-170 * np.eye(8)[0], 20)
+        assert sample.period == 8
+        assert np.array_equal(sample.states, 1e-170 * sample_attractor(flow, np.eye(8)[0], 20).states)
+
+    def test_tiny_orthogonal_orbit_never_wraps(self):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        sample = sample_attractor(make_linear_flow(q), 1e-170 * np.ones(6), 20)
+        assert sample.period is None
+        assert sample.states.shape == (20, 6)
+
     def test_needs_two_requested(self):
         with pytest.raises(InvalidArgumentError):
             sample_attractor(make_shift_flow(4), np.eye(4)[0], 1)
@@ -245,6 +258,31 @@ class TestMutualInformationFirstMin:
         mi = mutual_information_first_min(series, num_bins=16)
         assert ac == 4
         assert abs(mi - ac) <= 1
+
+
+# a cosine of period 43.5 over 40 steps: its autocorrelation first crosses
+# zero at lag 10 and its mutual information has its first minimum at lag 9,
+# which needs lag 10 as its right neighbor; 10 = 40 // 4 ends the window
+@pytest.mark.parametrize(
+    "lag_function, first", [(autocorr_first_zero, 10), (mutual_information_first_min, 9)]
+)
+class TestLagWindow:
+    SERIES = np.cos(2.0 * np.pi * np.arange(40) / 43.5)
+
+    def test_default_window_is_a_quarter_of_the_length(self, lag_function, first):
+        assert lag_function(self.SERIES) == lag_function(self.SERIES, max_lag=10) == first
+        assert lag_function(self.SERIES, max_lag=9) is None
+
+    @pytest.mark.parametrize(
+        "length, max_lag, requested",
+        [(3, None, 0), (40, 0, 0), (40, -2, -2), (40, 11, 11), (20, 10, 10)],
+    )
+    def test_lags_past_the_window_are_rejected_alike(
+        self, lag_function, first, length, max_lag, requested
+    ):
+        message = f"series of length {length} supports lags up to {length // 4}, requested {requested}"
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            lag_function(self.SERIES[:length], max_lag=max_lag)
 
 
 class TestDelaySelection:

@@ -32,7 +32,7 @@ from delaycond import (
 from delaycond import runner, spectral
 from delaycond.delay_map import _gathered_rows
 from delaycond.dynamics import is_permutation_orbit
-from delaycond.spectral import PairTable, matrix_rank_of, pair_indices
+from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import (
     PERMUTATION_KINDS,
@@ -41,6 +41,11 @@ from test_dynamics import (
     relabelled_shift_flow,
     well_conditioned_flow,
 )
+
+
+def matrix_rank_of(result):
+    """Number of singular values above 1e-10 times the largest."""
+    return int(np.sum(result.singular_values > 1e-10 * result.singular_values[0]))
 
 
 def usable_cpus():
@@ -910,8 +915,19 @@ class TestStackFreePermutationTables:
             assert diffs.tobytes() == expected.tobytes()
             dense = spectral._dense_soft_ranks(diffs)
             assert dense.tobytes() == spectral._dense_soft_ranks(expected).tobytes()
-        # gathered on first read, with the stack path's bits
+        # gathered when read, with the stack path's bits
         assert table.stack.tobytes() == stack.tobytes()
+
+    def test_stack_reads_leave_the_table_unchanged(self):
+        flow, params = make_shift_flow(8), DelayParams(3)
+        samples = np.random.default_rng(5).standard_normal((6, 8))
+        expected = trajectory_matrices(flow, samples, params)
+        table = PairTable(flow, samples, params)
+        first, second = table.stack, table.stack
+        assert first.tobytes() == second.tobytes() == expected.tobytes()
+        assert table._stack is None  # gathered afresh, never stored
+        linear = PairTable(well_conditioned_flow(5, 8), samples, params)
+        assert linear.stack is linear._stack  # the stack built at construction
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.one_of(integer_cases(), float_cases()), pick=st.data())
