@@ -35,6 +35,7 @@ from .dynamics import (
 from .embedding_analysis import (
     ConditioningResult,
     EmbeddingReport,
+    PairDiagnostics,
     ScalingStudyResult,
     TheoremCheck,
     conditioning,
@@ -69,7 +70,6 @@ from .geometry import (
     trajectory_manifold_points,
 )
 from .spectral import (
-    PairDiagnostics,
     PairScanResult,
     PairTable,
     SoftRankResult,

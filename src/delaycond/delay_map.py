@@ -29,12 +29,12 @@ _PACKAGE = __name__.partition(".")[0]
 class MeasurementCoeffs:
     """Coefficient vector selecting the linear measurement functional <alpha, .>.
 
-    ``seed`` is the integer that reproduces a drawn vector; it is None for
+    ``seed`` is the seed of a drawn vector: ``draw_coeffs(ensemble, n, seed)``
+    with the ensemble the caller drew from reproduces it. It is None for
     user-supplied coefficients. Every entry of ``alpha`` must be finite.
     """
 
     alpha: np.ndarray
-    ensemble: str  # "rademacher" | "gaussian" | "user"
     seed: int | None = None
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ def draw_coeffs(ensemble: str, n: int, seed: int) -> MeasurementCoeffs:
     else:
         alpha = rng.standard_normal(n)
     alpha.setflags(write=False)
-    return MeasurementCoeffs(alpha=alpha, ensemble=ensemble, seed=int(seed))
+    return MeasurementCoeffs(alpha=alpha, seed=int(seed))
 
 
 def draw_stream(
@@ -111,7 +111,7 @@ def user_coeffs(alpha: np.ndarray) -> MeasurementCoeffs:
     if alpha.ndim != 1 or alpha.size < 1:
         raise InvalidArgumentError("coefficients must be a non-empty 1-D vector")
     alpha.setflags(write=False)
-    return MeasurementCoeffs(alpha=alpha, ensemble="user", seed=None)
+    return MeasurementCoeffs(alpha=alpha, seed=None)
 
 
 def _check_coeffs(flow: FlowSpec, alpha: MeasurementCoeffs) -> np.ndarray:
@@ -260,15 +260,3 @@ def basis_delay_vector(
         )
     return trajectory_matrix(flow, x, params)[:, p].copy()
 
-
-def row_squared_norms(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-row squared norms and their sum.
-
-    Summing per-row dot products keeps the trajectory-vector norm and the
-    matrix Frobenius norm bitwise identical (the vector is the row-wise
-    flattening of the matrix). ``isometry_ratio`` takes its chord norms from
-    here; every ratio denominator, ``PairTable.traj_dist_sq``, comes from
-    ``pdist`` and agrees to rounding.
-    """
-    row_sqs = np.einsum("mn,mn->m", mat, mat)
-    return row_sqs, float(np.sum(row_sqs))

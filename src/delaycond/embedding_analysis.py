@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delay_map import DelayParams, MeasurementCoeffs, row_squared_norms, _check_coeffs
+from .delay_map import DelayParams, MeasurementCoeffs, _check_coeffs
 from .dynamics import FlowSpec
 from .errors import InvalidArgumentError, NonFiniteTrajectoryError
-from .spectral import PairDiagnostics, PairTable, _chunks, _pair_table, soft_rank
+from .spectral import PairTable, _chunks, _pair_table, soft_rank
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -60,8 +60,10 @@ class EmbeddingReport:
 
     It holds results only; the ensemble and seeds of the draws, the table
     and its scan are the caller's. ``per_draw`` holds one result per draw,
-    in the order given, and ``num_draws`` is its length. ``quantiles`` maps
-    each of ``QUANTILE_LEVELS`` to that quantile of the draws' eps.
+    in the order given, and ``num_draws`` is its length. ``epsilons`` is the
+    array of the draws' eps, and ``eps_max``, ``eps_mean``,
+    ``failure_rate`` and ``quantiles`` (each of ``QUANTILE_LEVELS`` mapped
+    to that quantile) are formed from it on each read.
 
     When ``monte_carlo`` is asked to keep per-pair values, each pair's order
     statistics of its ratio over the draws are kept, else None: ``ratio_min``
@@ -72,7 +74,6 @@ class EmbeddingReport:
     """
 
     per_draw: list[ConditioningResult]
-    quantiles: dict[float, float]
     ratio_min: np.ndarray | None = field(default=None, repr=False)
     ratio_mid: np.ndarray | None = field(default=None, repr=False)
     ratio_max: np.ndarray | None = field(default=None, repr=False)
@@ -93,9 +94,28 @@ class EmbeddingReport:
     def eps_mean(self) -> float:
         return float(np.mean(self.epsilons))
 
+    @property
+    def quantiles(self) -> dict[float, float]:
+        eps = self.epsilons
+        return {q: float(np.quantile(eps, q)) for q in QUANTILE_LEVELS}
+
     def failure_rate(self, target_eps: float) -> float:
         """Fraction of draws whose achieved eps exceeds the target."""
         return float(np.mean(self.epsilons > target_eps))
+
+
+@dataclass(frozen=True)
+class PairDiagnostics:
+    """One pair's soft rank, chord norms and isometry ratio.
+
+    ``ratio`` is the squared-distance ratio of the measured delay vectors to
+    the trajectory vectors. ``chord_norms[m]`` is the distance between the
+    m-th backward iterates of the two states.
+    """
+
+    soft_rank: float
+    chord_norms: np.ndarray
+    ratio: float
 
 
 @dataclass(frozen=True)
@@ -152,10 +172,9 @@ def isometry_ratio(
     a = _check_coeffs(flow, alpha)
     table = _pair_table(flow, x, y, params)
     diff = table.differences(slice(0, 1))[0]
-    row_sqs, _ = row_squared_norms(diff)
     return PairDiagnostics(
         soft_rank=soft_rank(diff).value,
-        chord_norms=np.sqrt(row_sqs),
+        chord_norms=np.sqrt(np.einsum("mn,mn->m", diff, diff)),
         ratio=float(table.ratios(a)[0]),
     )
 
@@ -229,12 +248,7 @@ def monte_carlo(
         chunks = _chunks(table.num_pairs, 1, len(draws))
         per_chunk = [_order_statistics(ratios[:, chunk]) for chunk in chunks]
         stats = tuple(np.concatenate(parts, axis=-1) for parts in zip(*per_chunk))
-
-    eps = np.array([r.epsilon for r in per_draw])
-    quantiles = {
-        q: float(np.quantile(eps, q)) for q in QUANTILE_LEVELS
-    }
-    return EmbeddingReport(per_draw, quantiles, *stats)
+    return EmbeddingReport(per_draw, *stats)
 
 
 def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult:

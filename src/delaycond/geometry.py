@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteTrajectoryError,
     ZeroVarianceError,
 )
-from .spectral import PairTable
+from .spectral import PairTable, _scaled_norms
 
 VOLUME_BIAS_NOTE = "chordal sum; underestimates arc length, converges from below"
 REACH_BIAS_NOTE = (
@@ -77,11 +77,12 @@ class DelaySelection:
 def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
     """First n orbit states with the periodic wrap deduplicated.
 
-    The period is detected as the first return to x0 within relative
-    tolerance 1e-9, in units of x0's largest entry so that no square of a
-    tiny orbit underflows to a false return; only the first full period of
-    states is kept. Fewer than 2 unique states (a fixed point) is an error
-    since no pair scan can be formed, and so is an x0 with no finite norm (a
+    The period k is the first return to x0: the first of the n later states
+    (one lookahead state included) with ||x_k - x0|| <= 1e-9 ||x0||. Both
+    norms are ``spectral._scaled_norms``, so no square of a tiny orbit
+    underflows to a false return. Only the first full period of states is
+    kept. Fewer than 2 unique states (a fixed point) is an error since no
+    pair scan can be formed, and so is an x0 with no finite norm (a
     non-finite entry, or squares that overflow), or one of the n states that
     is not finite (the forward flow overflows, raised by ``generate_orbit``).
     """
@@ -97,15 +98,11 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
             )
         states = generate_orbit(flow, x0, n)
         # one lookahead state so a period of exactly n is still detected
-        lookahead = flow.matrix @ states[-1]
-        peak = np.max(np.abs(x0)) or 1.0
-        tolerance = _PERIOD_TOLERANCE * np.linalg.norm(x0 / peak)
-        period = None
-        for k in range(1, n + 1):
-            state = states[k] if k < n else lookahead
-            if float(np.linalg.norm((state - states[0]) / peak)) <= tolerance:
-                period = k
-                break
+        returns = np.vstack([states[1:], flow.matrix @ states[-1]])
+        returns -= states[0]
+        tolerance = _PERIOD_TOLERANCE * _scaled_norms(states[:1])[0]
+        returned = np.flatnonzero(_scaled_norms(returns) <= tolerance)
+    period = int(returned[0]) + 1 if returned.size else None
     unique = states if period is None else states[:period]
     if unique.shape[0] < 2:
         raise InvalidArgumentError(

@@ -113,20 +113,6 @@ class SoftRankResult:
 
 
 @dataclass(frozen=True)
-class PairDiagnostics:
-    """One pair's soft rank, chord norms and isometry ratio.
-
-    ``ratio`` is the squared-distance ratio of the measured delay vectors to
-    the trajectory vectors. ``chord_norms[m]`` is the distance between the
-    m-th backward iterates of the two states.
-    """
-
-    soft_rank: float
-    chord_norms: np.ndarray
-    ratio: float
-
-
-@dataclass(frozen=True)
 class PairScanResult:
     """Minimum soft rank over all sample pairs (an upper bound estimate).
 

@@ -31,7 +31,7 @@ from delaycond import (
     user_coeffs,
 )
 from delaycond.config import load_config
-from delaycond.delay_map import delay_vector, row_squared_norms
+from delaycond.delay_map import delay_vector
 from delaycond.geometry import curve_volume, reach_estimate
 from delaycond.runner import run_full_report, run_scaling_study
 
@@ -171,8 +171,9 @@ def test_criterion_5_algebraic_identities():
         tvx = trajectory_vector(flow, x, params)
         tvy = trajectory_vector(flow, y, params)
         diff_mat = trajectory_matrix(flow, x, params) - trajectory_matrix(flow, y, params)
-        _, vec_sq = row_squared_norms((tvx - tvy).reshape(m, n))
-        _, fro_sq = row_squared_norms(diff_mat)
+        vec_mat = (tvx - tvy).reshape(m, n)
+        vec_sq = np.sum(np.einsum("mn,mn->m", vec_mat, vec_mat))
+        fro_sq = np.sum(np.einsum("mn,mn->m", diff_mat, diff_mat))
         exact_frobenius = exact_frobenius and (vec_sq == fro_sq)
 
     # scale invariance of the soft rank

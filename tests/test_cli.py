@@ -29,7 +29,7 @@ from delaycond.config import (
     load_config,
     parse_origin,
 )
-from delaycond.delay_map import DelayParams, draw_stream
+from delaycond.delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream
 from delaycond.embedding_analysis import monte_carlo
 from delaycond.errors import ConfigError, InvalidArgumentError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
@@ -781,6 +781,21 @@ class TestSingleOutputPath:
         assert list(manifold) == ["note"]
         assert "at least 3" in manifold["note"]
 
+    def test_constant_series_notes_the_delay_selection(self, tmp_path):
+        # the shift orbit of e1 visits every axis, so its series is constant
+        # exactly when all signs of the first draw agree
+        seed = next(
+            s for s in range(1000)
+            if abs(draw_coeffs("rademacher", 8, derive_seed(s, 0)).alpha.sum()) == 8
+        )
+        config_path = minimal_shift_config(tmp_path, base_seed=str(seed), num_draws="3")
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+        geometry = json.loads((out / "geometry.json").read_text(encoding="utf-8"))
+        assert geometry["delay_selection"] == {
+            "note": "series is constant under the first drawn coefficients"
+        }
+
     def test_two_orbit_samples_cannot_feed_the_theorem_check(self, tmp_path, capsys):
         config_path = minimal_shift_config(
             tmp_path, num_samples="2", num_draws="3", c_user="1.0", manifold_dim="1.0"
@@ -1073,6 +1088,32 @@ class TestCliMain:
         assert main(["report", "--config", config_path, "--out", str(out), *argv]) == 1
         captured = capsys.readouterr()
         assert f"error: {key}: " in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key, message",
+        [
+            ({"kind": None}, "kind", "required"),
+            ({"ambient_dim": None}, "ambient_dim", "required for kind = shift"),
+            ({"num_samples": None}, "num_samples", "required when samples_path"),
+            ({"delays": None}, "delays", "required"),
+            ({"num_samples": "abc"}, "num_samples", "expected an integer"),
+            ({"sampling_interval": "fast"}, "sampling_interval", "expected a number"),
+            ({"origin": "x1"}, "origin", "expected 'e<k>'"),
+            ({"num_samples": None, "samples_path": "samples.csv"}, "samples_path",
+             "states have dimension 3, flow dimension is 8"),
+        ],
+        ids=["kind", "ambient_dim", "num_samples", "delays", "integer", "number", "origin",
+             "samples_path"],
+    )
+    def test_missing_or_malformed_key_exit_one(self, tmp_path, capsys, overrides, key, message):
+        np.savetxt(tmp_path / "samples.csv", np.eye(3), delimiter=",")
+        config_path = minimal_shift_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key}: {message}" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 

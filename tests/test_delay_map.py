@@ -30,7 +30,7 @@ from delaycond import (
     trajectory_vector,
     user_coeffs,
 )
-from delaycond.delay_map import MeasurementCoeffs, _gathered_rows, row_squared_norms
+from delaycond.delay_map import MeasurementCoeffs, _gathered_rows
 from delaycond.dynamics import permutation_powers
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
@@ -47,7 +47,7 @@ class TestDrawCoeffs:
         a = draw_coeffs(ensemble, n, seed)
         b = draw_coeffs(ensemble, n, seed)
         assert np.array_equal(a.alpha, b.alpha)
-        assert a.ensemble == ensemble and a.seed == seed
+        assert a.seed == seed
 
     def test_distinct_seeds_differ(self):
         a = draw_coeffs("rademacher", 64, 1)
@@ -76,14 +76,13 @@ class TestDrawCoeffs:
         with pytest.raises(InvalidArgumentError, match="finite"):
             user_coeffs(alpha)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            MeasurementCoeffs(alpha=alpha, ensemble="gaussian", seed=3)
+            MeasurementCoeffs(alpha=alpha, seed=3)
 
     @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
     def test_stream_is_the_derived_seed_draws(self, ensemble):
         stream = draw_stream(ensemble, 12, 6, 41)
         expected = [draw_coeffs(ensemble, 12, derive_seed(41, k)) for k in range(6)]
         assert [c.seed for c in stream] == [c.seed for c in expected]
-        assert all(c.ensemble == ensemble for c in stream)
         assert all(a.alpha.tobytes() == b.alpha.tobytes() for a, b in zip(stream, expected))
         # a shorter stream is a prefix of a longer one
         assert [c.seed for c in draw_stream(ensemble, 12, 2, 41)] == [c.seed for c in stream[:2]]
@@ -313,8 +312,9 @@ class TestTrajectoryVector:
         params = DelayParams(4)
         tv = trajectory_vector(flow, x, params)
         tm = trajectory_matrix(flow, x, params)
-        _, fro_sq = row_squared_norms(tm)
-        _, vec_sq = row_squared_norms(tv.reshape(4, 5))
+        rows = tv.reshape(4, 5)
+        fro_sq = np.sum(np.einsum("mn,mn->m", tm, tm))
+        vec_sq = np.sum(np.einsum("mn,mn->m", rows, rows))
         assert fro_sq == vec_sq
 
 
@@ -460,3 +460,22 @@ class TestRademacherIsotropy:
         mean_sq = float(np.mean(np.sum(measured * measured, axis=0)))
         fro_sq = float(np.sum(g * g))
         assert abs(mean_sq - fro_sq) <= 1e-12 * fro_sq
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: user_coeffs(np.ones((2, 3))), InvalidArgumentError, "non-empty 1-D"),
+            (lambda: user_coeffs(np.array([])), InvalidArgumentError, "non-empty 1-D"),
+            (
+                lambda: trajectory_matrices(make_shift_flow(4), np.ones((2, 3)), DelayParams(2)),
+                DimensionMismatchError,
+                "samples have dimension 3, flow ambient dimension is 4",
+            ),
+        ],
+        ids=["2-D coefficients", "empty coefficients", "sample dimension"],
+    )
+    def test_malformed_inputs_are_typed_errors(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

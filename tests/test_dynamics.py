@@ -169,6 +169,13 @@ class TestMakeLinearFlow:
         with pytest.raises(InvalidArgumentError):
             make_linear_flow(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            make_linear_flow(matrix)
+
     def test_sampling_interval_is_carried(self):
         assert make_linear_flow(np.eye(2), sampling_interval=0.25).sampling_interval == 0.25
 

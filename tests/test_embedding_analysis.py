@@ -29,10 +29,10 @@ from delaycond import spectral
 from delaycond.delay_map import (
     delay_vector,
     derive_seed,
-    row_squared_norms,
     trajectory_vector,
 )
 from delaycond.dynamics import generate_orbit
+from delaycond.embedding_analysis import QUANTILE_LEVELS
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
@@ -95,7 +95,7 @@ class TestIsometryRatio:
         diag = isometry_ratio(flow, x, y, user_coeffs(rng.standard_normal(5)), params)
         tvx = trajectory_vector(flow, x, params)
         tvy = trajectory_vector(flow, y, params)
-        _, traj_sq = row_squared_norms((tvx - tvy).reshape(3, 5))
+        traj_sq = np.sum((tvx - tvy) ** 2)
         assert np.isclose(float(np.sum(diag.chord_norms**2)), traj_sq, rtol=1e-13)
 
     def test_exhaustive_rademacher_mean_is_one(self):
@@ -325,6 +325,18 @@ class TestMonteCarlo:
         levels = sorted(report.quantiles)
         values = [report.quantiles[q] for q in levels]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("num_draws", [1, 6, 7])
+    @pytest.mark.parametrize("ensemble", ["rademacher", "gaussian"])
+    def test_quantiles_are_those_of_the_draws_eps(self, ensemble, num_draws):
+        table = PairTable(make_shift_flow(16), np.eye(16), DelayParams(4))
+        draws = draw_stream(ensemble, 16, num_draws, 3)
+        report = monte_carlo(table, draws)
+        eps = np.array([conditioning(table, coeffs).epsilon for coeffs in draws])
+        assert report.epsilons.tobytes() == eps.tobytes()
+        assert list(report.quantiles) == list(QUANTILE_LEVELS)
+        for q, value in report.quantiles.items():
+            assert np.float64(value).tobytes() == np.float64(np.quantile(eps, q)).tobytes()
 
     def test_threaded_run_matches_sequential_bitwise(self):
         # the threads split the scan, which the caller runs on the table the

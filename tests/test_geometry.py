@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delaycond import (
     DelayParams,
@@ -12,6 +16,7 @@ from delaycond import (
     curve_volume,
     delay_selection,
     finite_difference_tangents,
+    generate_orbit,
     make_linear_flow,
     make_shift_flow,
     mutual_information_first_min,
@@ -20,6 +25,9 @@ from delaycond import (
     trajectory_manifold_points,
     trajectory_vector,
 )
+from delaycond.dynamics import FlowSpec
+
+from test_dynamics import random_permutation_flow
 
 
 def circle_points(num, radius=1.0):
@@ -27,6 +35,62 @@ def circle_points(num, radius=1.0):
     pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
     return pts, tangents
+
+
+def loop_period(flow, x0, n):
+    """The period ``sample_attractor`` finds, by the loop over candidate returns
+    it ran before it took its norms from ``spectral._scaled_norms``; kept as
+    its reference. Every distance is in units of x0's largest entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = generate_orbit(flow, x0, n)
+        lookahead = flow.matrix @ states[-1]
+        peak = np.max(np.abs(x0)) or 1.0
+        tolerance = 1e-9 * np.linalg.norm(x0 / peak)
+        for k in range(1, n + 1):
+            state = states[k] if k < n else lookahead
+            if float(np.linalg.norm((state - states[0]) / peak)) <= tolerance:
+                return k
+    return None
+
+
+def rotation_flow(seed, n, order):
+    """A random orthogonal flow on R^n that, in exact arithmetic, has the given
+    order: a rotation by 2 pi / order in a random plane, the identity off it."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    c, s = math.cos(2.0 * math.pi / order), math.sin(2.0 * math.pi / order)
+    rot = np.eye(n)
+    rot[:2, :2] = [[c, -s], [s, c]]
+    return FlowSpec(matrix=q @ rot @ q.T, inverse=q @ rot.T @ q.T)
+
+
+@st.composite
+def period_cases(draw):
+    """A flow, an origin scaled by 1e-170 .. 1e150 and an orbit length.
+
+    The flows are the shift, a random permutation (in general of several
+    cycles), a random orthogonal matrix (whose orbits never wrap) and a
+    finite-order rotation (whose returns carry rounding error). Lengths run
+    from 2 to twice the dimension, so they hit periods of exactly n, found
+    by the lookahead state, and orbits too short to wrap.
+    """
+    n_amb = draw(st.integers(2, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["shift", "permutation", "orthogonal", "rotation"]))
+    if kind == "shift":
+        flow = make_shift_flow(n_amb)
+    elif kind == "permutation":
+        flow = random_permutation_flow(seed, n_amb)
+    elif kind == "orthogonal":
+        flow = make_linear_flow(np.linalg.qr(rng.standard_normal((n_amb, n_amb)))[0])
+    else:
+        flow = rotation_flow(seed, n_amb, draw(st.integers(2, 2 * n_amb)))
+    if draw(st.booleans()):
+        x0 = np.eye(n_amb)[draw(st.integers(0, n_amb - 1))]
+    else:
+        x0 = rng.standard_normal(n_amb)
+    x0 = 10.0 ** draw(st.integers(-170, 150)) * x0
+    return flow, x0, draw(st.integers(2, 2 * n_amb))
 
 
 class TestSampleAttractor:
@@ -86,6 +150,24 @@ class TestSampleAttractor:
         sample = sample_attractor(make_linear_flow(1e200 * np.eye(2)), np.eye(2)[0], 2)
         assert np.array_equal(sample.states, [[1.0, 0.0], [1e200, 0.0]])
         assert sample.period is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=period_cases())
+    @example(case=(make_shift_flow(8), 1e-170 * np.eye(8)[0], 8))
+    @example(case=(make_shift_flow(8), 1e150 * np.eye(8)[3], 8))
+    @example(case=(make_shift_flow(8), 1e-170 * np.eye(8)[0], 7))
+    # a rounded return of a tiny orbit, whose tolerance 1e-9 ||x0|| must not underflow
+    @example(case=(rotation_flow(0, 4, 5), 1e-170 * np.ones(4), 8))
+    def test_period_is_the_loops(self, case):
+        flow, x0, n = case
+        expected = loop_period(flow, x0, n)
+        if expected == 1:
+            with pytest.raises(InvalidArgumentError, match="fixed point"):
+                sample_attractor(flow, x0, n)
+            return
+        sample = sample_attractor(flow, x0, n)
+        assert sample.period == expected
+        assert np.array_equal(sample.states, generate_orbit(flow, x0, n)[: expected or n])
 
 
 class TestTrajectoryManifoldPoints:
@@ -294,3 +376,22 @@ class TestDelaySelection:
         assert sel.autocorr_first_zero == 4
         assert sel.num_bins == 16
         assert sel.mi_first_min is not None and abs(sel.mi_first_min - 4) <= 1
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: reach_estimate(np.eye(4), np.eye(4)[:, :3]),
+                r"tangent array shape \(4, 3\) does not match points \(4, 4\)",
+            ),
+            (lambda: finite_difference_tangents(np.eye(2)), "at least 3 points, got 2"),
+            (lambda: finite_difference_tangents(np.eye(2)[[0, 1, 0]]), "folds back"),
+            (lambda: autocorr_first_zero(np.ones((8, 2))), r"1-D series, got shape \(8, 2\)"),
+        ],
+        ids=["tangent shape", "two points", "folded curve", "2-D series"],
+    )
+    def test_malformed_inputs_are_typed_errors(self, call, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()

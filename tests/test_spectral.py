@@ -108,6 +108,10 @@ class TestSoftRank:
     def test_diagonal_two_one(self):
         assert soft_rank(np.diag([2.0, 1.0])).value == 1.25
 
+    def test_vector_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"2-D matrix, got shape \(3,\)"):
+            soft_rank(np.ones(3))
+
     def test_zero_matrix_undefined(self):
         with pytest.raises(UndefinedSoftRankError):
             soft_rank(np.zeros((3, 3)))
@@ -672,6 +676,15 @@ class TestScreenedScan:
         assert spectral.resolve_threads(0) == usable_cpus()
         assert spectral.resolve_threads(3) == 3
 
+    @pytest.mark.parametrize("cpu_count, expected", [(5, 5), (None, 1)])
+    def test_zero_threads_without_affinity_resolve_to_cpu_count(
+        self, monkeypatch, cpu_count, expected
+    ):
+        # a platform without sched_getaffinity reports os.cpu_count(), which may be unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert spectral.resolve_threads(0) == expected
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
     def test_zero_threads_follow_the_cpu_affinity(self):
         # narrowed to one CPU, the process may run one worker at a time
@@ -1027,6 +1040,8 @@ class TestShiftSystemOracle:
             shift_system_oracle(8, 9, 1)
         with pytest.raises(InvalidArgumentError):
             shift_system_oracle(8, 0, 1)
+        with pytest.raises(InvalidArgumentError, match="ambient dimension must be >= 2"):
+            shift_system_oracle(1, 1, 1)
 
     def test_agrees_with_dense_computation_spot_checks(self):
         for n, m, d in [(8, 4, 1), (12, 7, 3), (20, 20, 5), (9, 5, 4), (15, 8, 7)]:
