@@ -69,8 +69,11 @@ class EmbeddingReport:
     statistics of its ratio over the draws are kept, else None: ``ratio_min``
     and ``ratio_max`` (pairs,), and ``ratio_mid`` (1 or 2, pairs), the one
     (odd ``num_draws``) or two (even) middle values, whose mean is the
-    median as ``np.median`` forms it. The pair axis is in the pair order of
-    the caller's table; no field holds a row per draw.
+    median as ``np.median`` forms it. Each is the bits that ``np.min``,
+    ``np.partition`` and ``np.max`` over a (draws, pairs) block of the
+    draws' ratios would give, though no such block is formed. The pair axis
+    is in the pair order of the caller's table; no field holds a row per
+    draw.
     """
 
     per_draw: list[ConditioningResult]
@@ -167,7 +170,7 @@ def isometry_ratio(
     pair; its denominator is the squared trajectory-vector distance
     ||x~ - y~||^2. It is bit for bit that ratio, except that on a
     permutation flow with inexact sums it may round differently (see
-    ``PairTable.ratios``).
+    ``PairTable.delay_vectors``).
     """
     a = _check_coeffs(flow, alpha)
     table = _pair_table(flow, x, y, params)
@@ -202,22 +205,155 @@ def conditioning(table: PairTable, alpha: MeasurementCoeffs) -> ConditioningResu
     return _conditioning(table, alpha, table.ratios(_check_coeffs(table.flow, alpha)))
 
 
-def _order_statistics(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each column's min, one or two middle values (rows of ``mid``) and max.
+# A ratio's order key is the exponent and top 10 mantissa bits of its float64
+# (its bits >> _KEY_SHIFT) less ``_KEY_BASE``, those bits just below 2^-15,
+# so that the ratios from 2^-15 to just below 2^17 get 1 to 2^15 - 1;
+# doubled, plus 1 where a dropped bit is set.
+_KEY_SHIFT = 42
+_KEY_BASE = ((1023 - 15) << 10) - 1
+_DROPPED_BITS = np.uint64((1 << _KEY_SHIFT) - 1)
+# Ratios are clipped to the largest double below 2^-15 and the largest double
+# with the top key's kept bits, so a ratio outside the binades gets the odd
+# key below or at the top of them.
+_KEY_LOW, _KEY_HIGH = np.array(
+    [((_KEY_BASE + 1) << _KEY_SHIFT) - 1, ((_KEY_BASE + 0x8000) << _KEY_SHIFT) - 1],
+    dtype=np.uint64,
+).view(np.float64)
 
-    A single-kth partition puts the lower middle value in place; the upper
-    one is the least value above it. The partitioned copy is this call's
-    local, and no returned array is a view of it, so it is freed before
-    the caller's next chunk makes its own.
+# Doubles or int64s held per draw and pair, at most, while the middle values
+# are formed again: a buffered entry's draw, class and pair, its ratio and two
+# sort orders. The slices of the order keys are cut at this many.
+_ENTRY_FLOATS = 6
+
+
+def _order_keys(ratios: np.ndarray) -> np.ndarray:
+    """The uint16 order key of each ratio, which is finite and >= +0.
+
+    Keys are monotone: a ratio's key never exceeds a larger ratio's. An even
+    key means that its ratio is exactly ``_key_values`` of it; the ratios of
+    one odd key lie strictly between the values of the even keys around it.
     """
-    num_draws = block.shape[0]
+    bits = np.clip(ratios, _KEY_LOW, _KEY_HIGH).view(np.uint64)
+    # the kept bits rounded up (1 more where a dropped bit is set), plus the
+    # kept bits
+    keys = bits + _DROPPED_BITS
+    keys >>= _KEY_SHIFT
+    bits >>= _KEY_SHIFT
+    keys += bits
+    keys -= 2 * _KEY_BASE
+    return keys.astype(np.uint16)
+
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """The ratio each even key stands for, exactly."""
+    return (((keys.astype(np.uint64) >> 1) + _KEY_BASE) << _KEY_SHIFT).view(np.float64)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, column by column: the order of ``pdist``'s "sqeuclidean"."""
+    total = np.zeros(rows.shape[0])
+    for column in rows.T:
+        total += column * column
+    return total
+
+
+def _exact_ratios(
+    table: PairTable, draws: list[MeasurementCoeffs], draw_idx: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """``table.ratios(draws[k].alpha)[p]`` of each entry (k, p), bit for bit.
+
+    The entries are taken in draw order, in ``_chunks`` of delay-vector
+    differences, and each draw's rows of a chunk come from one
+    ``delay_vectors`` call.
+    """
+    order = np.argsort(draw_idx, kind="stable")
+    values = np.empty(order.size)
+    for chunk in _chunks(order.size, 1, table.shape[1]):
+        entries = order[chunk]
+        draw_of = draw_idx[entries]
+        # each entry's samples i and j, side by side
+        ends = np.stack([table.i_idx[pairs[entries]], table.j_idx[pairs[entries]]], axis=1)
+        diffs = np.empty((entries.size, table.shape[1]))
+        bounds = [0, *(np.flatnonzero(np.diff(draw_of)) + 1), entries.size]
+        for a, b in zip(bounds, bounds[1:]):
+            rows = table.delay_vectors(draws[draw_of[a]].alpha, ends[a:b].ravel())
+            diffs[a:b] = rows[0::2] - rows[1::2]
+        values[entries] = _squared_norms(diffs) / table.traj_dist_sq[pairs[entries]]
+    return values
+
+
+def _resolve_classes(
+    table: PairTable, draws: list[MeasurementCoeffs], mid: np.ndarray, pending: list
+) -> None:
+    """Write each pending pick: the value at its rank among its class's ratios.
+
+    A class is ``2 * pair + c``: the entries of one pair with one key. Each
+    pending slice holds its entries (draw indices, classes) and its picks
+    (rows of ``mid``, classes, ranks within the class).
+    """
+    draw_idx, classes, slots, pick_classes, ranks = (
+        np.concatenate(column) for column in zip(*pending)
+    )
+    values = _exact_ratios(table, draws, draw_idx, classes >> 1)
+    order = np.lexsort((values, classes))
+    first = np.searchsorted(classes[order], pick_classes)
+    mid[slots, pick_classes >> 1] = values[order[first + ranks]]
+
+
+def _middle_ratios(
+    table: PairTable, draws: list[MeasurementCoeffs], keys: np.ndarray
+) -> np.ndarray:
+    """Each pair's one or two middle ratios over the draws, from its (draws, pairs) order keys.
+
+    Keys are monotone, so the ratio at a middle rank has the key at that
+    rank, which one single-kth partition per ``_chunks`` slice of pairs
+    finds. An even key is its ratio. The ratios with an odd middle key (its
+    class, among the pair's keys) are formed again (``_exact_ratios``), and
+    the middle value is the one at its rank among them. A slice is cut so
+    that its entries would fit in ``_CHUNK_BYTES`` even if every one were
+    formed again, and the entries are buffered over slices until they
+    number a slice's keys.
+    """
+    num_draws = keys.shape[0]
     low, high = (num_draws - 1) // 2, num_draws // 2
-    part = np.partition(block, low, axis=0)
-    if high > low:
-        mid = np.stack([part[low], np.min(part[high:], axis=0)])
-    else:
-        mid = part[low:low + 1].copy()
-    return np.min(block, axis=0), mid, np.max(block, axis=0)
+    mid = np.empty((high - low + 1, table.num_pairs))
+    parts = _chunks(table.num_pairs, 1, _ENTRY_FLOATS * num_draws)
+    capacity = (parts[0].stop - parts[0].start) * num_draws
+    pending, buffered = [], 0
+    for part in parts:
+        block = keys[:, part]
+        ordered = np.partition(block, low, axis=0)
+        top = ordered[low]
+        # the low middle value's rank among the ratios of its key
+        rank = low - np.count_nonzero(ordered[:low] < top, axis=0)
+        tops = np.stack([top, np.min(ordered[high:], axis=0)] if high > low else [top])
+        del ordered
+        mid[:, part] = _key_values(tops)
+        odd = (tops & 1).astype(bool)
+        if not odd.any():
+            continue
+        # class 2p holds pair p's keys equal to its low middle key, class
+        # 2p + 1 those equal to a different high one, which the high rank
+        # leads; 0 is no key (a ratio below the binades has key 1)
+        slots, cols = np.nonzero(odd)
+        same = tops[slots, cols] == top[cols]
+        pairs = np.arange(part.start, part.stop)
+        picks = (slots, 2 * pairs[cols] + ~same, np.where(same, rank[cols] + slots, 0))
+        probes = np.where(odd, tops, 0)
+        members = block == probes[0]
+        if high > low:
+            members |= block == probes[1]
+        # a flat index is far cheaper to find than a 2-D one
+        draw_idx, col = np.divmod(np.flatnonzero(members), members.shape[1])
+        classes = 2 * pairs[col] + (block[draw_idx, col] != top[col])
+        pending.append((draw_idx, classes, *picks))
+        buffered += draw_idx.size
+        if buffered >= capacity:
+            _resolve_classes(table, draws, mid, pending)
+            pending, buffered = [], 0
+    if pending:
+        _resolve_classes(table, draws, mid, pending)
+    return mid
 
 
 def monte_carlo(
@@ -228,27 +364,29 @@ def monte_carlo(
     Each draw must have the flow's dimension, which is checked before the
     first draw; ``delay_map.draw_stream`` makes the seeded draws. The draws
     run in order on ``table``. ``keep_per_pair`` keeps each pair's order
-    statistics over the draws (see ``EmbeddingReport``): the (draws, pairs)
-    ratio matrix they come from is reduced ``_chunks`` of pairs at a time
-    and freed when this call returns.
+    statistics over the draws (see ``EmbeddingReport``). The draws update
+    each pair's min and max and store a 2-byte order key per draw and pair
+    (``_order_keys``), from which ``_middle_ratios`` derives the middle
+    values exactly; no (draws, pairs) block of ratios is held.
     """
     if not draws:
         raise InvalidArgumentError("monte_carlo needs at least one coefficient draw")
     for coeffs in draws:
         _check_coeffs(table.flow, coeffs)
     per_draw = []
-    ratios = np.empty((len(draws), table.num_pairs)) if keep_per_pair else None
+    if keep_per_pair:
+        keys = np.empty((len(draws), table.num_pairs), dtype=np.uint16)
+        ratio_min, ratio_max = np.full(table.num_pairs, np.inf), np.zeros(table.num_pairs)
     for k, coeffs in enumerate(draws):
         draw_ratios = table.ratios(coeffs.alpha)
         per_draw.append(_conditioning(table, coeffs, draw_ratios))
         if keep_per_pair:
-            ratios[k] = draw_ratios
-    stats = (None, None, None)
-    if keep_per_pair:
-        chunks = _chunks(table.num_pairs, 1, len(draws))
-        per_chunk = [_order_statistics(ratios[:, chunk]) for chunk in chunks]
-        stats = tuple(np.concatenate(parts, axis=-1) for parts in zip(*per_chunk))
-    return EmbeddingReport(per_draw, *stats)
+            np.minimum(ratio_min, draw_ratios, out=ratio_min)
+            np.maximum(ratio_max, draw_ratios, out=ratio_max)
+            keys[k] = _order_keys(draw_ratios)
+    if not keep_per_pair:
+        return EmbeddingReport(per_draw)
+    return EmbeddingReport(per_draw, ratio_min, _middle_ratios(table, draws, keys), ratio_max)
 
 
 def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult:

@@ -445,7 +445,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
 
     table = PairTable(flow, samples, params)
     draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
-    # the draws' (draws, pairs) ratio matrix lives only as long as the call,
+    # the draws' (draws, pairs) order keys live only as long as the call,
     # and the call runs before the scan, so the two peaks of memory never
     # add up
     report = monte_carlo(table, draws, keep_per_pair=True)

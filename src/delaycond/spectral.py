@@ -74,8 +74,10 @@ from .errors import (
 )
 
 # Bytes of at most one chunk of pair data, in every scan pass (M N floats per
-# pair), in the report's per-pair reductions (one float per draw and pair)
-# and in the shift oracle's Gram batches (M^2 floats per separation). Each
+# pair), in the report's slices of order keys (budgeted at the most they may
+# hold per draw and pair while their middle values are formed again) and the
+# delay-vector differences those form (M floats each), and in the shift
+# oracle's Gram batches (M^2 floats per separation). Each
 # scan worker holds one chunk of differences at a time, and on a stack, while
 # it forms them, one gathered block of the same size.
 _CHUNK_BYTES = 4 << 20
@@ -297,21 +299,30 @@ class PairTable:
         out -= self._stack[j]
         return out
 
+    def delay_vectors(self, alpha: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+        """The delay vectors F_alpha(x) = G_x alpha of the samples at ``rows``, one row each.
+
+        ``rows`` is a slice or an index array of the samples. On a
+        permutation flow the vectors are rows of ``samples @ O_alpha.T``,
+        with row m of O_alpha alpha permuted by P^m: ``stack @ alpha`` to
+        rounding, bit for bit where every sum is an exact integer. That
+        product is formed over all the samples and then indexed, since a
+        product over some of them may round their rows differently. Any
+        other flow takes each sample's own ``G_x @ alpha``, whose bits do
+        not depend on the other rows.
+        """
+        if self._inverse_powers is not None:
+            return (self.samples @ alpha[self._inverse_powers].T)[rows]
+        return self._stack[rows] @ alpha
+
     def ratios(self, alpha: np.ndarray) -> np.ndarray:
         """Isometry ratio ||D alpha||^2 / ||D||_F^2 of every pair.
 
-        The numerator is the ``pdist`` of the delay vectors F_alpha(x) = G_x
-        alpha. On a permutation flow they are ``samples @ O_alpha.T``, with
-        row m of O_alpha alpha permuted by P^m: ``stack @ alpha`` to
-        rounding, bit for bit where every sum is an exact integer. That one
-        product may round a sample's row differently for another number of
-        samples; any other flow takes each sample's own ``G_x @ alpha``.
+        The numerator is the ``pdist`` of the delay vectors
+        (``delay_vectors``), which sums each pair's squared differences in
+        column order.
         """
-        if self._inverse_powers is not None:
-            measured = self.samples @ alpha[self._inverse_powers].T
-        else:
-            measured = self._stack @ alpha  # (n, M)
-        return pdist(measured, "sqeuclidean") / self.traj_dist_sq
+        return pdist(self.delay_vectors(alpha, slice(None)), "sqeuclidean") / self.traj_dist_sq
 
 
 def resolve_threads(threads: int) -> int:

@@ -514,8 +514,9 @@ class TestRunFullReport:
         }
         tied = False
         for kind, flow_lines in flows.items():
-            # 7 pairs per per-pair reduction chunk, so the 120 pairs cross
-            # chunk boundaries, or one pair per chunk; numpy's own partition
+            # 7 pairs per slice of the report's order keys (budgeted at
+            # _ENTRY_FLOATS doubles per draw and pair), so the 120 pairs cross
+            # slice boundaries, or one pair per slice; numpy's own partition
             # order, or the least favourable one it is allowed to leave
             for pairs_per_chunk, partition in (
                 (7, np.partition),
@@ -530,7 +531,9 @@ class TestRunFullReport:
                         f"{num_draws} draws"
                     )
                     monkeypatch.setattr(
-                        spectral, "_CHUNK_BYTES", pairs_per_chunk * 8 * num_draws
+                        spectral,
+                        "_CHUNK_BYTES",
+                        pairs_per_chunk * 8 * embedding_analysis._ENTRY_FLOATS * num_draws,
                     )
                     monkeypatch.setattr(embedding_analysis.np, "partition", partition)
                     config = load_config(

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,18 +28,24 @@ from delaycond import (
     trajectory_matrices,
     user_coeffs,
 )
-from delaycond import spectral
+from delaycond import embedding_analysis, spectral
+from delaycond.config import build_flow, build_samples, load_config
 from delaycond.delay_map import (
     delay_vector,
     derive_seed,
     trajectory_vector,
 )
 from delaycond.dynamics import generate_orbit
-from delaycond.embedding_analysis import QUANTILE_LEVELS
+from delaycond.embedding_analysis import (
+    QUANTILE_LEVELS,
+    _exact_ratios,
+    _key_values,
+    _order_keys,
+)
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
-from test_spectral import assert_kept_soft_ranks, per_pair_bytes
+from test_spectral import assert_kept_soft_ranks, per_pair_bytes, scan_cases
 
 PAIR_FAMILIES = ("shift basis", "linear gaussian", "permutation integer")
 
@@ -277,14 +286,16 @@ class TestMonteCarlo:
 
     def test_keep_per_pair_keeps_each_draws_ratios(self, monkeypatch):
         # each pair's min, middle values and max, against a hand-built
-        # (draws, pairs) stack; 5 pairs per reduction chunk, so the 28 pairs
-        # span 6 chunks and the last holds 3
+        # (draws, pairs) stack; 5 pairs per slice of the order keys, whose
+        # entries are budgeted at _ENTRY_FLOATS doubles per draw, so the 28
+        # pairs span 6 slices and the last holds 3
         flow = make_shift_flow(8)
         table = PairTable(flow, np.eye(8), DelayParams(3))
         for num_draws in (1, 2, 5, 6):
             draws = draw_stream("gaussian", 8, num_draws, 1)
-            monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * num_draws)
-            chunks = spectral._chunks(table.num_pairs, 1, num_draws)
+            entry_floats = embedding_analysis._ENTRY_FLOATS * num_draws
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", 5 * 8 * entry_floats)
+            chunks = spectral._chunks(table.num_pairs, 1, entry_floats)
             assert [c.stop - c.start for c in chunks] == [5, 5, 5, 5, 5, 3]
             report = monte_carlo(table, draws, keep_per_pair=True)
             ratios = np.stack([table.ratios(coeffs.alpha) for coeffs in draws])
@@ -372,6 +383,171 @@ class TestMonteCarlo:
         monkeypatch.setattr(table, "ratios", _no_draw)
         with pytest.raises(InvalidArgumentError, match="at least one coefficient draw"):
             monte_carlo(table, [])
+
+
+def dense_order_statistics(table, draws):
+    """Each pair's min, one or two middle ratios and max, from a hand-built (draws, pairs) block."""
+    block = np.stack([table.ratios(coeffs.alpha) for coeffs in draws])
+    middle = sorted({(len(draws) - 1) // 2, len(draws) // 2})
+    return [
+        np.min(block, axis=0),
+        np.stack([np.partition(block, k, axis=0)[k] for k in middle]),
+        np.max(block, axis=0),
+    ]
+
+
+@st.composite
+def per_pair_cases(draw):
+    """A pair table, its draws and the pairs per slice of the report's order keys.
+
+    A shift orbit of basis states, the same states shuffled and rescaled,
+    or a random linear flow. On the shift, M = 12 in about half the cases:
+    Rademacher ratios are then h/6, repeated over the draws and mostly
+    inexact, so the middle keys are odd and their classes large. Gaussian
+    or Rademacher draws, 1, 2 or 3 of them or up to 41; 1, 2, 3 or 7 pairs
+    per slice, or the default budget.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["orbit", "shuffled", "linear"]))
+    if kind == "linear":
+        n = draw(st.integers(2, 8))
+        flow = well_conditioned_flow(seed, n)
+        samples = rng.standard_normal((draw(st.integers(2, 10)), n))
+        m = draw(st.integers(1, n + 3))
+    else:
+        n = draw(st.integers(2, 16))
+        flow = make_shift_flow(n)
+        samples = np.eye(n)
+        if kind == "shuffled":
+            samples = samples[rng.permutation(n)] * rng.uniform(0.5, 2.0, (n, 1))
+        m = 12 if draw(st.booleans()) else draw(st.integers(1, n + 3))
+    num_draws = draw(st.sampled_from([1, 2, 3]) | st.integers(4, 41))
+    draws = draw_stream(draw(st.sampled_from(["gaussian", "rademacher"])), n, num_draws, seed)
+    pairs_per_slice = draw(st.sampled_from([1, 2, 3, 7, None]))
+    return PairTable(flow, samples, DelayParams(m)), draws, pairs_per_slice
+
+
+class TestPerPairOrderStatistics:
+    """The report's per-pair min, middle values and max against a dense (draws, pairs) block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=per_pair_cases())
+    def test_bit_equal_to_the_dense_block(self, case):
+        table, draws, pairs_per_slice = case
+        with pytest.MonkeyPatch.context() as mp:
+            if pairs_per_slice is not None:
+                mp.setattr(
+                    spectral,
+                    "_CHUNK_BYTES",
+                    pairs_per_slice * 8 * embedding_analysis._ENTRY_FLOATS * len(draws),
+                )
+            report = monte_carlo(table, draws, keep_per_pair=True)
+        assert per_pair_bytes(report) == [a.tobytes() for a in dense_order_statistics(table, draws)]
+
+    def test_tied_inexact_classes_are_formed_again(self, monkeypatch):
+        # Rademacher ratios h/6 on 16 basis states at M = 12: some pairs'
+        # middle values are 5/6 or 7/6, inexact and repeated over many draws
+        formed = []
+
+        def recording_exact_ratios(table, draws, draw_idx, pairs):
+            formed.append(pairs)
+            return _exact_ratios(table, draws, draw_idx, pairs)
+
+        monkeypatch.setattr(embedding_analysis, "_exact_ratios", recording_exact_ratios)
+        table = PairTable(make_shift_flow(16), np.eye(16), DelayParams(12))
+        for num_draws in (40, 41):
+            draws = draw_stream("rademacher", 16, num_draws, 2)
+            report = monte_carlo(table, draws, keep_per_pair=True)
+            assert per_pair_bytes(report) == [
+                a.tobytes() for a in dense_order_statistics(table, draws)
+            ]
+        # a pair whose middle class holds at least 5 draws
+        assert max(np.bincount(pairs).max() for pairs in formed) >= 5
+
+    def test_shipped_report_forms_no_ratio_again(self, monkeypatch):
+        # its Rademacher ratios are h/8, so every middle key is exact
+        config = load_config(
+            os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs", "shift_report.cfg")
+        )
+        flow = build_flow(config)
+        samples, _, _ = build_samples(config, flow)
+        table = PairTable(flow, samples, DelayParams(config.delays[0]))
+        draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
+        expected = dense_order_statistics(table, draws)
+        monkeypatch.setattr(embedding_analysis, "_exact_ratios", _no_draw)
+        report = monte_carlo(table, draws, keep_per_pair=True)
+        assert per_pair_bytes(report) == [a.tobytes() for a in expected]
+
+    def test_ratios_outside_the_key_binades(self):
+        # user coefficients scaled so that middle ratios fall below 2^-24 and
+        # above 65 504, past both ends of the keys' binades (2^-15 to just
+        # below 2^17), or spread across them; nothing warns
+        table = PairTable(make_shift_flow(8), np.eye(8), DelayParams(3))
+        base = draw_stream("gaussian", 8, 6, 5)
+        middle = []
+        for scales in ((1e-7, 1e-7, 1e-6, 1e-6, 1e-7), (1e3, 1e4, 1e4, 1e3), (1e-7, 1e-6, 1.0, 1e4, 1e4, 1e3)):
+            draws = [user_coeffs(s * coeffs.alpha) for s, coeffs in zip(scales, base)]
+            expected = dense_order_statistics(table, draws)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = monte_carlo(table, draws, keep_per_pair=True)
+            assert per_pair_bytes(report) == [a.tobytes() for a in expected]
+            middle.append(expected[1])
+        middle = np.concatenate(middle, axis=None)
+        assert np.min(middle) < 2.0**-24 and np.max(middle) > 2.0**17
+
+    def test_kept_values_hold_well_under_the_ratio_block(self):
+        # 400 draws over 64 samples of a linear flow, whose middle keys are
+        # odd and formed again: a float64 (draws, pairs) block alone would
+        # be 8 bytes per draw and pair
+        flow = well_conditioned_flow(5, 8)
+        table = PairTable(flow, np.random.default_rng(0).standard_normal((64, 8)), DelayParams(4))
+        draws = draw_stream("gaussian", 8, 400, 1)
+        tracemalloc.start()
+        try:
+            monte_carlo(table, draws, keep_per_pair=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(draws) * table.num_pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ratios=st.lists(
+            st.floats(0.0, 1e308, allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, 2.0**-15, 1.0, 65504.0, 2.0**17, float(embedding_analysis._KEY_HIGH)]),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_keys_are_monotone_and_even_keys_exact(self, ratios):
+        ratios = np.sort(np.array(ratios))
+        keys = _order_keys(ratios)
+        assert keys.dtype == np.uint16
+        assert np.all(keys[:-1] <= keys[1:])
+        even = keys % 2 == 0
+        assert np.array_equal(_key_values(keys[even]), ratios[even])
+        # an odd key's ratio lies strictly between the values of the even
+        # keys around it; key 1 is every ratio below 2^-15, the top key
+        # every ratio above the top even key's value
+        above_bottom = ~even & (keys > 1)
+        assert np.all(_key_values(keys[above_bottom] - 1) < ratios[above_bottom])
+        below_top = ~even & (keys < np.iinfo(np.uint16).max)
+        assert np.all(ratios[below_top] < _key_values(keys[below_top] + 1))
+        assert np.all((keys == 1) == (ratios < 2.0**-15))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=scan_cases(), pick=st.data())
+    def test_entries_are_formed_again_bit_for_bit(self, case, pick):
+        flow, samples, params, _ = case
+        table = PairTable(flow, samples, params)
+        ensemble = pick.draw(st.sampled_from(["gaussian", "rademacher"]))
+        draws = draw_stream(ensemble, flow.ambient_dim, 4, pick.draw(st.integers(0, 99)))
+        entries = st.tuples(st.integers(0, 3), st.integers(0, table.num_pairs - 1))
+        draw_idx, pairs = map(np.array, zip(*pick.draw(st.lists(entries, min_size=1, max_size=30))))
+        block = np.stack([table.ratios(coeffs.alpha) for coeffs in draws])
+        assert _exact_ratios(table, draws, draw_idx, pairs).tobytes() == block[draw_idx, pairs].tobytes()
 
 
 def study_reports(flow, samples, m_list, draws):

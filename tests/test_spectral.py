@@ -29,7 +29,7 @@ from delaycond import (
     soft_rank,
     trajectory_matrices,
 )
-from delaycond import runner, spectral
+from delaycond import embedding_analysis, runner, spectral
 from delaycond.delay_map import _gathered_rows
 from delaycond.dynamics import is_permutation_orbit
 from delaycond.spectral import PairTable, pair_indices
@@ -896,6 +896,45 @@ class TestStackDifferences:
             expected = np.array([stack[table.i_idx[k]] - stack[table.j_idx[k]] for k in indices])
             assert diffs.flags.c_contiguous
             assert diffs.tobytes() == expected.tobytes()
+
+
+class TestDelayVectors:
+    """The delay-vector rows and the squared distances the report forms again, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=scan_cases(), pick=st.data())
+    def test_rows_are_the_full_products_rows(self, case, pick):
+        # a stack row is its own G_x @ alpha; a permutation flow forms the
+        # product over every sample, then indexes it
+        flow, samples, params, _ = case
+        table = PairTable(flow, samples, params)
+        ensemble = pick.draw(st.sampled_from(["gaussian", "rademacher"]))
+        alpha = draw_coeffs(ensemble, flow.ambient_dim, pick.draw(st.integers(0, 99))).alpha
+        rows = np.array(
+            pick.draw(st.lists(st.integers(0, samples.shape[0] - 1), min_size=1, max_size=20)),
+            dtype=np.intp,
+        )
+        if flow.permutation is None:
+            full = table.stack @ alpha
+        else:
+            full = table.samples @ alpha[table._inverse_powers].T
+        assert table.delay_vectors(alpha, slice(None)).tobytes() == full.tobytes()
+        assert table.delay_vectors(alpha, rows).tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_column_order_sums_are_pdists(self, m):
+        # entries of mixed scales, 1e-150 to 1e150, where the order of the
+        # sum shows, with +0.0 and -0.0 among them
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            rows = rng.standard_normal((9, m)) * 10.0 ** rng.choice(
+                [-150, -8, 0, 8, 150], size=(9, m)
+            )
+            rows[rng.random(rows.shape) < 0.15] = 0.0
+            rows[rng.random(rows.shape) < 0.15] = -0.0
+            i_idx, j_idx = pair_indices(9)
+            sums = embedding_analysis._squared_norms(rows[i_idx] - rows[j_idx])
+            assert sums.tobytes() == pdist(rows, "sqeuclidean").tobytes()
 
 
 class TestStackFreePermutationTables:
