@@ -394,8 +394,8 @@ def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult
 
     The caller measures each median, one ``monte_carlo`` report per M with
     the same draws, which pairs the per-M comparisons; the median, not the
-    max, enters the fit. A median of exactly 0 has no log and is an
-    ``InvalidArgumentError`` naming its M.
+    max, enters the fit. Every M and every median must be positive and
+    finite, to have a finite log; else an ``InvalidArgumentError`` names the M.
     """
     m_list = list(m_list)
     if len(m_list) < 2:
@@ -408,11 +408,12 @@ def scaling_study(m_list: list[int], medians: list[float]) -> ScalingStudyResult
         raise InvalidArgumentError(
             f"need one median per delay count, got {len(medians)} for {len(m_list)}"
         )
-    if 0.0 in medians:
-        raise InvalidArgumentError(
-            f"the median eps over the draws is 0 at M = {m_list[medians.index(0.0)]}, "
-            "so log(eps) and the slope are undefined"
-        )
+    for m, median in zip(m_list, medians):
+        if not (0 < m < math.inf and 0 < median < math.inf):
+            raise InvalidArgumentError(
+                f"the median eps over the draws is {median:g} at M = {m}, but the fit "
+                "needs every M and median positive and finite, so that their logs exist"
+            )
 
     log_m = np.log(m_list)
     log_eps = np.log(medians)

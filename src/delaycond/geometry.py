@@ -124,13 +124,25 @@ def trajectory_manifold_points(table: PairTable) -> np.ndarray:
     return points
 
 
+def _point_set(points: np.ndarray, min_points: int) -> np.ndarray:
+    """``points`` as a 2-D float array of at least ``min_points`` rows, every entry finite.
+
+    A 1-D array is one point. A NaN entry would drop out of every
+    comparison and an infinite one swamp every sum, so either is an error.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2:
+        raise InvalidArgumentError(f"expected a 2-D point array, got shape {points.shape}")
+    if points.shape[0] < min_points:
+        raise InvalidArgumentError(f"need at least {min_points} points, got {points.shape[0]}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidArgumentError("every point entry must be finite")
+    return points
+
+
 def curve_volume(points: np.ndarray, closed: bool = False) -> float:
     """Arc length of an ordered point sequence as the sum of chord lengths."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 2:
-        raise InvalidArgumentError(
-            f"need at least 2 points for a curve, got {points.shape[0]}"
-        )
+    points = _point_set(points, 2)
     chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
     total = float(np.sum(chords))
     if closed:
@@ -147,11 +159,9 @@ def reach_estimate(points: np.ndarray, tangents: np.ndarray) -> ReachEstimate:
     and counted; if every pair is excluded the points are collinear with
     their tangents and no finite estimate exists.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _point_set(points, 3)
     tangents = np.atleast_2d(np.asarray(tangents, dtype=float))
     n = points.shape[0]
-    if n < 3:
-        raise InvalidArgumentError(f"need at least 3 points, got {n}")
     if tangents.shape != points.shape:
         raise InvalidArgumentError(
             f"tangent array shape {tangents.shape} does not match points {points.shape}"
@@ -185,10 +195,7 @@ def reach_estimate(points: np.ndarray, tangents: np.ndarray) -> ReachEstimate:
 
 def finite_difference_tangents(points: np.ndarray) -> np.ndarray:
     """Unit tangents from central differences; one-sided at the endpoints."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    if n < 3:
-        raise InvalidArgumentError(f"need at least 3 points, got {n}")
+    points = _point_set(points, 3)
     if np.any(np.all(np.diff(points, axis=0) == 0.0, axis=1)):
         raise InvalidArgumentError("repeated consecutive points have no tangent")
     diffs = np.empty_like(points)
@@ -204,10 +211,21 @@ def finite_difference_tangents(points: np.ndarray) -> np.ndarray:
 
 
 def _demeaned(series: np.ndarray) -> np.ndarray:
+    """The series less its mean; its entries and centred sum of squares must be finite.
+
+    Every lag statistic is formed from the centred series, and a finite
+    sum of squares bounds each entry below 1.4e154, so no lagged product
+    and no histogram range can overflow.
+    """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise InvalidArgumentError(f"expected a 1-D series, got shape {series.shape}")
-    centered = series - np.mean(series)
+    if not np.all(np.isfinite(series)):
+        raise InvalidArgumentError("every series entry must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = series - np.mean(series)
+        if not math.isfinite(np.dot(centered, centered)):
+            raise InvalidArgumentError("the series' centred sum of squares overflows")
     if not np.any(centered):
         raise ZeroVarianceError("series is constant; lag structure is undefined")
     return centered

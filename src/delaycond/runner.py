@@ -333,72 +333,70 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
     return summary
 
 
-def _geometry_payload(
-    config: ExperimentConfig,
-    table: PairTable,
-    period: int | None,
-    orbit_ordered: bool,
-    alpha0: MeasurementCoeffs,
-) -> dict:
-    """Trajectory-manifold, Lyapunov and delay-selection diagnostics of the samples.
+def _manifold_entry(config: ExperimentConfig, table: PairTable, period: int | None) -> dict:
+    """The trajectory manifold's volume and reach, or a note saying why there are none.
 
-    The manifold's points are the trajectory vectors of ``table``'s samples;
-    the delay-selection series is measured by ``alpha0``, the first draw.
+    The manifold's points are the trajectory vectors of ``table``'s samples,
+    which are the orbit in order unless the config names a sample file. No
+    draw enters, so the entry is known before any draw is made.
     """
-    flow, samples = table.flow, table.samples
-    payload: dict = {}
-
-    if not orbit_ordered:
-        payload["trajectory_manifold"] = {
-            "note": "volume and reach need orbit-ordered samples; got an explicit sample file"
-        }
-    elif samples.shape[0] < 3:
-        payload["trajectory_manifold"] = {
+    num_samples = table.shape[0]
+    if config.samples_path is not None:
+        return {"note": "volume and reach need orbit-ordered samples; got an explicit sample file"}
+    if num_samples < 3:
+        return {
             "note": "volume and reach need at least 3 orbit-ordered samples for "
-            f"finite-difference tangents; got {samples.shape[0]}"
+            f"finite-difference tangents; got {num_samples}"
         }
-    else:
-        points = trajectory_manifold_points(table)
-        closed = period is not None and period == samples.shape[0]
-        try:
-            reach = reach_estimate(points, finite_difference_tangents(points))
-        except NoEstimateError as err:  # the orbit lies on a line
-            payload["trajectory_manifold"] = {"note": f"reach needs a curved orbit: {err}"}
-        else:
-            payload["trajectory_manifold"] = {
-                "volume": curve_volume(points, closed=closed),
-                "volume_bias": VOLUME_BIAS_NOTE,
-                "reach": reach.value,
-                "reach_bias": REACH_BIAS_NOTE,
-                "reach_excluded_pairs": reach.num_excluded,
-                "reach_num_pairs": reach.num_pairs,
-                "dim": config.manifold_dim if config.manifold_dim is not None else 1.0,
-                "num_points": int(points.shape[0]),
-                "closed_curve": closed,
-            }
+    points = trajectory_manifold_points(table)
+    closed = period == num_samples
+    try:
+        reach = reach_estimate(points, finite_difference_tangents(points))
+    except NoEstimateError as err:  # the orbit lies on a line
+        return {"note": f"reach needs a curved orbit: {err}"}
+    return {
+        "volume": curve_volume(points, closed=closed),
+        "volume_bias": VOLUME_BIAS_NOTE,
+        "reach": reach.value,
+        "reach_bias": REACH_BIAS_NOTE,
+        "reach_excluded_pairs": reach.num_excluded,
+        "reach_num_pairs": reach.num_pairs,
+        "dim": config.manifold_dim if config.manifold_dim is not None else 1.0,
+        "num_points": int(points.shape[0]),
+        "closed_curve": closed,
+    }
 
-    lyap = lyapunov_exponent_inverse_flow(flow, num_steps=200, seed=config.base_seed)
-    payload["inverse_flow_lyapunov"] = vars(lyap)
 
-    if orbit_ordered and samples.shape[0] >= 8:
+def _dynamics_entries(
+    config: ExperimentConfig, table: PairTable, alpha0: MeasurementCoeffs
+) -> dict:
+    """The inverse flow's Lyapunov estimate and the delay-selection baselines.
+
+    The delay-selection series is the orbit measured by ``alpha0``, the
+    first draw.
+    """
+    samples = table.samples
+    lyap = lyapunov_exponent_inverse_flow(table.flow, num_steps=200, seed=config.base_seed)
+    entries: dict = {"inverse_flow_lyapunov": vars(lyap)}
+    if config.samples_path is None and samples.shape[0] >= 8:
         # orbit-ordered samples are the orbit itself
         series = time_series(samples, alpha0)
         try:
             selection = delay_selection(series, num_bins=config.num_bins)
-            payload["delay_selection"] = {
+            entries["delay_selection"] = {
                 **vars(selection),
                 "series_alpha_seed": alpha0.seed,
                 "series_length": int(series.size),
             }
         except ZeroVarianceError:
-            payload["delay_selection"] = {
+            entries["delay_selection"] = {
                 "note": "series is constant under the first drawn coefficients"
             }
     else:
-        payload["delay_selection"] = {
+        entries["delay_selection"] = {
             "note": "needs at least 8 orbit-ordered samples"
         }
-    return payload
+    return entries
 
 
 def _per_pair_columns(
@@ -436,14 +434,13 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     flow = build_flow(config)
     samples, desc, period = build_samples(config, flow)
     params = DelayParams(config.delays[0])
-    orbit_ordered = config.samples_path is None
-    if config.c_user is not None and not (orbit_ordered and samples.shape[0] >= 3):
-        raise ConfigError(
-            "c_user: the theorem check needs trajectory-manifold volume and "
-            "reach, which require at least 3 orbit-ordered samples"
-        )
-
     table = PairTable(flow, samples, params)
+    manifold = _manifold_entry(config, table, period)
+    if config.c_user is not None and "reach" not in manifold:
+        raise ConfigError(
+            "c_user: the theorem check needs the trajectory manifold's volume and reach, "
+            f"which need a curved orbit of at least 3 orbit-ordered samples; {manifold['note']}"
+        )
     draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
     # the draws' (draws, pairs) order keys live only as long as the call,
     # and the call runs before the scan, so the two peaks of memory never
@@ -474,17 +471,16 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         "per_draw": [{"draw": k, **vars(r)} for k, r in enumerate(report.per_draw)],
     }
 
-    geometry_payload = _geometry_payload(config, table, period, orbit_ordered, draws[0])
     files = {
         "embedding_report.json": report_payload,
         "per_pair.csv": _per_pair_columns(table, scan, report),
-        "geometry.json": geometry_payload,
+        "geometry.json": {
+            "trajectory_manifold": manifold,
+            **_dynamics_entries(config, table, draws[0]),
+        },
     }
 
     if config.c_user is not None:
-        manifold = geometry_payload["trajectory_manifold"]
-        if "reach" not in manifold:
-            raise ConfigError(f"c_user: the theorem check needs a reach; {manifold['note']}")
         if report.quantiles[0.5] == 0.0:
             raise ConfigError(
                 "c_user: the theorem check needs a positive epsilon; "

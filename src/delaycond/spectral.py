@@ -50,6 +50,7 @@ value of its class.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -137,15 +138,26 @@ class PairScanResult:
 
 
 def soft_rank(g: np.ndarray) -> SoftRankResult:
-    """Squared Frobenius norm over squared spectral norm of a nonzero matrix."""
+    """Squared Frobenius norm over squared spectral norm of a nonzero finite matrix.
+
+    A non-finite entry, or singular values whose squares overflow or whose
+    largest square underflows to 0, is an ``InvalidArgumentError``.
+    """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-D matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise InvalidArgumentError("soft rank needs a finite matrix")
     if not np.any(g):
         raise UndefinedSoftRankError("soft rank of the zero matrix is undefined (0/0)")
     s = np.linalg.svd(g, compute_uv=False)
-    frobenius_sq = float(np.sum(s * s))
-    spectral_sq = float(s[0] * s[0])
+    with np.errstate(over="ignore"):
+        frobenius_sq = float(np.sum(s * s))
+        spectral_sq = float(s[0] * s[0])
+    if not (math.isfinite(frobenius_sq) and spectral_sq > 0.0):
+        raise InvalidArgumentError(
+            "soft rank: the squared singular values overflow, or the largest underflows to 0"
+        )
     return SoftRankResult(
         value=frobenius_sq / spectral_sq,
         frobenius_sq=frobenius_sq,

@@ -836,7 +836,7 @@ class TestSingleOutputPath:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
-    @pytest.mark.parametrize("geometry", ["samples_path", "two_samples"])
+    @pytest.mark.parametrize("geometry", ["samples_path", "two_samples", "straight_line"])
     def test_theorem_check_without_geometry_fails_before_the_draws(
         self, tmp_path, monkeypatch, capsys, geometry
     ):
@@ -845,15 +845,17 @@ class TestSingleOutputPath:
 
         monkeypatch.setattr(runner, "draw_stream", no_draws)
         monkeypatch.setattr(runner, "monte_carlo", no_draws)
+        theorem_check = {"c_user": "1.0", "manifold_dim": "1.0"}
         if geometry == "samples_path":
             samples_file = tmp_path / "samples.csv"
             np.savetxt(samples_file, np.eye(8)[:5], delimiter=",")
-            overrides = {"samples_path": str(samples_file), "num_samples": None}
+            config_path = minimal_shift_config(
+                tmp_path, samples_path=str(samples_file), num_samples=None, **theorem_check
+            )
+        elif geometry == "two_samples":
+            config_path = minimal_shift_config(tmp_path, num_samples="2", **theorem_check)
         else:
-            overrides = {"num_samples": "2"}
-        config_path = minimal_shift_config(
-            tmp_path, c_user="1.0", manifold_dim="1.0", **overrides
-        )
+            config_path = self.straight_line_config(tmp_path, **theorem_check)
         out = tmp_path / "o"
         assert main(["report", "--config", config_path, "--out", str(out)]) == 1
         err = capsys.readouterr().err

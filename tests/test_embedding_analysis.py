@@ -632,6 +632,21 @@ class TestScalingStudy:
         assert study.slope == pytest.approx(-0.5, rel=1e-12)
         assert math.isnan(study.slope_stderr)
 
+    @pytest.mark.parametrize(
+        "m_list, medians, named",
+        [
+            ([2, 4, 8], [0.5, -0.3, 0.2], "is -0.3 at M = 4"),
+            ([2, 4, 8], [0.5, math.inf, 0.2], "is inf at M = 4"),
+            ([2, 4, 8], [0.5, 0.3, math.nan], "is nan at M = 8"),
+            ([0, 4, 8], [0.5, 0.3, 0.2], "is 0.5 at M = 0"),
+            ([-2, 4, 8], [0.5, 0.3, 0.2], "is 0.5 at M = -2"),
+        ],
+        ids=["negative median", "inf median", "NaN median", "M of 0", "negative M"],
+    )
+    def test_log_undefined_inputs_name_their_m(self, m_list, medians, named):
+        with pytest.raises(InvalidArgumentError, match=f"median eps over the draws {named}"):
+            scaling_study(m_list, medians)
+
     def test_zero_median_eps_names_its_m(self):
         # at M = N = 4 the trajectory matrices are circulant permutations, so
         # a pair at separation d has ratio 1 - c_d / 4, with c_d the circular

@@ -378,6 +378,20 @@ class TestDelaySelection:
         assert sel.mi_first_min is not None and abs(sel.mi_first_min - 4) <= 1
 
 
+def with_entry(points, value, index=5):
+    """A float copy of ``points`` with its flat entry ``index`` set to ``value``."""
+    bad = np.array(points, dtype=float)
+    bad.flat[index] = value
+    return bad
+
+
+# 12 points of the unit circle with their unit tangents; a Gaussian series;
+# alternating signs
+CIRCLE = circle_points(12)
+NOISE = np.random.default_rng(3).standard_normal(64)
+SIGNS = np.resize([1.0, -1.0], 64)
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "call, message",
@@ -389,8 +403,48 @@ class TestMalformedInputs:
             (lambda: finite_difference_tangents(np.eye(2)), "at least 3 points, got 2"),
             (lambda: finite_difference_tangents(np.eye(2)[[0, 1, 0]]), "folds back"),
             (lambda: autocorr_first_zero(np.ones((8, 2))), r"1-D series, got shape \(8, 2\)"),
+            # a NaN point drops out of every comparison, and an infinite one
+            # swamps every sum
+            (
+                lambda: reach_estimate(with_entry(CIRCLE[0], np.nan), CIRCLE[1]),
+                "every point entry must be finite",
+            ),
+            (lambda: curve_volume(with_entry(CIRCLE[0], np.nan)), "every point entry must be finite"),
+            (lambda: curve_volume(with_entry(CIRCLE[0], np.inf)), "every point entry must be finite"),
+            (
+                lambda: finite_difference_tangents(with_entry(CIRCLE[0], np.nan)),
+                "every point entry must be finite",
+            ),
+            (
+                lambda: finite_difference_tangents(with_entry(CIRCLE[0], -np.inf)),
+                "every point entry must be finite",
+            ),
+            (lambda: autocorr_first_zero(with_entry(NOISE, np.nan)), "series entry must be finite"),
+            (
+                lambda: mutual_information_first_min(with_entry(NOISE, np.nan)),
+                "series entry must be finite",
+            ),
+            (lambda: autocorr_first_zero(with_entry(NOISE, np.inf)), "series entry must be finite"),
+            (
+                lambda: mutual_information_first_min(with_entry(NOISE, np.inf)),
+                "series entry must be finite",
+            ),
+            # the squares overflow in the autocorrelation's dot product, and
+            # at 1e308 the mean and the histogram's range overflow too
+            (lambda: autocorr_first_zero(1e300 * SIGNS), "centred sum of squares overflows"),
+            (lambda: mutual_information_first_min(1e300 * SIGNS), "centred sum of squares overflows"),
+            (lambda: autocorr_first_zero(1e308 * SIGNS), "centred sum of squares overflows"),
+            (lambda: mutual_information_first_min(1e308 * SIGNS), "centred sum of squares overflows"),
         ],
-        ids=["tangent shape", "two points", "folded curve", "2-D series"],
+        ids=[
+            "tangent shape", "two points", "folded curve", "2-D series",
+            "NaN reach point", "NaN volume point", "inf volume point",
+            "NaN tangent point", "inf tangent point",
+            "NaN autocorrelation series", "NaN mutual-information series",
+            "inf autocorrelation series", "inf mutual-information series",
+            "1e300 autocorrelation series", "1e300 mutual-information series",
+            "1e308 autocorrelation series", "1e308 mutual-information series",
+        ],
     )
     def test_malformed_inputs_are_typed_errors(self, call, message):
         with pytest.raises(InvalidArgumentError, match=message):

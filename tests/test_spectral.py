@@ -116,6 +116,20 @@ class TestSoftRank:
         with pytest.raises(UndefinedSoftRankError):
             soft_rank(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite matrix"),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), "finite matrix"),
+            (1e200 * np.eye(2), "overflow"),
+            (1e-170 * np.eye(2), "underflows to 0"),
+        ],
+        ids=["NaN entry", "inf entry", "squares overflow", "squares underflow"],
+    )
+    def test_non_finite_or_unsquarable_matrix_rejected(self, g, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            soft_rank(g)
+
     def test_result_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
