@@ -4,9 +4,7 @@ The scalar time series is s_n = <alpha, x_n>. Stacking M consecutive past
 samples gives the delay vector; stacking the M backward iterates of a state
 gives the M x N trajectory matrix G (row m is Phi^{-m}(x)) and, flattened
 row by row, the trajectory vector in R^{MN}. Each is a plain read-only
-array. The delay vector is computed as G_x @ alpha. ``_backward_rows``
-forms the backward iterates (``_gathered_rows`` gathers them on a
-permutation flow); ``dynamics`` iterates the flow for orbits and Lyapunov probes.
+array. The delay vector is computed as G_x @ alpha.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, _check_seed, _check_state
+from .dynamics import FlowSpec, _check_seed, _check_state, _matvec_rows
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteTrajectoryError
 
 ENSEMBLES = ("rademacher", "gaussian")
@@ -147,40 +145,6 @@ def _warn_excess_delays(flow: FlowSpec, params: DelayParams) -> None:
         )
 
 
-def _gathered_rows(states: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Row k of each state gathered by ``powers[k]``, as a C-contiguous (n, m, N) array.
-
-    With powers = ``permutation_powers(flow.permutation, m)`` these are the
-    backward iterates of each state. Rows k >= 1 get ``+ 0.0``, which makes
-    them bit for bit the matvecs by ``flow.inverse``, whose zero sums are
-    +0.0. (``states[:, powers]`` gathers the same values, but not in C order,
-    which slows every later pass over the result.)
-    """
-    out = np.take(states, powers, axis=1)
-    out[:, 1:] += 0.0
-    return out
-
-
-def _backward_rows(flow: FlowSpec, states: np.ndarray, m: int, named: bool) -> np.ndarray:
-    """Rows x, Phi^{-1}(x), ..., Phi^{-m+1}(x) of each state, as an (n, m, N) array.
-
-    The rows are the matvecs by ``flow.inverse``, state by state, whatever
-    the flow, in a C-contiguous array; a permutation flow's ``PairTable``
-    gathers the same bits instead (``_gathered_rows``). Raises
-    NonFiniteTrajectoryError naming the first non-finite row of the first
-    state that has one (and that state's index, when ``named``).
-    """
-    out = np.empty((states.shape[0], m, flow.ambient_dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, cur in enumerate(states):
-            for k in range(m):
-                out[i, k] = cur
-                if k + 1 < m:
-                    cur = flow.inverse @ cur
-    _check_finite_rows(np.isfinite(out).all(axis=2), m, named)
-    return out
-
-
 def _check_finite_rows(finite: np.ndarray, m: int, named: bool) -> None:
     """Raise at the first False of ``finite[i, k]``: iterate k (of m) of state i is not finite."""
     if not finite.all():
@@ -197,7 +161,9 @@ def trajectory_matrix(flow: FlowSpec, x: np.ndarray, params: DelayParams) -> np.
     """Read-only M x N matrix of backward iterates; row 0 is x itself."""
     x = _check_state(flow, x)
     _warn_excess_delays(flow, params)
-    g = _backward_rows(flow, x[None], params.num_delays, named=False)[0]
+    g = _matvec_rows(flow.inverse, x[None], params.num_delays)
+    _check_finite_rows(np.isfinite(g).all(axis=2), params.num_delays, named=False)
+    g = g[0]
     g.setflags(write=False)
     return g
 
@@ -207,14 +173,18 @@ def trajectory_matrices(
 ) -> np.ndarray:
     """Stack of trajectory matrices, shape (len(samples), M, N).
 
-    Each sample is iterated independently, so entry i equals
+    The rows are the matvecs by ``flow.inverse`` whatever the flow, and each
+    sample is iterated independently, so entry i equals
     ``trajectory_matrix(flow, samples[i], params)`` bit for bit regardless
-    of which other samples are in the stack.
+    of which other samples are in the stack. Raises NonFiniteTrajectoryError
+    naming the first sample with a non-finite row, and that row.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     _check_sample_dim(flow, samples)
     _warn_excess_delays(flow, params)
-    return _backward_rows(flow, samples, params.num_delays, named=True)
+    stack = _matvec_rows(flow.inverse, samples, params.num_delays)
+    _check_finite_rows(np.isfinite(stack).all(axis=2), params.num_delays, named=True)
+    return stack
 
 
 def _check_sample_dim(flow: FlowSpec, samples: np.ndarray) -> None:

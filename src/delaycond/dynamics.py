@@ -5,6 +5,7 @@ orbit is the read-only (length, N) array of its states. A flow advances the
 state by one sampling interval; the inverse is precomputed once at
 construction (from a rank-revealing decomposition) because backward
 iteration sits in the innermost loop of trajectory-matrix construction.
+Every iterate is formed here, by ``_gathered_rows`` or ``_matvec_rows``.
 """
 
 from __future__ import annotations
@@ -94,6 +95,35 @@ def permutation_powers(perm: np.ndarray, m: int) -> np.ndarray:
     for k in range(1, m):
         powers[k] = powers[k - 1][perm]
     return powers
+
+
+def _gathered_rows(states: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Row k of each state gathered by ``powers[k]``, as a C-contiguous (n, m, N) array.
+
+    With powers = ``permutation_powers(flow.permutation, m)`` these are the
+    backward iterates of each state. Rows k >= 1 get ``+ 0.0``, which makes
+    them bit for bit the matvecs by ``flow.inverse``, whose zero sums are
+    +0.0. (``states[:, powers]`` gathers the same values, but not in C order,
+    which slows every later pass over the result.)
+    """
+    out = np.take(states, powers, axis=1)
+    out[:, 1:] += 0.0
+    return out
+
+
+def _matvec_rows(mat: np.ndarray, states: np.ndarray, m: int) -> np.ndarray:
+    """Rows x, A x, ..., A^(m-1) x of each state, A = ``mat``, as a C-contiguous (n, m, N) array.
+
+    Each state is iterated on its own; the caller names a row that overflows.
+    """
+    out = np.empty((states.shape[0], m, states.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, cur in enumerate(states):
+            for k in range(m):
+                out[i, k] = cur
+                if k + 1 < m:
+                    cur = mat @ cur
+    return out
 
 
 def is_permutation_orbit(flow: FlowSpec, states: np.ndarray) -> bool:
@@ -193,24 +223,20 @@ def inverse_step(flow: FlowSpec, x: np.ndarray) -> np.ndarray:
 def generate_orbit(flow: FlowSpec, x0: np.ndarray, length: int) -> np.ndarray:
     """Read-only (length, N) array of the forward orbit x0, Phi(x0), Phi^2(x0), ...
 
-    When ``flow.matrix`` is an exact 0/1 permutation matrix, each step is
-    the gather ``cur[forward] + 0.0`` instead of the matvec, with the same
-    bits for finite states: each matvec entry sums one exact 1 * x and
-    zeros, and that sum turns -0.0 into +0.0 as ``+ 0.0`` does. A state
-    that is not finite is a ``NonFiniteTrajectoryError`` naming its step,
-    x0 being step 0.
+    On a permutation flow (``flow.permutation`` set) state k is x0 gathered
+    by the powers of P^-1, P = ``flow.inverse``, with the matvecs' bits for
+    finite states: each matvec entry sums one exact 1 * x and zeros, and
+    that sum turns -0.0 into +0.0 as ``+ 0.0`` does. Other flows take the
+    matvecs by ``flow.matrix``. A state that is not finite is a
+    ``NonFiniteTrajectoryError`` naming its step, x0 being step 0.
     """
     if length < 1:
         raise InvalidArgumentError(f"orbit length must be >= 1, got {length}")
-    cur = _check_state(flow, x0)
-    forward = _permutation_of(flow.matrix)
-    states = np.empty((length, flow.ambient_dim))
-    # an overflowing step is reported below as the first state that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(length):
-            states[n] = cur
-            if n + 1 < length:
-                cur = flow.matrix @ cur if forward is None else cur[forward] + 0.0
+    x0 = _check_state(flow, x0)[None]
+    if flow.permutation is None:
+        states = _matvec_rows(flow.matrix, x0, length)[0]
+    else:
+        states = _gathered_rows(x0, permutation_powers(np.argsort(flow.permutation), length))[0]
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         first = int(np.argmin(finite))

@@ -39,6 +39,10 @@ _PERIOD_TOLERANCE = 1e-9
 # Normal components below this fraction of the chord length count as zero.
 _NORMAL_EXCLUSION = 1e-12
 
+# Point sets with a point of this norm or more are rejected: (2 * 2^511)^2 =
+# 2^1024 overflows.
+_LARGEST_NORM = 2.0**511
+
 # Histogram bins per axis of the mutual-information baseline, by default; a
 # series of any length may use this many.
 DEFAULT_NUM_BINS = 16
@@ -129,6 +133,8 @@ def _point_set(points: np.ndarray, min_points: int) -> np.ndarray:
 
     A 1-D array is one point. A NaN entry would drop out of every
     comparison and an infinite one swamp every sum, so either is an error.
+    So is a largest norm of 2^511 or more: no chord is longer than twice it,
+    and below that every chord square, and each reach quotient, is finite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2:
@@ -137,6 +143,13 @@ def _point_set(points: np.ndarray, min_points: int) -> np.ndarray:
         raise InvalidArgumentError(f"need at least {min_points} points, got {points.shape[0]}")
     if not np.all(np.isfinite(points)):
         raise InvalidArgumentError("every point entry must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected here
+        largest = float(np.max(_scaled_norms(points)))
+    if not largest < _LARGEST_NORM:
+        raise InvalidArgumentError(
+            f"a point has norm {largest:.3g}; the squares of chords between points "
+            f"of norm {_LARGEST_NORM:.3g} or more can overflow"
+        )
     return points
 
 
@@ -173,13 +186,14 @@ def reach_estimate(points: np.ndarray, tangents: np.ndarray) -> ReachEstimate:
     best = math.inf
     num_excluded = 0
     for a in range(n):
-        diffs = np.delete(points, a, axis=0) - points[a]
+        diffs = points - points[a]
         chord_sq = np.einsum("ij,ij->i", diffs, diffs)
         along = diffs @ tangents[a]
-        normal = diffs - np.outer(along, tangents[a])
-        normal_norm = np.linalg.norm(normal, axis=1)
+        diffs -= np.outer(along, tangents[a])  # now the normal parts
+        normal_norm = np.linalg.norm(diffs, axis=1)
         keep = normal_norm > _NORMAL_EXCLUSION * np.sqrt(chord_sq)
-        num_excluded += int(np.sum(~keep))
+        keep[a] = False  # a point and itself form no pair
+        num_excluded += n - 1 - int(np.count_nonzero(keep))
         if np.any(keep):
             quotients = chord_sq[keep] / (2.0 * normal_norm[keep])
             best = min(best, float(np.min(quotients)))

@@ -62,11 +62,10 @@ from .delay_map import (
     DelayParams,
     _check_finite_rows,
     _check_sample_dim,
-    _gathered_rows,
     _warn_excess_delays,
     trajectory_matrices,
 )
-from .dynamics import FlowSpec, _check_state, is_permutation_orbit, permutation_powers
+from .dynamics import FlowSpec, _check_state, _gathered_rows, is_permutation_orbit, permutation_powers
 from .errors import (
     DegeneratePairError,
     InvalidArgumentError,

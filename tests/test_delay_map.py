@@ -30,8 +30,8 @@ from delaycond import (
     trajectory_vector,
     user_coeffs,
 )
-from delaycond.delay_map import MeasurementCoeffs, _gathered_rows
-from delaycond.dynamics import permutation_powers
+from delaycond.delay_map import MeasurementCoeffs
+from delaycond.dynamics import _gathered_rows, permutation_powers
 
 from test_dynamics import PERMUTATION_KINDS, permutation_flow, well_conditioned_flow
 

@@ -275,6 +275,24 @@ class TestGenerateOrbit:
             states = generate_orbit(gather_only, x0, 9)
             assert np.array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
 
+    @pytest.mark.parametrize("linear", [False, True], ids=["shift", "linear permutation"])
+    @pytest.mark.parametrize("n", [2, 16, 257])
+    def test_orbit_is_the_matvec_orbit_bitwise(self, linear, n):
+        rng = np.random.default_rng(n)
+        flow = make_shift_flow(n)
+        if linear:
+            # a permutation matrix given as a general linear flow (kind = linear)
+            flow = make_linear_flow(np.eye(n)[rng.permutation(n)])
+        assert flow.permutation is not None  # so its orbits are gathers
+        for _ in range(5):
+            x0 = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            x0[rng.random(n) < 0.2] = -0.0
+            expected = [x0]
+            while len(expected) < 2 * n + 1:
+                expected.append(flow.matrix @ expected[-1])
+            states = generate_orbit(flow, x0, len(expected))
+            assert np.array_equal(states.view(np.uint64), np.array(expected).view(np.uint64))
+
     @pytest.mark.parametrize(
         "flow", [make_shift_flow(3), make_linear_flow(np.diag([1.0, 2.0, 3.0]))]
     )

@@ -23,6 +23,7 @@ from delaycond import (
     make_linear_flow,
     make_shift_flow,
     monte_carlo,
+    sample_attractor,
     scaling_study,
     theorem_condition_check,
     trajectory_matrices,
@@ -553,6 +554,37 @@ class TestPerPairOrderStatistics:
 def study_reports(flow, samples, m_list, draws):
     """One ``monte_carlo`` report per M, each on its own table, with the same draws."""
     return [monte_carlo(PairTable(flow, samples, DelayParams(m)), draws) for m in m_list]
+
+
+class TestEpsCeiling:
+    """The shift from a basis state with Rademacher draws: each delay vector is a
+    window w of M signs, and a pair's ratio ||w_i - w_j||^2 / 2M lies in [0, 2].
+    So eps <= 1, with equality when two windows are equal or opposite, which
+    pigeonhole forces once n > 2^(M - 1)."""
+
+    @staticmethod
+    def basis_table(n: int, m: int) -> PairTable:
+        flow = make_shift_flow(n)
+        return PairTable(flow, sample_attractor(flow, np.eye(n)[0], n).states, DelayParams(m))
+
+    def test_every_sign_vector_is_at_the_ceiling_at_n16_m4(self):
+        # 16 windows of 4 signs, but only 8 patterns up to sign
+        signs = 1.0 - 2.0 * ((np.arange(2**16)[:, None] >> np.arange(16)) & 1)
+        report = monte_carlo(self.basis_table(16, 4), [user_coeffs(alpha) for alpha in signs])
+        assert report.num_draws == 2**16
+        assert np.all(report.epsilons == 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_eps_is_at_most_one(self, n, data, seed):
+        m = data.draw(st.integers(1, n), label="m")
+        report = monte_carlo(
+            self.basis_table(n, m), draw_stream("rademacher", n, 8, seed), keep_per_pair=True
+        )
+        assert np.all(report.ratio_min >= 0.0) and np.all(report.ratio_max <= 2.0)
+        assert report.eps_max <= 1.0
+        if n > 2 ** (m - 1):
+            assert np.all(report.epsilons == 1.0)
 
 
 class TestScalingStudy:

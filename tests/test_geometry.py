@@ -435,6 +435,16 @@ class TestMalformedInputs:
             (lambda: mutual_information_first_min(1e300 * SIGNS), "centred sum of squares overflows"),
             (lambda: autocorr_first_zero(1e308 * SIGNS), "centred sum of squares overflows"),
             (lambda: mutual_information_first_min(1e308 * SIGNS), "centred sum of squares overflows"),
+            # finite points whose chord squares overflow
+            (lambda: curve_volume([[1e308, 0.0], [-1e308, 0.0]]), "chords .* can overflow"),
+            (
+                lambda: finite_difference_tangents(np.outer(1e308 * SIGNS[:4], [1.0, 0.0])),
+                "chords .* can overflow",
+            ),
+            (
+                lambda: reach_estimate(1e200 * CIRCLE[0][:3], CIRCLE[1][:3]),
+                "chords .* can overflow",
+            ),
         ],
         ids=[
             "tangent shape", "two points", "folded curve", "2-D series",
@@ -444,8 +454,17 @@ class TestMalformedInputs:
             "inf autocorrelation series", "inf mutual-information series",
             "1e300 autocorrelation series", "1e300 mutual-information series",
             "1e308 autocorrelation series", "1e308 mutual-information series",
+            "1e308 volume points", "1e308 tangent points", "1e200 reach points",
         ],
     )
     def test_malformed_inputs_are_typed_errors(self, call, message):
         with pytest.raises(InvalidArgumentError, match=message):
             call()
+
+    def test_points_near_1e150_are_accepted(self):
+        # the unit circle's estimates, scaled; a numpy warning would fail the test
+        points, tangents = CIRCLE
+        assert curve_volume(1e150 * points) == pytest.approx(1e150 * curve_volume(points))
+        assert np.allclose(finite_difference_tangents(1e150 * points), finite_difference_tangents(points))
+        reach = reach_estimate(1e150 * points, tangents)
+        assert reach.value == pytest.approx(1e150 * reach_estimate(points, tangents).value)

@@ -30,8 +30,7 @@ from delaycond import (
     trajectory_matrices,
 )
 from delaycond import embedding_analysis, runner, spectral
-from delaycond.delay_map import _gathered_rows
-from delaycond.dynamics import is_permutation_orbit
+from delaycond.dynamics import _gathered_rows, is_permutation_orbit
 from delaycond.spectral import PairTable, pair_indices
 
 from test_dynamics import (
