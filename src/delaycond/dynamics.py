@@ -5,7 +5,9 @@ orbit is the read-only (length, N) array of its states. A flow advances the
 state by one sampling interval; the inverse is precomputed once at
 construction (from a rank-revealing decomposition) because backward
 iteration sits in the innermost loop of trajectory-matrix construction.
-Every iterate is formed here, by ``_gathered_rows`` or ``_matvec_rows``.
+Every iterate is formed here: orbits and trajectory rows by
+``_gathered_rows`` or ``_matvec_rows``, and ``step``, ``inverse_step`` and
+the Lyapunov probes by a plain matvec.
 """
 
 from __future__ import annotations

@@ -221,8 +221,8 @@ _KEY_LOW, _KEY_HIGH = np.array(
 ).view(np.float64)
 
 # Doubles or int64s held per draw and pair, at most, while the middle values
-# are formed again: a buffered entry's draw, class and pair, its ratio and two
-# sort orders. The slices of the order keys are cut at this many.
+# are formed again: a buffered entry's draw, pair and ratio, two sort orders
+# and the sorted pairs. The slices of the order keys are cut at this many.
 _ENTRY_FLOATS = 6
 
 
@@ -285,19 +285,20 @@ def _exact_ratios(
 def _resolve_classes(
     table: PairTable, draws: list[MeasurementCoeffs], mid: np.ndarray, pending: list
 ) -> None:
-    """Write each pending pick: the value at its rank among its class's ratios.
+    """Write each open pair's middle values: slot s is the value at its rank + s in its class.
 
-    A class is ``2 * pair + c``: the entries of one pair with one key. Each
-    pending slice holds its entries (draw indices, classes) and its picks
-    (rows of ``mid``, classes, ranks within the class).
+    A pair's class is its entries whose keys lie from its low to its high
+    middle key. Each pending slice holds its entries (draw indices, pairs)
+    and its open pairs with their ranks.
     """
-    draw_idx, classes, slots, pick_classes, ranks = (
+    draw_idx, entry_pairs, open_pairs, ranks = (
         np.concatenate(column) for column in zip(*pending)
     )
-    values = _exact_ratios(table, draws, draw_idx, classes >> 1)
-    order = np.lexsort((values, classes))
-    first = np.searchsorted(classes[order], pick_classes)
-    mid[slots, pick_classes >> 1] = values[order[first + ranks]]
+    values = _exact_ratios(table, draws, draw_idx, entry_pairs)
+    order = np.lexsort((values, entry_pairs))
+    first = np.searchsorted(entry_pairs[order], open_pairs) + ranks
+    for s in range(mid.shape[0]):
+        mid[s, open_pairs] = values[order[first + s]]
 
 
 def _middle_ratios(
@@ -307,9 +308,10 @@ def _middle_ratios(
 
     Keys are monotone, so the ratio at a middle rank has the key at that
     rank, which one single-kth partition per ``_chunks`` slice of pairs
-    finds. An even key is its ratio. The ratios with an odd middle key (its
-    class, among the pair's keys) are formed again (``_exact_ratios``), and
-    the middle value is the one at its rank among them. A slice is cut so
+    finds. An even key is its ratio. A pair with an odd middle key is open:
+    its class, the ratios whose keys lie from its low to its high middle
+    key, is formed again (``_exact_ratios``), and its middle values are the
+    ones at their ranks in the sorted class. A slice is cut so
     that its entries would fit in ``_CHUNK_BYTES`` even if every one were
     formed again, and the entries are buffered over slices until they
     number a slice's keys.
@@ -324,29 +326,24 @@ def _middle_ratios(
         block = keys[:, part]
         ordered = np.partition(block, low, axis=0)
         top = ordered[low]
-        # the low middle value's rank among the ratios of its key
+        # the low middle value's rank in its class: the class's keys fill the
+        # ranks upward from those below its low middle key
         rank = low - np.count_nonzero(ordered[:low] < top, axis=0)
         tops = np.stack([top, np.min(ordered[high:], axis=0)] if high > low else [top])
         del ordered
         mid[:, part] = _key_values(tops)
-        odd = (tops & 1).astype(bool)
-        if not odd.any():
+        is_open = np.any(tops & 1, axis=0)
+        if not is_open.any():
             continue
-        # class 2p holds pair p's keys equal to its low middle key, class
-        # 2p + 1 those equal to a different high one, which the high rank
-        # leads; 0 is no key (a ratio below the binades has key 1)
-        slots, cols = np.nonzero(odd)
-        same = tops[slots, cols] == top[cols]
-        pairs = np.arange(part.start, part.stop)
-        picks = (slots, 2 * pairs[cols] + ~same, np.where(same, rank[cols] + slots, 0))
-        probes = np.where(odd, tops, 0)
-        members = block == probes[0]
-        if high > low:
-            members |= block == probes[1]
+        # an open pair's class: its keys from its low to its high middle key,
+        # which are adjacent, so no key lies strictly between; a closed pair
+        # gets the empty range 1..0
+        members = block >= np.where(is_open, top, 1)
+        members &= block <= np.where(is_open, tops[-1], 0)
         # a flat index is far cheaper to find than a 2-D one
         draw_idx, col = np.divmod(np.flatnonzero(members), members.shape[1])
-        classes = 2 * pairs[col] + (block[draw_idx, col] != top[col])
-        pending.append((draw_idx, classes, *picks))
+        pairs = np.arange(part.start, part.stop)
+        pending.append((draw_idx, pairs[col], pairs[is_open], rank[is_open]))
         buffered += draw_idx.size
         if buffered >= capacity:
             _resolve_classes(table, draws, mid, pending)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowSpec, _check_state, generate_orbit
+from .dynamics import FlowSpec, _check_state, generate_orbit, step
 from .errors import (
     InvalidArgumentError,
     NoEstimateError,
@@ -102,7 +102,7 @@ def sample_attractor(flow: FlowSpec, x0: np.ndarray, n: int) -> AttractorSample:
             )
         states = generate_orbit(flow, x0, n)
         # one lookahead state so a period of exactly n is still detected
-        returns = np.vstack([states[1:], flow.matrix @ states[-1]])
+        returns = np.vstack([states[1:], step(flow, states[-1])])
         returns -= states[0]
         tolerance = _PERIOD_TOLERANCE * _scaled_norms(states[:1])[0]
         returned = np.flatnonzero(_scaled_norms(returns) <= tolerance)

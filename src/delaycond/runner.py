@@ -129,12 +129,12 @@ def _counts(scan: PairScanResult, num_delays: int, draws: int) -> dict:
 
 
 def _environment(threads: int) -> dict:
-    """The manifest's ``environment``: what the run ran on, with ``threads`` resolved."""
+    """The manifest's ``environment``: what the run ran on, ``threads`` the resolved count."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "threads": resolve_threads(threads),
+        "threads": threads,
         "cpu_count": os.cpu_count(),
     }
 
@@ -206,6 +206,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     Returns the summary; ``passed`` is False when any pair broke the bound
     or its soft rank disagreed with the oracle beyond 1e-10.
     """
+    threads = resolve_threads(threads)
     if config.kind != "shift":
         raise InvalidArgumentError(
             "lemma-check is defined for the shift system only; got kind="
@@ -289,6 +290,7 @@ def run_scaling_study(config: ExperimentConfig, out_dir: str, threads: int = 1) 
 
     Every M takes its own table and scan and the same draws.
     """
+    threads = resolve_threads(threads)
     delays = config.delays
     if len(delays) < 3:
         raise ConfigError("delays: scaling study needs at least 3 delay counts")
@@ -429,6 +431,7 @@ def _per_pair_columns(
 
 def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Monte Carlo conditioning report with per-pair and geometry companions."""
+    threads = resolve_threads(threads)
     if len(config.delays) != 1:
         raise ConfigError("delays: the report runs a single delay count; give one value")
     flow = build_flow(config)

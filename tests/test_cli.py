@@ -1202,6 +1202,25 @@ class TestCliMain:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["lemma-check", "scaling", "report"])
+    def test_threads_above_the_bound_exit_one_before_any_table_or_draw(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was built or a draw ran")
+
+        monkeypatch.setattr(runner, "monte_carlo", no_work)
+        monkeypatch.setattr(runner, "PairTable", no_work)
+        config_path = minimal_shift_config(
+            tmp_path, delays="2, 3, 4" if command == "scaling" else "4"
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", config_path, "--out", str(out), "--threads", "999"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: threads: must be in [0, {spectral.MAX_THREADS}], got 999" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, delays", [("lemma-check", "2, 4, 2"), ("scaling", "2, 4, 4")]
     )

@@ -466,6 +466,33 @@ class TestPerPairOrderStatistics:
         # a pair whose middle class holds at least 5 draws
         assert max(np.bincount(pairs).max() for pairs in formed) >= 5
 
+    def test_mixed_middle_keys(self, monkeypatch):
+        # on 8 basis states at M = 4 a Rademacher ratio is h/8, an even key,
+        # and a Gaussian one mostly an odd key: with one of each every pair's
+        # two middle keys are one even and one odd, and with 2 more
+        # Rademacher draws 15 of the 28 pairs' are
+        formed = []
+
+        def recording_exact_ratios(table, draws, draw_idx, pairs):
+            formed.append(pairs)
+            return _exact_ratios(table, draws, draw_idx, pairs)
+
+        monkeypatch.setattr(embedding_analysis, "_exact_ratios", recording_exact_ratios)
+        table = PairTable(make_shift_flow(8), np.eye(8), DelayParams(4))
+        mixed_pairs = {(): 28, (5, 6): 15}
+        for extra, num_mixed in mixed_pairs.items():
+            draws = [draw_coeffs("rademacher", 8, 3), draw_coeffs("gaussian", 8, 4)]
+            draws += [draw_coeffs("rademacher", 8, seed) for seed in extra]
+            formed.clear()
+            report = monte_carlo(table, draws, keep_per_pair=True)
+            expected = dense_order_statistics(table, draws)
+            assert per_pair_bytes(report) == [a.tobytes() for a in expected]
+            keys = np.sort(_order_keys(np.stack([table.ratios(c.alpha) for c in draws])), axis=0)
+            low, high = (len(draws) - 1) // 2, len(draws) // 2
+            mixed = np.flatnonzero(keys[low] % 2 != keys[high] % 2)
+            assert mixed.size == num_mixed
+            assert set(mixed) <= set(np.concatenate(formed))
+
     def test_shipped_report_forms_no_ratio_again(self, monkeypatch):
         # its Rademacher ratios are h/8, so every middle key is exact
         config = load_config(

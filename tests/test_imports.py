@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-public name a package module defines is read by some module or exported."""
+"""Every name a package module imports is used in that module, every public
+name a package module defines is read by some module or exported, and every
+private one is read by some module."""
 
 import ast
 import pathlib
@@ -41,6 +42,16 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["derive_seed (line 2)"]
 
 
+def names_read(tree: ast.Module) -> set[str]:
+    """The names that ``tree`` loads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
 def unread_public_names(modules: dict[str, str], exports: str) -> list[str]:
     """Public top-level functions and classes of ``modules`` (name: source) that no
     module reads and ``exports`` (the package ``__init__``) does not import."""
@@ -53,11 +64,7 @@ def unread_public_names(modules: dict[str, str], exports: str) -> list[str]:
     defined = []
     for module, source in modules.items():
         tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(tree)
         defined += [
             (module, node.name)
             for node in tree.body
@@ -79,3 +86,44 @@ def test_an_unread_public_name_is_found():
     }
     exports = "from .b import Exported\n"
     assert unread_public_names(modules, exports) == ["a.unused", "b.Orphan"]
+
+
+def unread_private_names(modules: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants of ``modules`` (name: source)
+    that no module reads."""
+    read, defined = set(), []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        read |= names_read(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    name.id
+                    for name in ast.walk(node)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                ]
+            else:
+                names = []
+            defined += [
+                (module, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")  # not a dunder
+            ]
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_name_is_read():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_private_names(modules) == []
+
+
+def test_an_unread_private_name_is_found():
+    modules = {
+        "a": "_LIMIT = 3\n_SPARE: int = 4\n_LOW, _HIGH = 1, 2\n\n\ndef _helper():\n"
+        "    return _LIMIT + _LOW\n",
+        "b": "from .a import _helper\n\n\nclass _Orphan:\n    pass\n\n\ndef _dead():\n"
+        "    _helper()\n\n\n__version__ = '1'\n",
+    }
+    assert unread_private_names(modules) == ["a._HIGH", "a._SPARE", "b._Orphan", "b._dead"]
