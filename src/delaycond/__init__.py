@@ -72,7 +72,6 @@ from .geometry import (
 from .spectral import (
     PairScanResult,
     PairTable,
-    SoftRankResult,
     infimum_soft_rank,
     pair_soft_rank,
     shift_system_oracle,

@@ -119,9 +119,10 @@ _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw_items"}
 
 def _parse_items(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark some editors write first
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     items: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -188,12 +189,16 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> Experimen
 
 
 def _load_csv(path: str, key: str) -> np.ndarray:
-    """The rows of a numeric CSV file, or a ConfigError naming ``key``."""
+    """The rows of a numeric CSV file, or a ConfigError naming ``key``.
+
+    Read as UTF-8 with an optional byte-order mark, which spreadsheet
+    exports ("CSV UTF-8") write first.
+    """
     with warnings.catch_warnings():
         # numpy only warns on a file with no rows; that is rejected below
         warnings.simplefilter("ignore", UserWarning)
         try:
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
         except ValueError as exc:
             raise ConfigError(f"{key}: could not parse CSV: {exc}") from exc
     if rows.shape[0] == 0:

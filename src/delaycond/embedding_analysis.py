@@ -176,7 +176,7 @@ def isometry_ratio(
     table = _pair_table(flow, x, y, params)
     diff = table.differences(slice(0, 1))[0]
     return PairDiagnostics(
-        soft_rank=soft_rank(diff).value,
+        soft_rank=soft_rank(diff),
         chord_norms=np.sqrt(np.einsum("mn,mn->m", diff, diff)),
         ratio=float(table.ratios(a)[0]),
     )

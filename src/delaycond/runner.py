@@ -208,9 +208,8 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     """
     threads = resolve_threads(threads)
     if config.kind != "shift":
-        raise InvalidArgumentError(
-            "lemma-check is defined for the shift system only; got kind="
-            + config.kind
+        raise ConfigError(
+            f"kind: lemma-check is defined for the shift system only; got {config.kind}"
         )
     n = config.ambient_dim
     if max(config.delays) > n:
@@ -232,7 +231,7 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         seps = (basis[table.j_idx] - basis[table.i_idx]) % n
         # the oracle depends on the pair only through its separation
         unique_seps, where = np.unique(seps, return_inverse=True)
-        oracle = shift_system_oracle(n, m, unique_seps).value[where]
+        oracle = shift_system_oracle(n, m, unique_seps)[where]
         max_disagreement = float(np.max(np.abs(scan.soft_ranks - oracle)))
         satisfied = scan.soft_ranks >= bound - BOUND_SLACK
         all_satisfied = bool(np.all(satisfied))
@@ -445,6 +444,8 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             f"which need a curved orbit of at least 3 orbit-ordered samples; {manifold['note']}"
         )
     draws = draw_stream(config.ensemble, flow.ambient_dim, config.num_draws, config.base_seed)
+    # before the draws, so that a bad ``num_bins`` fails before any of them
+    dynamics = _dynamics_entries(config, table, draws[0])
     # the draws' (draws, pairs) order keys live only as long as the call,
     # and the call runs before the scan, so the two peaks of memory never
     # add up
@@ -477,10 +478,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     files = {
         "embedding_report.json": report_payload,
         "per_pair.csv": _per_pair_columns(table, scan, report),
-        "geometry.json": {
-            "trajectory_manifold": manifold,
-            **_dynamics_entries(config, table, draws[0]),
-        },
+        "geometry.json": {"trajectory_manifold": manifold, **dynamics},
     }
 
     if config.c_user is not None:

@@ -101,20 +101,6 @@ BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class SoftRankResult:
-    """Soft rank with the norms and singular values behind it.
-
-    From ``shift_system_oracle`` over an array of separations, each field
-    holds one entry per separation along a leading axis.
-    """
-
-    value: float | np.ndarray
-    frobenius_sq: float | np.ndarray
-    spectral_sq: float | np.ndarray
-    singular_values: np.ndarray  # descending
-
-
-@dataclass(frozen=True)
 class PairScanResult:
     """Minimum soft rank over all sample pairs (an upper bound estimate).
 
@@ -136,11 +122,13 @@ class PairScanResult:
     soft_ranks: np.ndarray = field(repr=False)
 
 
-def soft_rank(g: np.ndarray) -> SoftRankResult:
+def soft_rank(g: np.ndarray) -> float:
     """Squared Frobenius norm over squared spectral norm of a nonzero finite matrix.
 
-    A non-finite entry, or singular values whose squares overflow or whose
-    largest square underflows to 0, is an ``InvalidArgumentError``.
+    A ``float``: sum(s^2) / s_0^2 over the singular values s of ``g``,
+    largest first. A non-finite entry, or singular values whose squares
+    overflow or whose largest square underflows to 0, is an
+    ``InvalidArgumentError``.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
@@ -157,18 +145,13 @@ def soft_rank(g: np.ndarray) -> SoftRankResult:
         raise InvalidArgumentError(
             "soft rank: the squared singular values overflow, or the largest underflows to 0"
         )
-    return SoftRankResult(
-        value=frobenius_sq / spectral_sq,
-        frobenius_sq=frobenius_sq,
-        spectral_sq=spectral_sq,
-        singular_values=s,
-    )
+    return frobenius_sq / spectral_sq
 
 
 def pair_soft_rank(
     flow: FlowSpec, x: np.ndarray, y: np.ndarray, params: DelayParams
-) -> SoftRankResult:
-    """Soft rank of the trajectory-matrix difference G_x - G_y.
+) -> float:
+    """Soft rank of the trajectory-matrix difference G_x - G_y, a ``float``.
 
     Read from the two-sample ``PairTable`` of (x, y), so it is the scan's
     dense value of that pair bit for bit.
@@ -458,20 +441,21 @@ def infimum_soft_rank(table: PairTable, threads: int = 1) -> PairScanResult:
     )
 
 
-def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
+def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> float | np.ndarray:
     """Analytic soft rank of G_x - G_y for shift-flow basis states d apart.
 
     The rows of G_x - G_y are e_{a+k} - e_{a+d+k} (indices mod n), so the
     Gram matrix is 2 I_M minus ones at index offsets congruent to +/-d mod n.
     For m = n the Gram is circulant with eigenvalues 4 sin^2(pi j d / n);
     for m < n it is built explicitly and solved densely. The squared
-    Frobenius norm is the trace, exactly 2m.
+    Frobenius norm is the trace, exactly 2m, and the squared spectral norm
+    the largest eigenvalue, so the soft rank is 2m over that eigenvalue.
 
-    ``d`` is one separation or a 1-D integer array of them. For an array,
-    every field gains a leading separation axis, and the Grams are solved
-    together, one batched ``eigvalsh`` per ``_chunks`` slice of Grams (at
-    most ``_CHUNK_BYTES``); each separation gets the bits its own scalar
-    call gives.
+    ``d`` is one separation, giving a ``float``, or a 1-D integer array of
+    them, giving a 1-D array of one soft rank per separation. The Grams of
+    an array are solved together, one batched ``eigvalsh`` per ``_chunks``
+    slice of Grams (at most ``_CHUNK_BYTES``); each separation gets the bits
+    its own scalar call gives.
 
     The result always satisfies value >= m/2: the Gram's largest eigenvalue
     is at most 4 because each backward iterate appears in at most two rows.
@@ -499,10 +483,8 @@ def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
             gram -= offsets.T == batch[part, :, None]
             eigs[part] = np.linalg.eigvalsh(gram)
 
-    eigs = np.sort(np.clip(eigs, 0.0, None))[:, ::-1]
-    frobenius_sq = 2.0 * m  # exact trace of the Gram
-    spectral_sq = eigs[:, 0]
-    value = frobenius_sq / spectral_sq
+    # 2m is the exact trace of the Gram, so its largest eigenvalue is positive
+    value = 2.0 * m / np.max(eigs, axis=1)
     below = np.flatnonzero(~(value >= m / 2 - BOUND_SLACK))
     if below.size:
         k = below[0]
@@ -510,16 +492,4 @@ def shift_system_oracle(n: int, m: int, d: int | np.ndarray) -> SoftRankResult:
             f"shift oracle produced value {value[k]} below the m/2 bound for "
             f"(n={n}, m={m}, d={batch[k, 0]})"
         )
-    if seps.ndim == 0:
-        return SoftRankResult(
-            value=float(value[0]),
-            frobenius_sq=frobenius_sq,
-            spectral_sq=float(spectral_sq[0]),
-            singular_values=np.sqrt(eigs[0]),
-        )
-    return SoftRankResult(
-        value=value,
-        frobenius_sq=np.full(value.shape, frobenius_sq),
-        spectral_sq=spectral_sq,
-        singular_values=np.sqrt(eigs),
-    )
+    return float(value[0]) if seps.ndim == 0 else value

@@ -36,16 +36,12 @@ from delaycond.geometry import curve_volume, reach_estimate
 from delaycond.runner import run_full_report, run_scaling_study
 
 from test_dynamics import well_conditioned_flow
+from test_spectral import matrix_rank_of
 
 # Slack for bound comparisons where the bound is attained exactly and only
 # floating-point noise can cross it (e.g. N=32, M=32, d=16 gives soft rank
 # M/2 exactly).
 EXACT_BOUND_SLACK = 1e-9
-
-
-def matrix_rank_of(result):
-    """Number of singular values above 1e-10 times the largest."""
-    return int(np.sum(result.singular_values > 1e-10 * result.singular_values[0]))
 
 
 def report(num, name, ok, elapsed, budget, detail=""):
@@ -86,8 +82,8 @@ def test_criterion_2_circulant_oracle_agreement():
         stack = {m: trajectory_matrices(flow, eye, DelayParams(m)) for m in range(1, n + 1)}
         for m in range(1, n + 1):
             for d in range(1, n):
-                dense = soft_rank(stack[m][0] - stack[m][d]).value
-                oracle = shift_system_oracle(n, m, d).value
+                dense = soft_rank(stack[m][0] - stack[m][d])
+                oracle = shift_system_oracle(n, m, d)
                 worst = max(worst, abs(dense - oracle))
     elapsed = time.time() - start
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -181,16 +177,16 @@ def test_criterion_5_algebraic_identities():
     for _ in range(200):
         g = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 9))))
         c = float(rng.uniform(1e-6, 1e6)) * (1 if rng.integers(2) else -1)
-        base = soft_rank(g).value
-        worst_scale = max(worst_scale, abs(soft_rank(c * g).value - base) / base)
+        base = soft_rank(g)
+        worst_scale = max(worst_scale, abs(soft_rank(c * g) - base) / base)
 
     # bounds on 1000 random matrices
     bounds_ok = True
     for _ in range(1000):
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        res = soft_rank(rng.standard_normal((m, n)))
-        rank = matrix_rank_of(res)
-        bounds_ok = bounds_ok and (1.0 - 1e-12 <= res.value <= rank + 1e-9 and rank <= min(m, n))
+        g = rng.standard_normal((m, n))
+        rank = matrix_rank_of(g)
+        bounds_ok = bounds_ok and (1.0 - 1e-12 <= soft_rank(g) <= rank + 1e-9 and rank <= min(m, n))
 
     elapsed = time.time() - start
     ok = (

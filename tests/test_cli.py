@@ -31,7 +31,7 @@ from delaycond.config import (
 )
 from delaycond.delay_map import DelayParams, derive_seed, draw_coeffs, draw_stream
 from delaycond.embedding_analysis import monte_carlo
-from delaycond.errors import ConfigError, InvalidArgumentError
+from delaycond.errors import ConfigError
 from delaycond.runner import run_full_report, run_lemma_check, run_scaling_study, write_csv
 from delaycond.spectral import PairTable, infimum_soft_rank
 
@@ -297,6 +297,39 @@ class TestBuildPieces:
         assert period == 8
         assert sorted(int(np.argmax(s)) for s in samples) == list(range(8))
 
+    @pytest.mark.parametrize("marked", ["config", "matrix_path", "samples_path"])
+    def test_a_byte_order_mark_loads_as_the_plain_file(self, tmp_path, marked):
+        # some editors, and spreadsheet "CSV UTF-8" exports, write a UTF-8 BOM first
+        def config_text(paths):
+            return "kind = linear\ndelays = 2\n" + "".join(
+                f"{key} = {path}\n" for key, path in paths.items()
+            )
+
+        paths = {"matrix_path": tmp_path / "m.csv", "samples_path": tmp_path / "s.csv"}
+        np.savetxt(paths["matrix_path"], np.diag([2.0, 0.5]), delimiter=",")
+        np.savetxt(paths["samples_path"], [[1.0, 1.0], [2.0, -1.0], [0.5, 3.0]], delimiter=",")
+        plain = write_config(tmp_path / "c.cfg", config_text(paths))
+        source = pathlib.Path(plain) if marked == "config" else paths[marked]
+        copy = tmp_path / f"bom{source.suffix}"
+        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        if marked == "config":
+            bom = str(copy)
+        else:
+            bom = write_config(tmp_path / "bom_paths.cfg", config_text({**paths, marked: copy}))
+        expected, config = load_config(plain), load_config(bom)
+        if marked == "config":
+            assert config == expected
+        flow, expected_flow = build_flow(config), build_flow(expected)
+        assert flow.matrix.tobytes() == expected_flow.matrix.tobytes()
+        samples = build_samples(config, flow)[0]
+        assert samples.tobytes() == build_samples(expected, expected_flow)[0].tobytes()
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"kind = shift\xff\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+            load_config(str(path))
+
     def test_explicit_samples_file(self, tmp_path):
         samples_file = tmp_path / "samples.csv"
         np.savetxt(samples_file, np.eye(8)[:4], delimiter=",")
@@ -344,7 +377,7 @@ class TestRunLemmaCheck:
             f"kind = linear\nmatrix_path = {matrix_file}\n"
             "origin = 1, 1\nnum_samples = 5\ndelays = 2\n",
         )
-        with pytest.raises(InvalidArgumentError, match="shift"):
+        with pytest.raises(ConfigError, match="^kind: lemma-check is defined for the shift"):
             run_lemma_check(load_config(path), str(tmp_path / "out"))
 
     def test_half_window_rows_attain_the_bound_exactly(self, tmp_path):
@@ -1126,13 +1159,34 @@ class TestCliMain:
         def no_histogram(*args, **kwargs):
             raise AssertionError("a histogram was formed")
 
+        def no_work(*args, **kwargs):
+            raise AssertionError("a draw or the scan ran")
+
         monkeypatch.setattr(np, "histogram2d", no_histogram)
+        monkeypatch.setattr(runner, "monte_carlo", no_work)
+        monkeypatch.setattr(runner, "infimum_soft_rank", no_work)
         # the 8 orbit samples make a series of length 8
         config_path = minimal_shift_config(tmp_path, num_bins="17")
         out = tmp_path / "o"
         assert main(["report", "--config", config_path, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "error: num_bins must be <= max(series length 8, 16), got 17" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_lemma_check_on_a_linear_flow_names_the_kind(self, tmp_path, capsys):
+        matrix_file = tmp_path / "m.csv"
+        np.savetxt(matrix_file, np.diag([2.0, 0.5]), delimiter=",")
+        config_path = write_config(
+            tmp_path / "c.cfg",
+            f"kind = linear\nmatrix_path = {matrix_file}\n"
+            "origin = 1, 1\nnum_samples = 5\ndelays = 2\n",
+        )
+        out = tmp_path / "o"
+        assert main(["lemma-check", "--config", config_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: kind: lemma-check is defined for the shift system only" in captured.err
+        assert "got linear" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
