@@ -20,7 +20,7 @@ import numpy as np
 
 from .delay_map import ENSEMBLES
 from .dynamics import FlowSpec, make_linear_flow, make_shift_flow
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError, NonInvertibleFlowError
 from .geometry import DEFAULT_NUM_BINS, sample_attractor
 
 
@@ -207,11 +207,18 @@ def _load_csv(path: str, key: str) -> np.ndarray:
 
 
 def build_flow(config: ExperimentConfig) -> FlowSpec:
-    """Instantiate the configured flow; a given ``ambient_dim`` must be its dimension."""
+    """Instantiate the configured flow; a given ``ambient_dim`` must be its dimension.
+
+    A ``matrix_path`` matrix that is not square, not finite or singular is a
+    ConfigError naming that key.
+    """
     if config.kind == "shift":
-        return make_shift_flow(config.ambient_dim, config.sampling_interval)
+        return make_shift_flow(config.ambient_dim)
     matrix = _load_csv(config.matrix_path, "matrix_path")
-    flow = make_linear_flow(matrix, config.sampling_interval)
+    try:
+        flow = make_linear_flow(matrix)
+    except (InvalidArgumentError, NonInvertibleFlowError) as exc:
+        raise ConfigError(f"matrix_path: {exc}") from exc
     if config.ambient_dim not in (None, flow.ambient_dim):
         raise ConfigError(
             f"ambient_dim: {config.ambient_dim} does not match the "
@@ -247,7 +254,8 @@ def build_samples(config: ExperimentConfig, flow: FlowSpec):
 
     Returns (states, description, period): orbit samples carry their
     detected period (None if the orbit never wrapped); explicit sample
-    files carry period None and are not assumed orbit-ordered.
+    files carry period None and are not assumed orbit-ordered. A sample
+    file needs at least 2 rows, the bound of ``num_samples``.
     """
     if config.samples_path is not None:
         states = _load_csv(config.samples_path, "samples_path")
@@ -255,6 +263,10 @@ def build_samples(config: ExperimentConfig, flow: FlowSpec):
             raise ConfigError(
                 f"samples_path: states have dimension {states.shape[1]}, "
                 f"flow dimension is {flow.ambient_dim}"
+            )
+        if states.shape[0] < 2:
+            raise ConfigError(
+                f"samples_path: need at least 2 samples to form a pair, got {states.shape[0]}"
             )
         return states, f"file:{os.path.basename(config.samples_path)}", None
     origin = parse_origin(config.origin, flow.ambient_dim)

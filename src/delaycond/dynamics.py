@@ -29,12 +29,14 @@ from .errors import (
 SINGULARITY_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowSpec:
     """An invertible linear map on R^N applied once per sampling interval.
 
-    ``sampling_interval`` is metadata carried into reports, positive and
-    finite; the dynamics are already discretized.
+    The flow is the map Phi_{T_s} itself; the interval T_s that names it is
+    config metadata (``ExperimentConfig.sampling_interval``), which no
+    computation reads. Flows compare and hash by identity, since their
+    array fields have no single truth value.
 
     ``permutation`` is set at construction when ``inverse`` is an exact 0/1
     permutation matrix P, else None: then P x == x[permutation] for every x,
@@ -43,16 +45,9 @@ class FlowSpec:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    sampling_interval: float = 1.0
-    permutation: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    permutation: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.sampling_interval < math.inf:
-            raise InvalidArgumentError(
-                f"sampling interval must be positive and finite, got {self.sampling_interval}"
-            )
         object.__setattr__(self, "permutation", _permutation_of(self.inverse))
 
     @property
@@ -151,7 +146,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def make_shift_flow(n: int, sampling_interval: float = 1.0) -> FlowSpec:
+def make_shift_flow(n: int) -> FlowSpec:
     """Cyclic shift flow on R^n: Phi e_j = e_{j-1 mod n}.
 
     The matrix has ones on the superdiagonal and a one in the bottom-left
@@ -164,19 +159,16 @@ def make_shift_flow(n: int, sampling_interval: float = 1.0) -> FlowSpec:
     idx = np.arange(n - 1)
     phi[idx, idx + 1] = 1.0
     phi[n - 1, 0] = 1.0
-    return FlowSpec(
-        matrix=_freeze(phi),
-        inverse=_freeze(phi.T),
-        sampling_interval=float(sampling_interval),
-    )
+    return FlowSpec(matrix=_freeze(phi), inverse=_freeze(phi.T))
 
 
-def make_linear_flow(matrix: np.ndarray, sampling_interval: float = 1.0) -> FlowSpec:
+def make_linear_flow(matrix: np.ndarray) -> FlowSpec:
     """Wrap a square invertible matrix as a flow, precomputing its inverse.
 
     Invertibility is checked on the singular values: the flow is rejected
-    when sigma_min <= 1e-12 * sigma_max. The inverse is assembled from the
-    same decomposition.
+    when sigma_min <= 1e-12 * sigma_max, a NonInvertibleFlowError; a matrix
+    that is not square or not finite is an InvalidArgumentError. The inverse
+    is assembled from the same decomposition.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -190,11 +182,7 @@ def make_linear_flow(matrix: np.ndarray, sampling_interval: float = 1.0) -> Flow
             f"{0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e})"
         )
     inverse = (vt.T / s) @ u.T
-    return FlowSpec(
-        matrix=_freeze(mat),
-        inverse=_freeze(inverse),
-        sampling_interval=float(sampling_interval),
-    )
+    return FlowSpec(matrix=_freeze(mat), inverse=_freeze(inverse))
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:

@@ -43,7 +43,7 @@ from .embedding_analysis import (
     scaling_study,
     theorem_condition_check,
 )
-from .errors import ConfigError, InvalidArgumentError, NoEstimateError, ZeroVarianceError
+from .errors import ConfigError, NoEstimateError, ZeroVarianceError
 from .geometry import (
     REACH_BIAS_NOTE,
     VOLUME_BIAS_NOTE,
@@ -186,16 +186,6 @@ def _write_run(
     write_manifest(out_dir, config, list(files), counts, threads)
 
 
-def _basis_index(state: np.ndarray) -> int:
-    """Index p with state == e_p exactly; error otherwise."""
-    nonzero = np.flatnonzero(state)
-    if nonzero.size != 1 or state[nonzero[0]] != 1.0:
-        raise InvalidArgumentError(
-            "lemma check requires exact canonical basis states as samples"
-        )
-    return int(nonzero[0])
-
-
 def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     """Soft-rank bound check of every sample pair of the shift system.
 
@@ -204,7 +194,9 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
     A pair in the scan's band holds its own dense value, and any other pair
     its screen value, its own up to rounding (``infimum_soft_rank``).
     Returns the summary; ``passed`` is False when any pair broke the bound
-    or its soft rank disagreed with the oracle beyond 1e-10.
+    or its soft rank disagreed with the oracle beyond 1e-10. Every sample
+    must be an exact basis state e_p, or a ConfigError names the samples'
+    key (``origin`` or ``samples_path``) and the first sample that is not.
     """
     threads = resolve_threads(threads)
     if config.kind != "shift":
@@ -218,7 +210,16 @@ def run_lemma_check(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
         )
     flow = build_flow(config)
     samples, desc, _period = build_samples(config, flow)
-    basis = np.array([_basis_index(s) for s in samples])
+    # the oracle's separations need each sample to be exactly some e_p
+    basis = np.argmax(samples != 0.0, axis=1)
+    exact = np.count_nonzero(samples, axis=1) == 1
+    exact &= samples[np.arange(len(samples)), basis] == 1.0
+    if not exact.all():
+        key = "origin" if config.samples_path is None else "samples_path"
+        raise ConfigError(
+            f"{key}: lemma-check needs exact canonical basis states as samples; "
+            f"sample {int(np.argmin(exact))} is not one"
+        )
 
     files = {}
     per_m = []
@@ -460,7 +461,7 @@ def run_full_report(config: ExperimentConfig, out_dir: str, threads: int = 1) ->
             "ambient_dim": flow.ambient_dim,
             "num_delays": params.num_delays,
             "num_samples": table.shape[0],
-            "sampling_interval": flow.sampling_interval,
+            "sampling_interval": config.sampling_interval,
             "samples": desc,
         },
         "quantiles": {f"{q:.2f}": v for q, v in report.quantiles.items()},

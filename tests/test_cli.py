@@ -512,6 +512,13 @@ class TestRunFullReport:
         # no c_user and manifold_dim, so no sufficient-condition check
         assert not os.path.exists(os.path.join(out, "theorem_check.json"))
 
+    def test_sampling_interval_is_read_from_the_config(self, tmp_path):
+        config = load_config(minimal_shift_config(tmp_path, sampling_interval="0.25"))
+        out = tmp_path / "out"
+        run_full_report(config, str(out))
+        with open(out / "embedding_report.json", encoding="utf-8") as handle:
+            assert json.load(handle)["params"]["sampling_interval"] == 0.25
+
     def test_each_draw_is_made_once(self, tmp_path, monkeypatch):
         # the delay-selection series takes the stream's first draw, not a
         # draw of its own
@@ -1115,10 +1122,15 @@ class TestCliMain:
             ({"base_seed": "-1"}, [], "base_seed"),
             ({}, ["--seed", "-1"], "base_seed"),
             ({"sampling_interval": "inf"}, [], "sampling_interval"),
+            ({"sampling_interval": "nan"}, [], "sampling_interval"),
+            ({"sampling_interval": "0.0"}, [], "sampling_interval"),
+            ({"sampling_interval": "-1.0"}, [], "sampling_interval"),
             ({"target_eps_grid": "0.5, inf"}, [], "target_eps_grid"),
             ({"c_user": "1e400", "manifold_dim": "1.0"}, [], "c_user"),
         ],
-        ids=["base_seed", "--seed", "sampling_interval", "target_eps_grid", "c_user"],
+        ids=["base_seed", "--seed", "sampling_interval", "sampling_interval_nan",
+             "sampling_interval_zero", "sampling_interval_negative", "target_eps_grid",
+             "c_user"],
     )
     def test_out_of_bound_key_exit_one(self, tmp_path, capsys, overrides, argv, key):
         config_path = minimal_shift_config(tmp_path, **overrides)
@@ -1141,15 +1153,43 @@ class TestCliMain:
             ({"origin": "x1"}, "origin", "expected 'e<k>'"),
             ({"num_samples": None, "samples_path": "samples.csv"}, "samples_path",
              "states have dimension 3, flow dimension is 8"),
+            ({"num_samples": None, "samples_path": "one_row.csv"}, "samples_path",
+             "need at least 2 samples to form a pair, got 1"),
+            ({"kind": "linear", "ambient_dim": None, "matrix_path": "singular.csv"},
+             "matrix_path", "flow matrix is numerically singular"),
+            ({"kind": "linear", "ambient_dim": None, "matrix_path": "wide.csv"},
+             "matrix_path", "flow matrix must be square, got shape (2, 3)"),
+            ({"kind": "linear", "ambient_dim": None, "matrix_path": "non_finite.csv"},
+             "matrix_path", "flow matrix contains non-finite entries"),
+            ({"origin": "1, 2, 0, 0, 0, 0, 0, 0", "command": "lemma-check"}, "origin",
+             "lemma-check needs exact canonical basis states as samples; sample 0 is not one"),
+            ({"num_samples": None, "samples_path": "scaled_basis.csv", "command": "lemma-check"},
+             "samples_path",
+             "lemma-check needs exact canonical basis states as samples; sample 2 is not one"),
         ],
         ids=["kind", "ambient_dim", "num_samples", "delays", "integer", "number", "origin",
-             "samples_path"],
+             "samples_path", "samples_path_one_row", "matrix_path_singular",
+             "matrix_path_not_square", "matrix_path_non_finite",
+             "lemma_origin_not_basis", "lemma_samples_path_not_basis"],
     )
     def test_missing_or_malformed_key_exit_one(self, tmp_path, capsys, overrides, key, message):
-        np.savetxt(tmp_path / "samples.csv", np.eye(3), delimiter=",")
+        files = {
+            "samples.csv": np.eye(3),
+            "one_row.csv": np.eye(8)[:1],
+            "singular.csv": np.diag([1.0, 1e-13]),
+            "wide.csv": np.ones((2, 3)),
+            "non_finite.csv": [[1.0, math.nan], [0.0, 1.0]],
+            # e_2 with -0.0 elsewhere is a basis state; 2 e_4 is not
+            "scaled_basis.csv": [np.eye(8)[0], np.where(np.eye(8)[1], 1.0, -0.0),
+                                 2 * np.eye(8)[3], np.eye(8)[5]],
+        }
+        for name, rows in files.items():
+            np.savetxt(tmp_path / name, rows, delimiter=",")
+        overrides = dict(overrides)
+        command = overrides.pop("command", "report")
         config_path = minimal_shift_config(tmp_path, **overrides)
         out = tmp_path / "o"
-        assert main(["report", "--config", config_path, "--out", str(out)]) == 1
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert f"error: {key}: {message}" in captured.err
         assert "Traceback" not in captured.err + captured.out
